@@ -66,7 +66,7 @@ def main() -> None:
             source = f"  (by {node.source_url})" if node.source_url else ""
             print(f"    [{node.cause}] {node.url}{source}")
         graph = backtracking_graph(record)
-        print(f"  backtracking graph: {graph.number_of_nodes()} URLs, {graph.number_of_edges()} edges")
+        print(f"  backtracking graph: {len(graph.nodes)} URLs, {len(graph.edges)} edges")
         for candidate in milkable_candidates(record):
             print(f"  candidate milkable URL: {candidate}")
 

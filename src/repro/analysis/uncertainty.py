@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from repro.core.reports import Table3Row
 
@@ -34,6 +33,15 @@ class RateInterval:
         return not (self.high < other.low or other.high < self.low)
 
 
+def z_value(confidence: float) -> float:
+    """Two-sided standard-normal critical value for ``confidence``.
+
+    >>> round(z_value(0.95), 4)
+    1.96
+    """
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> RateInterval:
     """Wilson score interval for a binomial proportion.
 
@@ -45,7 +53,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Ra
         raise ValueError("need 0 <= successes <= trials")
     if trials == 0:
         return RateInterval(0, 0, 0.0, 0.0, 1.0, confidence)
-    z = float(norm.ppf(0.5 + confidence / 2.0))
+    z = z_value(confidence)
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom

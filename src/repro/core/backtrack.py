@@ -13,7 +13,7 @@ the attack page's domain is the campaign's *candidate milkable URL*
 
 from __future__ import annotations
 
-import networkx as nx
+from dataclasses import dataclass
 
 from repro.core.crawler import AdInteraction
 from repro.errors import AttributionError
@@ -22,17 +22,27 @@ from repro.urlkit.url import parse_url
 from repro.errors import UrlError
 
 
-def backtracking_graph(interaction: AdInteraction) -> nx.DiGraph:
-    """Build the URL graph for one triggered ad.
+@dataclass(frozen=True)
+class BacktrackingGraph:
+    """The URL graph of one triggered ad (Figure 3).
 
-    Nodes are URLs (strings); node attribute ``role`` is one of
-    ``publisher``, ``script``, ``hop`` or ``attack``; edge attribute
+    ``nodes`` maps each URL to its role — ``publisher``, ``script``,
+    ``hop``, ``attack`` or ``dead`` — in first-seen order; ``edges``
+    holds ``(src, dst, cause)`` triples in causal loading order, where
     ``cause`` records the loading mechanism.
     """
-    graph = nx.DiGraph()
+
+    nodes: dict[str, str]
+    edges: tuple[tuple[str, str, str], ...]
+
+
+def backtracking_graph(interaction: AdInteraction) -> BacktrackingGraph:
+    """Build the URL graph for one triggered ad."""
+    nodes: dict[str, str] = {}
+    edges: list[tuple[str, str, str]] = []
     previous: str | None = None
     if interaction.publisher_url:
-        graph.add_node(interaction.publisher_url, role="publisher")
+        nodes[interaction.publisher_url] = "publisher"
         previous = interaction.publisher_url
     # The script that opened the ad tab, if its provenance was captured.
     opener_script = None
@@ -41,29 +51,29 @@ def backtracking_graph(interaction: AdInteraction) -> nx.DiGraph:
             opener_script = node.source_url
             break
     if opener_script is not None:
-        graph.add_node(opener_script, role="script")
+        nodes[opener_script] = "script"
         if previous is not None:
-            graph.add_edge(previous, opener_script, cause="script-include")
+            edges.append((previous, opener_script, "script-include"))
         previous = opener_script
     last_url: str | None = None
     for node in interaction.chain:
         if node.url == last_url:
             continue  # tab-open + initial navigation log the same URL twice
-        graph.add_node(node.url, role="hop")
+        nodes[node.url] = "hop"
         if previous is not None:
-            graph.add_edge(previous, node.url, cause=node.cause)
+            edges.append((previous, node.url, node.cause))
         previous = node.url
         last_url = node.url
     if last_url is not None:
-        graph.nodes[last_url]["role"] = "attack" if not interaction.load_failed else "dead"
-    return graph
+        nodes[last_url] = "attack" if not interaction.load_failed else "dead"
+    return BacktrackingGraph(nodes=nodes, edges=tuple(edges))
 
 
-def attack_node(graph: nx.DiGraph) -> str:
+def attack_node(graph: BacktrackingGraph) -> str:
     """The graph's final landing node (start of the backtracking walk)."""
-    for node, data in graph.nodes(data=True):
-        if data.get("role") in ("attack", "dead"):
-            return node
+    for url, role in graph.nodes.items():
+        if role in ("attack", "dead"):
+            return url
     raise AttributionError("graph has no attack node")
 
 

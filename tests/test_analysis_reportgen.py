@@ -1,9 +1,16 @@
 """Tests for the markdown report generator."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis.reportgen import generate_report
 from repro.core.pipeline import PipelineResult
+
+#: SHA-256 of the Table 3 Wilson-interval section rendered for the
+#: shared tiny run (seed 7), recorded while the z-value still came from
+#: ``scipy.stats.norm.ppf``.
+TABLE3_CI_SHA256 = "e3212d59191e1dc09127524798d41ee291895980637ed95751669a70441c3fc1"
 
 
 class TestGenerateReport:
@@ -55,3 +62,11 @@ class TestGenerateReport:
         report = generate_report(world, result)
         if result.new_patterns:
             assert "new" in report and "networks" in report
+
+    def test_table3_intervals_unchanged(self, pipeline_run):
+        world, _, result = pipeline_run
+        report = generate_report(world, result)
+        start = report.index("### Table 3 with 95% Wilson intervals")
+        end = report.index("\n\n", report.index("\n\n", start) + 2)
+        section = report[start:end]
+        assert hashlib.sha256(section.encode()).hexdigest() == TABLE3_CI_SHA256, section

@@ -6,7 +6,18 @@ from repro.analysis.uncertainty import (
     rates_separable,
     table3_with_intervals,
     wilson_interval,
+    z_value,
 )
+
+#: Values computed with ``scipy.stats.norm.ppf`` before the stdlib
+#: ``statistics.NormalDist`` replaced it: confidence -> (z, Wilson
+#: bounds of 8/10).
+SCIPY_ERA = {
+    0.8: (1.2815515655446004, 0.6015960115342782, 0.9137627792113974),
+    0.9: (1.6448536269514722, 0.540792805687488, 0.931442012262468),
+    0.95: (1.959963984540054, 0.4901624715366418, 0.9433178485456248),
+    0.99: (2.5758293035489004, 0.4008186965216716, 0.9598688474953836),
+}
 
 
 class TestWilsonInterval:
@@ -45,6 +56,14 @@ class TestWilsonInterval:
         interval = wilson_interval(8, 10)
         assert interval.low == pytest.approx(0.49, abs=0.02)
         assert interval.high == pytest.approx(0.94, abs=0.02)
+
+    @pytest.mark.parametrize("confidence", sorted(SCIPY_ERA))
+    def test_matches_scipy_era_values(self, confidence):
+        z, low, high = SCIPY_ERA[confidence]
+        assert z_value(confidence) == pytest.approx(z, abs=1e-12, rel=0)
+        interval = wilson_interval(8, 10, confidence)
+        assert interval.low == pytest.approx(low, abs=1e-12, rel=0)
+        assert interval.high == pytest.approx(high, abs=1e-12, rel=0)
 
 
 class TestRateComparison:

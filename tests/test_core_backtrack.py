@@ -38,21 +38,43 @@ def figure3_interaction():
 class TestBacktrackingGraph:
     def test_nodes_and_roles(self):
         graph = backtracking_graph(figure3_interaction())
-        roles = {node: data["role"] for node, data in graph.nodes(data=True)}
+        roles = graph.nodes
         assert roles["http://verbeinlaliga.com/"] == "publisher"
         assert roles["http://nsvf17p9.com/atag_srv.js"] == "script"
         assert roles["http://live6nmld10.club/lp?cid=x"] == "attack"
 
     def test_edge_order_follows_loading(self):
         graph = backtracking_graph(figure3_interaction())
-        assert graph.has_edge("http://verbeinlaliga.com/", "http://nsvf17p9.com/atag_srv.js")
-        assert graph.has_edge(
+        pairs = [(src, dst) for src, dst, _ in graph.edges]
+        assert ("http://verbeinlaliga.com/", "http://nsvf17p9.com/atag_srv.js") in pairs
+        assert (
             "http://nsvf17p9.com/atag_srv.js",
             "http://nsvf17p9.com/atag_srv/go?pid=verbeinlaliga.com",
-        )
-        assert graph.has_edge(
+        ) in pairs
+        assert (
             "http://findglo210.info/go?cid=ts-01",
             "http://live6nmld10.club/lp?cid=x",
+        ) in pairs
+
+    def test_edges_listed_in_causal_order(self):
+        graph = backtracking_graph(figure3_interaction())
+        assert graph.edges == (
+            ("http://verbeinlaliga.com/", "http://nsvf17p9.com/atag_srv.js", "script-include"),
+            (
+                "http://nsvf17p9.com/atag_srv.js",
+                "http://nsvf17p9.com/atag_srv/go?pid=verbeinlaliga.com",
+                "window-open",
+            ),
+            (
+                "http://nsvf17p9.com/atag_srv/go?pid=verbeinlaliga.com",
+                "http://findglo210.info/go?cid=ts-01",
+                "http-redirect",
+            ),
+            (
+                "http://findglo210.info/go?cid=ts-01",
+                "http://live6nmld10.club/lp?cid=x",
+                "http-redirect",
+            ),
         )
 
     def test_duplicate_consecutive_urls_collapsed(self):
@@ -69,11 +91,11 @@ class TestBacktrackingGraph:
         record = figure3_interaction()
         dead = AdInteraction(**{**record.__dict__, "load_failed": True})
         graph = backtracking_graph(dead)
-        assert graph.nodes[attack_node(graph)]["role"] == "dead"
+        assert graph.nodes[attack_node(graph)] == "dead"
 
     def test_edge_causes_recorded(self):
         graph = backtracking_graph(figure3_interaction())
-        causes = {data["cause"] for _, _, data in graph.edges(data=True)}
+        causes = {cause for _, _, cause in graph.edges}
         assert "script-include" in causes
         assert "http-redirect" in causes
 
