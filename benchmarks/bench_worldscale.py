@@ -1,16 +1,14 @@
 """World-scale streaming runs: wall-clock and peak RSS per population.
 
 Runs the full streaming pipeline (crawl + analysis, no milking) against
-lazily materialized worlds of increasing population — 150, 1,000, 10,000
-and 93,000 publishers by default — and records wall-clock time and the
-process-wide peak RSS for each, in ``results/BENCH_worldscale.json``.
-A scalar-kernel reference run at the 10k rung quantifies the batch
-session kernel's per-publisher speedup (the ROADMAP item 1 acceptance
-number).
+worlds of increasing population — 150, 1,000, 10,000 and 93,000
+publishers by default — and records wall-clock time, ms per publisher
+and the process-wide peak RSS for each, in
+``results/BENCH_worldscale.json``.
 
 ``ru_maxrss`` is a per-process high-water mark that never goes down, so
 each population is measured in its own subprocess (this module re-execs
-itself with ``--child N [kernel]``); the parent only collects the JSON
+itself with ``--child N``); the parent only collects the JSON
 lines the children print.
 
 Override the population ladder with a comma-separated
@@ -34,20 +32,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 DEFAULT_POPULATIONS = (150, 1_000, 10_000, 93_000)
 
-#: The rung where the scalar-vs-batch kernel speedup is measured (the
-#: largest ladder entry at or below this count is used).
-SPEEDUP_RUNG = 10_000
-
-#: Wall-clock of the 10k rung as committed before the session-kernel
-#: work (commit b46b808, 10,961 publishers in 85.705s ≈ 7.8 ms per
-#: publisher).  The ROADMAP item 1 acceptance number — ≥3x per
-#: publisher at this rung — is measured against this figure, since the
-#: batch kernel's win includes the shared hot-path work (vectorized
-#: dhash resizing, record-indexed reversal) that also speeds the
-#: scalar loop.
-BASELINE_10K_MS_PER_PUBLISHER = round(1000 * 85.705 / 10_961, 3)
-
-
 def _populations() -> tuple[int, ...]:
     override = os.environ.get("WORLDSCALE_POPULATIONS")
     if not override:
@@ -55,11 +39,9 @@ def _populations() -> tuple[int, ...]:
     return tuple(int(part) for part in override.split(",") if part.strip())
 
 
-def _child(n_publishers: int, kernel: str) -> dict:
-    """One streamed lazy run at the given population, self-measured."""
+def _child(n_publishers: int) -> dict:
+    """One streamed run at the given population, self-measured."""
     from repro import SeacmaPipeline, WorldConfig, build_world
-    from repro.core.farm import FarmConfig
-    from repro.core.sessionbatch import numpy_enabled
     from repro.store import JsonlStore
 
     config = WorldConfig(
@@ -71,11 +53,9 @@ def _child(n_publishers: int, kernel: str) -> dict:
         n_advertisers=50,
     )
     started = time.perf_counter()
-    world = build_world(config)  # lazy is the default
+    world = build_world(config)
     build_seconds = time.perf_counter() - started
-    pipeline = SeacmaPipeline(
-        world, farm_config=FarmConfig(session_kernel=kernel)
-    )
+    pipeline = SeacmaPipeline(world)
     with tempfile.TemporaryDirectory() as scratch:
         result = pipeline.run_streaming(
             store=JsonlStore(pathlib.Path(scratch) / "store"),
@@ -88,9 +68,6 @@ def _child(n_publishers: int, kernel: str) -> dict:
     return {
         "publishers": n_publishers,
         "population": population,
-        "lazy": world.lazy,
-        "kernel": kernel,
-        "numpy": numpy_enabled(),
         "build_seconds": round(build_seconds, 3),
         "wall_seconds": round(wall_seconds, 3),
         "ms_per_publisher": round(1000 * wall_seconds / population, 3),
@@ -102,14 +79,14 @@ def _child(n_publishers: int, kernel: str) -> dict:
     }
 
 
-def _measure_in_subprocess(n_publishers: int, kernel: str = "batch") -> dict:
+def _measure_in_subprocess(n_publishers: int) -> dict:
     env = dict(os.environ)
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (str(src), env.get("PYTHONPATH")) if part
     )
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(n_publishers), kernel],
+        [sys.executable, __file__, "--child", str(n_publishers)],
         capture_output=True,
         text=True,
         env=env,
@@ -117,7 +94,7 @@ def _measure_in_subprocess(n_publishers: int, kernel: str = "batch") -> dict:
     )
     if proc.returncode != 0:
         raise AssertionError(
-            f"worldscale child ({n_publishers} publishers, {kernel}) failed:\n"
+            f"worldscale child ({n_publishers} publishers) failed:\n"
             f"{proc.stdout}\n{proc.stderr}"
         )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -139,42 +116,10 @@ def test_world_scale(save_artifact):
         # the expansion list); the crawl must reach at least half.
         assert distinct >= 0.5 * run["publishers"]
 
-    # Kernel speedup at the reference rung: the same population, once
-    # with the original scalar loop.  Per-publisher ratio == wall ratio
-    # (identical population), and the outputs are byte-identical, so
-    # this isolates exactly the batch kernel's win.
-    speedup = None
-    eligible = [n for n in populations if n <= SPEEDUP_RUNG]
-    if eligible:
-        rung = max(eligible)
-        batch_run = next(run for run in runs if run["publishers"] == rung)
-        scalar_run = _measure_in_subprocess(rung, kernel="scalar")
-        speedup = {
-            "publishers": rung,
-            "population": scalar_run["population"],
-            "scalar_wall_seconds": scalar_run["wall_seconds"],
-            "batch_wall_seconds": batch_run["wall_seconds"],
-            "scalar_ms_per_publisher": scalar_run["ms_per_publisher"],
-            "batch_ms_per_publisher": batch_run["ms_per_publisher"],
-            "speedup": round(
-                scalar_run["wall_seconds"] / batch_run["wall_seconds"], 2
-            ),
-        }
-        assert speedup["speedup"] > 1.0, (
-            "the batch kernel must not be slower than the scalar loop: "
-            f"{speedup}"
-        )
-        if rung == SPEEDUP_RUNG:
-            speedup["baseline_ms_per_publisher"] = BASELINE_10K_MS_PER_PUBLISHER
-            speedup["speedup_vs_baseline"] = round(
-                BASELINE_10K_MS_PER_PUBLISHER / batch_run["ms_per_publisher"], 2
-            )
-
     largest = runs[-1]
     payload = {
         "benchmark": "worldscale",
-        "mode": "streaming, lazy world, no milking",
-        "kernel_speedup": speedup,
+        "mode": "streaming, no milking",
         "runs": runs,
         "largest_population": largest["population"],
         "largest_peak_rss_mb": round(largest["peak_rss_kb"] / 1024, 1),
@@ -188,43 +133,26 @@ def test_world_scale(save_artifact):
         "\n".join(
             f"{run['population']:>6} publishers: {run['wall_seconds']:7.2f}s wall, "
             f"{run['peak_rss_kb'] / 1024:7.1f} MiB peak RSS, "
-            f"{run['interactions']} ads ({run['kernel']} kernel, "
-            f"{run['ms_per_publisher']} ms/publisher)"
+            f"{run['interactions']} ads ({run['ms_per_publisher']} ms/publisher)"
             for run in runs
-        )
-        + (
-            f"\nkernel speedup at {speedup['population']} publishers: "
-            f"{speedup['speedup']}x "
-            f"({speedup['scalar_ms_per_publisher']} -> "
-            f"{speedup['batch_ms_per_publisher']} ms/publisher)"
-            if speedup
-            else ""
-        )
-        + (
-            f"\nvs pre-kernel baseline: {speedup['speedup_vs_baseline']}x "
-            f"({speedup['baseline_ms_per_publisher']} -> "
-            f"{speedup['batch_ms_per_publisher']} ms/publisher)"
-            if speedup and "speedup_vs_baseline" in speedup
-            else ""
         ),
     )
     if len(runs) >= 2:
         # Bounded memory at scale: RSS must grow far slower than the
-        # population.  Eager growth is roughly linear (~25 KB/publisher);
-        # the lazy world's page cache caps the resident page set, so a
-        # 10x population may cost at most ~3x the memory.
+        # population.  Retaining every page would grow roughly linearly
+        # (~25 KB/publisher); the world's page cache caps the resident
+        # page set, so a 10x population may cost at most ~3x the memory.
         first, last = runs[0], runs[-1]
         population_ratio = last["population"] / first["population"]
         rss_ratio = last["peak_rss_kb"] / first["peak_rss_kb"]
         assert rss_ratio < max(3.0, population_ratio / 3), (
             f"peak RSS grew {rss_ratio:.1f}x over a {population_ratio:.0f}x "
-            "population increase — the lazy world is not bounding memory"
+            "population increase — the page cache is not bounding memory"
         )
 
 
 if __name__ == "__main__":
-    if len(sys.argv) in (3, 4) and sys.argv[1] == "--child":
-        kernel = sys.argv[3] if len(sys.argv) == 4 else "batch"
-        print(json.dumps(_child(int(sys.argv[2]), kernel)))
+    if len(sys.argv) == 3 and sys.argv[1] == "--child":
+        print(json.dumps(_child(int(sys.argv[2]))))
     else:  # pragma: no cover - convenience entry
-        raise SystemExit("run via pytest, or with --child N [scalar|batch]")
+        raise SystemExit("run via pytest, or with --child N")

@@ -63,10 +63,10 @@ SEGMENT_POINTS = (
 PIPELINE_POINTS = ("checkpoint.persist",)
 FEED_POINTS = ("feed.publish.pre", "feed.publish.post")
 MERGE_POINTS = ("parallel.merge.pre", "parallel.merge.post")
-#: The lazy-world materialization path: ``pre`` dies before a page is
+#: The world materialization path: ``pre`` dies before a page is
 #: derived, ``post`` after it entered the bounded cache.  Reached by any
-#: lazy run (reversal materializes every publisher), including inside
-#: shard workers.
+#: run as the crawl reaches each publisher, including inside shard
+#: workers.
 WORLD_POINTS = ("world.materialize.pre", "world.materialize.post")
 #: The adaptive-scheduling arm-statistics write: ``pre`` dies before the
 #: round's cumulative stats record is appended, ``post`` after the append
@@ -74,13 +74,13 @@ WORLD_POINTS = ("world.materialize.pre", "world.materialize.post")
 #: back and the resumed run recomputes the identical record from the
 #: replayed stages.
 POLICY_POINTS = ("policy.update.pre", "policy.update.post")
-#: The batch session kernel's per-domain resolve phase: ``pre`` dies
+#: The session kernel's per-domain resolve phase: ``pre`` dies
 #: before any deferred screenshot hash is computed, ``post`` after the
 #: resolved interactions committed to the in-memory checkpoint but
 #: before the domain's batch reaches the store.  Either way nothing of
 #: the domain was persisted, so recovery re-crawls it from the last
-#: progress marker.  Reached once per crawled domain under the default
-#: (batch) kernel, in whichever process runs the domain.
+#: progress marker.  Reached once per crawled domain, in whichever
+#: process runs the domain.
 SESSIONBATCH_POINTS = ("farm.sessionbatch.pre", "farm.sessionbatch.post")
 
 CRASH_POINTS = (

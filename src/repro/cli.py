@@ -8,7 +8,6 @@ Subcommands::
 
     seacma run       --preset tiny --seed 7 --days 2 [--fault-rate P]
                      [--no-retries] [--no-milking] [--out DIR]
-                     [--no-lazy-world] [--session-kernel batch|scalar]
                      [--stream --store-dir DIR [--batch-domains N]
                       [--workers K] [--fsync]]
                      [--policy static|egreedy|ucb1 [--explore-floor F]
@@ -16,7 +15,6 @@ Subcommands::
                      [--trace-dir DIR] [--metrics]
     seacma resume    STORE_DIR --days 2 [--no-milking]
                      [--batch-domains N] [--workers K] [--fsync]
-                     [--no-lazy-world] [--session-kernel batch|scalar]
                      [--trace-dir DIR] [--metrics]
     seacma tables    --preset tiny --seed 7 --days 2 [--from-store DIR]
     seacma feeds     --preset tiny --seed 7 --days 2
@@ -30,7 +28,7 @@ Subcommands::
     seacma feed      lag   STORE_DIR [--cohorts N] [--clients-per-cohort N]
                      [--poll-minutes F] [--fault-rate P] [--fleet-seed N]
                      [--poll-jitter F]
-    seacma selfcheck --preset small [--no-lazy-world]
+    seacma selfcheck --preset small
 
 ``run --stream`` persists the run into a store directory as it goes;
 ``resume`` continues a run whose process died mid-crawl; ``tables`` and
@@ -57,20 +55,8 @@ persisted to the store's ``policy`` stream, so ``seacma resume``
 replays them byte-identically; ``--policy static`` (no budget) keeps
 today's plan, byte for byte.
 
-``--session-kernel`` selects the session-simulation kernel
-(:mod:`repro.core.sessionbatch`): ``batch`` (the default) defers each
-domain's pure per-interaction work — screenshot hashing, landing-page
-features — into a content-deduplicated, numpy-vectorized resolve phase;
-``scalar`` is the original inline loop.  The two kernels are
-byte-identical in every output (store, trace, feeds, policy stream), so
-the choice is purely about wall time.
-
-Worlds are built lazily by default (``--lazy-world``): publisher pages
-are derived on demand into a bounded cache, so populations of 10k+
-publishers run in bounded memory with byte-identical outputs.
-``--no-lazy-world`` forces the old eager construction, which
-materializes every site up front and refuses populations beyond the
-eager limit.
+Publisher pages are derived on demand into a bounded cache, so
+populations of 10k+ publishers run in bounded memory.
 
 The ``feed`` group works against the versioned blocklist a streamed,
 milking-enabled run published into its store: ``feed serve`` mounts it
@@ -132,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--preset", choices=sorted(_PRESETS), default="tiny")
         command.add_argument("--seed", type=int, default=7)
         command.add_argument("--days", type=float, default=2.0, help="milking days")
-        _add_lazy_world_argument(command)
         if name != "selfcheck":
             command.add_argument(
                 "--fault-rate",
@@ -177,15 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="fsync every store write (durability against power "
                 "loss, not just process death)",
-            )
-            command.add_argument(
-                "--session-kernel",
-                choices=("batch", "scalar"),
-                default="batch",
-                help="session-simulation kernel: batch defers and "
-                "vectorizes screenshot hashing per domain (the fast "
-                "path); scalar is the original inline loop; outputs "
-                "are byte-identical either way",
             )
             command.add_argument(
                 "--policy",
@@ -235,14 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fsync every store write while resuming",
     )
-    resume.add_argument(
-        "--session-kernel",
-        choices=("batch", "scalar"),
-        default="batch",
-        help="session-simulation kernel for the resumed crawl "
-        "(byte-identical outputs either way)",
-    )
-    _add_lazy_world_argument(resume)
     _add_telemetry_arguments(resume)
     store = sub.add_parser(
         "store", help="inspect and repair durable run stores"
@@ -341,17 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_lazy_world_argument(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--lazy-world",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="materialize publisher pages on demand into a bounded cache "
-        "(the default; outputs are byte-identical to the eager world, "
-        "which --no-lazy-world forces)",
-    )
-
-
 def _add_telemetry_arguments(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--trace-dir",
@@ -373,7 +330,7 @@ def _run_pipeline(args):
     fault_rate = getattr(args, "fault_rate", 0.0)
     if fault_rate:
         config = dataclasses.replace(config, fault_rate=fault_rate)
-    world = build_world(config, lazy=args.lazy_world)
+    world = build_world(config)
     sched_config = None
     if getattr(args, "policy", "static") != "static" or getattr(
         args, "session_budget", None
@@ -387,7 +344,6 @@ def _run_pipeline(args):
         )
     pipeline = SeacmaPipeline(
         world,
-        farm_config=_farm_config(args),
         milking_config=_milking_config(args),
         retries_enabled=not getattr(args, "no_retries", False),
         sched_config=sched_config,
@@ -455,27 +411,13 @@ def _milking_config(args) -> MilkingConfig:
     )
 
 
-def _farm_config(args):
-    """Farm config from CLI flags (commands without the flags get defaults)."""
-    from repro.core.farm import FarmConfig
-    from repro.core.sessionbatch import DEFAULT_KERNEL
-
-    return FarmConfig(
-        session_kernel=getattr(args, "session_kernel", DEFAULT_KERNEL)
-    )
-
-
 def _resume(args) -> int:
     from repro.store import JsonlStore
     from repro.store.persist import load_world
 
     store = JsonlStore.open(args.store_dir, fsync=args.fsync)
-    world = load_world(store, lazy=args.lazy_world)
-    pipeline = SeacmaPipeline(
-        world,
-        farm_config=_farm_config(args),
-        milking_config=_milking_config(args),
-    )
+    world = load_world(store)
+    pipeline = SeacmaPipeline(world, milking_config=_milking_config(args))
     telemetry = _activate_telemetry(args, world)
     try:
         result = pipeline.resume_streaming(
@@ -498,12 +440,12 @@ def _resume(args) -> int:
     return 0
 
 
-def _load_stored(path, lazy: bool | None = None):
+def _load_stored(path):
     from repro.store import JsonlStore
     from repro.store.persist import load_result, load_world
 
     store = JsonlStore.open(path)
-    return load_world(store, lazy=lazy), load_result(store)
+    return load_world(store), load_result(store)
 
 
 def _print_tables(world, result, out=print) -> None:
@@ -732,9 +674,7 @@ def _dispatch(args) -> int:
         print(render_summary(summarize_trace(args.trace_dir)))
         return 0
     if args.command == "selfcheck":
-        world = build_world(
-            _PRESETS[args.preset](seed=args.seed), lazy=args.lazy_world
-        )
+        world = build_world(_PRESETS[args.preset](seed=args.seed))
         issues = world.self_check()
         if issues:
             for issue in issues:
@@ -747,7 +687,7 @@ def _dispatch(args) -> int:
         return 0
     telemetry = None
     if getattr(args, "from_store", None) is not None:
-        world, result = _load_stored(args.from_store, lazy=args.lazy_world)
+        world, result = _load_stored(args.from_store)
     else:
         world, result, telemetry = _run_pipeline(args)
     if args.command == "tables":

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 from repro.browser.useragent import PROFILES, UserAgentProfile
 from repro.core.crawler import AdInteraction, CrawlerConfig, crawl_session
-from repro.core.sessionbatch import DEFAULT_KERNEL, make_kernel
+from repro.core.sessionbatch import SessionKernel
 from repro.ecosystem.world import World
 from repro.errors import ConfigError, TabCrashError, TransientError
 from repro.rng import derive
@@ -73,11 +73,6 @@ class FarmConfig:
     #: eligible universe once up front, and re-capping each (already
     #: capped) round slice would truncate it again.
     apply_residential_cap: bool = True
-    #: Session-simulation kernel (:mod:`repro.core.sessionbatch`):
-    #: ``batch`` defers and vectorizes the pure per-interaction work
-    #: (screenshot hashing, page features); ``scalar`` is the original
-    #: inline loop.  Byte-identical outputs either way.
-    session_kernel: str = DEFAULT_KERNEL
 
 
 @dataclass
@@ -229,10 +224,8 @@ class CrawlerFarm:
     def __init__(self, world: World, config: FarmConfig | None = None) -> None:
         self.world = world
         self.config = config if config is not None else FarmConfig()
-        #: The session kernel driving each plan entry's inner loop
-        #: (validated here so a bad ``session_kernel`` fails at
-        #: construction, not mid-crawl).
-        self.kernel = make_kernel(self.config.session_kernel)
+        #: The session kernel driving each plan entry's inner loop.
+        self.kernel = SessionKernel()
         #: Progress of the current/last :meth:`crawl` call; pass it back
         #: in to resume after a crash.
         self.checkpoint: CrawlCheckpoint | None = None

@@ -119,7 +119,7 @@ def record_world_stats(world: World) -> None:
             "world.materialize",
             sim_start=now,
             sim_end=now,
-            attrs={"lazy": world.lazy, **stats.as_dict()},
+            attrs=stats.as_dict(),
             lane=SHARD_LANE,
         )
 

@@ -1,74 +1,44 @@
-"""Columnar session-simulation kernels (ROADMAP item 1).
+"""The columnar session-simulation kernel.
 
-A *session kernel* owns the inner loop of :meth:`CrawlerFarm._drive`: it
-runs every still-pending (domain, profile) session of one plan entry and
-commits the results into the crawl checkpoint.  Two kernels exist:
+:class:`SessionKernel` owns the inner loop of :meth:`CrawlerFarm._drive`:
+it runs every still-pending (domain, profile) session of one plan entry
+and commits the results into the crawl checkpoint.  Session control flow
+(clicks, cloaking, RNG draws, virtual clock) runs session by session —
+the ad servers are stateful within a domain scope, so sessions cannot be
+reordered — but everything *pure* is deferred and batched: screenshot
+hashing moves out of the session loop into a per-domain resolve phase
+that content-dedupes the captured frames and hashes the survivors as one
+stacked array operation (:func:`~repro.imaging.dhash.dhash128_many`),
+and landing-page feature extraction is memoized per rendered page.
 
-* :class:`ScalarSessionKernel` — the original per-session loop, every
-  screenshot hashed inline by :func:`~repro.imaging.dhash.dhash128`.
-* :class:`BatchSessionKernel` — the columnar fast path.  Session control
-  flow (clicks, cloaking, RNG draws, virtual clock) is untouched — the
-  ad servers are stateful within a domain scope, so sessions cannot be
-  reordered — but everything *pure* is deferred and batched: screenshot
-  hashing moves out of the session loop into a per-domain resolve phase
-  that content-dedupes the captured frames and hashes the survivors as
-  one stacked array operation (:func:`~repro.imaging.dhash.dhash128_many`),
-  and landing-page feature extraction is memoized per rendered page.
-
-Byte-identity across kernels is an invariant, not a goal: hashes and
-page features are pure functions of page content that the session control
-flow never reads back, so deferring, deduplicating, or vectorizing them
-cannot change any downstream byte.  Block sums of uint8 pixels are exact
-in float64, which makes the stacked numpy means — and the pure-Python
-fallback used when numpy is disabled via ``SEACMA_SESSIONBATCH_NUMPY=0``
-— bit-identical to the scalar hash (see ``tests/test_sessionbatch.py``).
+Hashes and page features are pure functions of page content that the
+session control flow never reads back, so deferring, deduplicating or
+vectorizing them cannot change any downstream byte.  Block sums of uint8
+pixels are exact in float64, which makes the stacked means bit-identical
+to the per-image :func:`~repro.imaging.dhash.dhash128` (see
+``tests/test_sessionbatch.py``; the golden digests in
+``tests/golden.py`` pin whole runs).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Any
 
 from repro.chaos.points import crash_point
 from repro.core.crawler import AdInteraction, PageFeatures
-from repro.errors import ConfigError
-from repro.imaging.dhash import dhash128_many, dhash128_pure
+from repro.imaging.dhash import dhash128_many
 from repro.telemetry import SHARD_LANE, current as current_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.farm import CrawlCheckpoint, CrawlPlan, CrawlerFarm, PlanEntry
 
-#: Kernel selected when :class:`~repro.core.farm.FarmConfig` does not say
-#: otherwise.  ``batch`` — the equivalence suite proves it byte-identical
-#: to ``scalar``, so the fast path is the default.
-DEFAULT_KERNEL = "batch"
-KERNELS = ("scalar", "batch")
-
-#: Set to ``0``/``off``/``false``/``no`` to disable the numpy accelerator
-#: inside the batch kernel (the pure-Python hash fallback runs instead).
-#: Exists so CI and the equivalence suite can prove the fallback
-#: byte-identical without uninstalling numpy.
-NUMPY_ENV = "SEACMA_SESSIONBATCH_NUMPY"
-
 #: Interactions recorded per session; sessions cap at
 #: :attr:`~repro.core.crawler.CrawlerConfig.max_ads` (default 3), so the
 #: buckets resolve the whole useful range exactly.
 SCREEN_BOUNDARIES = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0)
-
-
-def numpy_enabled() -> bool:
-    """Whether the batch kernel may use numpy for hashing."""
-    value = os.environ.get(NUMPY_ENV, "").strip().lower()
-    if value in ("0", "off", "false", "no"):
-        return False
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        return False
-    return True
 
 
 def _image_digest(image: Any) -> bytes:
@@ -117,9 +87,9 @@ class HashMemo:
 class DeferredRecorder:
     """Collects pure per-interaction work for a domain's resolve phase.
 
-    Handed to :func:`~repro.core.crawler.crawl_session` by the batch
-    kernel.  ``screenshot_hash`` returns a *placeholder* (the pending
-    frame's index); the kernel swaps every placeholder for the real hash
+    Handed to :func:`~repro.core.crawler.crawl_session` by the kernel.
+    ``screenshot_hash`` returns a *placeholder* (the pending frame's
+    index); the kernel swaps every placeholder for the real hash
     before any record leaves the kernel, so placeholders are never
     observable outside one ``run_entry`` call.
     """
@@ -142,14 +112,13 @@ class DeferredRecorder:
             self._features[key] = hit
         return hit[1]
 
-    def resolve(self, use_numpy: bool) -> tuple[list[int], dict[str, int]]:
+    def resolve(self) -> tuple[list[int], dict[str, int]]:
         """Hash every pending frame; returns (hashes, resolve stats).
 
         Frames are deduplicated twice: against the cross-domain memo and
         within the pending batch itself.  Only first-seen content is
-        hashed — vectorized when numpy is enabled, else through the
-        pure-Python fallback.  Both produce the bit-identical value
-        :func:`~repro.imaging.dhash.dhash128` would have.
+        hashed, in one vectorized pass that produces the bit-identical
+        value :func:`~repro.imaging.dhash.dhash128` would have.
         """
         hashes = [0] * len(self.images)
         fresh_images: list[Any] = []
@@ -169,10 +138,7 @@ class DeferredRecorder:
             fresh_digests.append(digest)
             fresh_images.append(image)
         if fresh_images:
-            if use_numpy:
-                computed = dhash128_many(fresh_images)
-            else:
-                computed = [dhash128_pure(image) for image in fresh_images]
+            computed = dhash128_many(fresh_images)
             for digest, value in zip(fresh_digests, computed):
                 self.memo.put(digest, value)
                 for index in fresh_slots[digest]:
@@ -185,49 +151,19 @@ class DeferredRecorder:
         return hashes, stats
 
 
-@dataclass
-class KernelStats:
-    """Cumulative work counters of one kernel instance (one farm)."""
-
-    domains: int = 0
-    screens: int = 0
-    hashed: int = 0
-
-    @property
-    def dedup_ratio(self) -> float:
-        """Fraction of captured frames whose hash was reused."""
-        if not self.screens:
-            return 0.0
-        return 1.0 - self.hashed / self.screens
-
-
 class SessionKernel:
-    """Base kernel: the exact legacy per-session loop plus a commit phase.
+    """Runs one plan entry's sessions, then resolves and commits them.
 
     ``run_entry`` runs every pending session of ``entry`` and returns
     ``(batch_interactions, sessions_run)``.  The commit phase — dataset
     append, landing-click accounting, checkpoint marks — always runs,
     even when a session dies on an unabsorbed exception, so the
     checkpoint a crash leaves behind covers exactly the sessions that
-    finished (the scalar loop's behavior, preserved bit-for-bit by the
-    batch kernel's resolve-before-commit ordering).
+    finished; placeholders are resolved before that commit.
     """
 
-    name = "scalar"
-
     def __init__(self) -> None:
-        self.stats = KernelStats()
-
-    def _make_recorder(self) -> DeferredRecorder | None:
-        return None
-
-    def _resolve(
-        self,
-        entry: "PlanEntry",
-        recorder: DeferredRecorder | None,
-        pending: list[tuple[tuple[str, str], int, list[AdInteraction]]],
-    ) -> None:
-        """Finish deferred work before the commit phase (no-op here)."""
+        self.memo = HashMemo()
 
     def run_entry(
         self,
@@ -241,11 +177,11 @@ class SessionKernel:
         dataset = checkpoint.dataset
         n_laptops = len(world.vantages_residential) or 1
         telemetry = current_telemetry()
-        recorder = self._make_recorder()
+        recorder = DeferredRecorder(self.memo)
         batch: list[AdInteraction] = []
         sessions_run = 0
         #: (session key, profile index, that session's interactions) —
-        #: interactions may hold placeholder hashes until ``_resolve``.
+        #: interactions hold placeholder hashes until ``_resolve``.
         pending: list[tuple[tuple[str, str], int, list[AdInteraction]]] = []
         try:
             for profile_index, profile in enumerate(config.profiles):
@@ -291,68 +227,29 @@ class SessionKernel:
                     )
         return batch, sessions_run
 
-
-class ScalarSessionKernel(SessionKernel):
-    """The original loop: hash and featurize inline, session by session."""
-
-    name = "scalar"
-
-
-class BatchSessionKernel(SessionKernel):
-    """Columnar fast path: defer pure work, dedupe, hash as one batch."""
-
-    name = "batch"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.memo = HashMemo()
-        self.use_numpy = numpy_enabled()
-
-    def _make_recorder(self) -> DeferredRecorder:
-        return DeferredRecorder(self.memo)
-
     def _resolve(
         self,
         entry: "PlanEntry",
-        recorder: DeferredRecorder | None,
+        recorder: DeferredRecorder,
         pending: list[tuple[tuple[str, str], int, list[AdInteraction]]],
     ) -> None:
-        assert recorder is not None
+        """Swap every placeholder hash for the real one."""
         crash_point("farm.sessionbatch.pre")
         telemetry = current_telemetry()
         # Operational lane: resolve runs wherever the domain's sessions
         # ran (parent or shard worker); kernel-internal counters are not
-        # part of the canonical sim trace, so kernels stay byte-identical.
+        # part of the canonical sim trace.
         with telemetry.span(
             "farm.sessionbatch",
-            attrs={
-                "domain": entry.domain,
-                "kernel": self.name,
-                "screens": len(recorder.images),
-                "numpy": self.use_numpy,
-            },
+            attrs={"domain": entry.domain, "screens": len(recorder.images)},
             lane=SHARD_LANE,
         ) as span:
-            hashes, stats = recorder.resolve(self.use_numpy)
+            hashes, stats = recorder.resolve()
             for _, _, interactions in pending:
                 for slot, record in enumerate(interactions):
                     interactions[slot] = replace(
                         record, screenshot_hash=hashes[record.screenshot_hash]
                     )
-            self.stats.domains += 1
-            self.stats.screens += stats["screens"]
-            self.stats.hashed += stats["hashed"]
             if span is not None:
                 span.attrs["hashed"] = stats["hashed"]
         crash_point("farm.sessionbatch.post")
-
-
-def make_kernel(name: str) -> SessionKernel:
-    """Build the session kernel ``name`` (``scalar`` or ``batch``)."""
-    if name == "scalar":
-        return ScalarSessionKernel()
-    if name == "batch":
-        return BatchSessionKernel()
-    raise ConfigError(
-        f"unknown session kernel {name!r}; expected one of {KERNELS}"
-    )

@@ -17,12 +17,7 @@ from repro.ecosystem.webpulse import WebPulse
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import VirusTotal, VtReport
 from repro.ecosystem.adblock import FilterList, build_filter_list
-from repro.ecosystem.world import (
-    EAGER_PUBLISHER_LIMIT,
-    World,
-    WorldConfig,
-    build_world,
-)
+from repro.ecosystem.world import World, WorldConfig, build_world
 
 __all__ = [
     "BenignWeb",
@@ -34,7 +29,6 @@ __all__ = [
     "PublisherSite",
     "PublisherDirectory",
     "derive_publisher_page",
-    "EAGER_PUBLISHER_LIMIT",
     "PublicWWW",
     "SearchHit",
     "WebPulse",

@@ -1,9 +1,9 @@
-"""Lazy world materialization: derive publisher artifacts on demand.
+"""World materialization: derive publisher artifacts on demand.
 
-The eager builder keeps every :class:`~repro.ecosystem.publisher.PublisherSite`
-— and, once touched, every built page — alive for the whole run, which
-caps the population a world can hold in memory.  This module is the lazy
-alternative the directory services build on:
+Retaining every :class:`~repro.ecosystem.publisher.PublisherSite` — and,
+once touched, every built page — for the whole run would cap the
+population a world can hold in memory.  The directory services build on
+this module instead:
 
 * :class:`SiteRecord` is the compact per-publisher skeleton (domain,
   rank, category, network keys) the sequential generation pass emits for
@@ -17,13 +17,10 @@ alternative the directory services build on:
   ``world.publishers`` list, materializing transient site views on
   access only.
 
-Determinism argument: lazy and eager worlds run the *same* skeleton
-pass (same RNG draws, same DNS registrations) and differ only in when a
-page object exists in memory.  Because page derivation consumes no
-shared RNG stream and mutates no world state, building a page late, or
-twice, yields byte-identical artifacts — which is what the
-lazy-vs-eager equivalence suite (``tests/test_lazy_world.py``) proves
-end to end.
+Determinism argument: page derivation consumes no shared RNG stream and
+mutates no world state, so building a page late, or twice, yields
+byte-identical artifacts (``tests/test_lazy_world.py`` checks
+re-derivation; the golden digests in ``tests/golden.py`` pin whole runs).
 
 The cache build path carries two named chaos points
 (``world.materialize.pre``/``world.materialize.post``) so the crash
@@ -148,10 +145,10 @@ class PageCache:
 
 
 class SiteSequence(Sequence):
-    """``world.publishers`` over a lazy directory: views, not residents.
+    """``world.publishers`` over the directory: views, not residents.
 
-    Supports ``len``/iteration/indexing/slicing like the eager list, but
-    each access materializes a transient
+    Supports ``len``/iteration/indexing/slicing like a list, but each
+    access materializes a transient
     :class:`~repro.ecosystem.publisher.PublisherSite` view from the
     directory's record table; nothing is retained between accesses.
     """
@@ -173,4 +170,4 @@ class SiteSequence(Sequence):
             yield self._directory.get(domain)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SiteSequence({len(self._domains)} lazy sites)"
+        return f"SiteSequence({len(self._domains)} sites)"

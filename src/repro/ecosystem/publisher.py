@@ -7,13 +7,10 @@ page, which is why repeated clicks at the same spot yield ads from
 different networks (§3.2).
 
 The :class:`PublisherDirectory` answers every publisher query from a
-compact :class:`~repro.ecosystem.materialize.SiteRecord` table.  In
-eager mode it also retains the full :class:`PublisherSite` objects (and
-their built pages) the way the original builder did; in lazy mode sites
+compact :class:`~repro.ecosystem.materialize.SiteRecord` table.  Sites
 are transient views materialized on access and pages live in a bounded
-LRU (:class:`~repro.ecosystem.materialize.PageCache`) — both modes
-serve byte-identical pages because page derivation is a pure function
-of ``(seed, domain)``.
+LRU (:class:`~repro.ecosystem.materialize.PageCache`); eviction is safe
+because page derivation is a pure function of ``(seed, domain)``.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ class PublisherSite:
     category: str
     #: The networks whose snippets the page embeds, in snippet order.
     networks: list[AdNetworkServer] = field(default_factory=list)
-    _page: PageContent | None = field(default=None, repr=False, compare=False)
 
     @property
     def url(self) -> str:
@@ -60,25 +56,6 @@ class PublisherSite:
         """Whether the site embeds the named network's snippet."""
         return any(server.spec.key == key for server in self.networks)
 
-    def page(self, seed: int) -> PageContent:
-        """Build (once) and return the publisher's front page."""
-        if self._page is None:
-            self._page = derive_publisher_page(self, seed)
-        return self._page
-
-    def page_source(self, seed: int) -> str:
-        """The page source PublicWWW indexes."""
-        return self.page(seed).source_text()
-
-    def record(self) -> SiteRecord:
-        """The site's compact skeleton record."""
-        return SiteRecord(
-            domain=self.domain,
-            rank=self.rank,
-            category=self.category,
-            network_keys=tuple(server.spec.key for server in self.networks),
-        )
-
 
 def derive_publisher_page(site: PublisherSite, seed: int) -> PageContent:
     """Derive a publisher's front page — a pure function of ``(seed, domain)``.
@@ -86,7 +63,7 @@ def derive_publisher_page(site: PublisherSite, seed: int) -> PageContent:
     Every RNG stream consumed here is labeled by the site's domain (and,
     per snippet, the network key), so the derived page is identical no
     matter when, where, or how many times it is built — the property the
-    lazy world's cache eviction relies on.
+    page cache's eviction relies on.
     """
     rng: random.Random = rng_for(seed, "publisher-page", site.domain)
     root = div(width=1280, height=800, attrs={"id": "content"})
@@ -121,10 +98,8 @@ def derive_publisher_page(site: PublisherSite, seed: int) -> PageContent:
 class PublisherDirectory(VirtualServer):
     """Serves every publisher site from one virtual server.
 
-    Always keeps the record table; whether it *also* keeps materialized
-    sites is the eager/lazy split: :meth:`add` registers a resident site
-    (eager), :meth:`add_record` registers only the skeleton (lazy) and
-    needs ``network_servers`` to rebuild site views on demand.
+    Keeps only the record table: :meth:`add_record` registers a skeleton,
+    and ``network_servers`` rebuild site views from it on demand.
     """
 
     def __init__(
@@ -136,7 +111,6 @@ class PublisherDirectory(VirtualServer):
         self._seed = seed
         self._network_servers = network_servers if network_servers is not None else {}
         self._records: dict[str, SiteRecord] = {}
-        self._sites: dict[str, PublisherSite] = {}
         self.stats = MaterializationStats()
         self._cache = PageCache(page_cache_size, stats=self.stats, chaos=True)
 
@@ -146,15 +120,8 @@ class PublisherDirectory(VirtualServer):
     def __contains__(self, domain: str) -> bool:
         return domain in self._records
 
-    def add(self, site: PublisherSite) -> None:
-        """Register a resident (eager) publisher site."""
-        if site.domain in self._records:
-            raise ValueError(f"duplicate publisher {site.domain}")
-        self._records[site.domain] = site.record()
-        self._sites[site.domain] = site
-
     def add_record(self, record: SiteRecord) -> None:
-        """Register a publisher skeleton only (lazy mode)."""
+        """Register a publisher skeleton."""
         if record.domain in self._records:
             raise ValueError(f"duplicate publisher {record.domain}")
         self._records[record.domain] = record
@@ -172,11 +139,7 @@ class PublisherDirectory(VirtualServer):
         return self._records[domain].network_keys
 
     def network_servers(self) -> dict[str, "AdNetworkServer"]:
-        """The ad-network servers this directory can rebuild sites from.
-
-        Empty for eager-only directories constructed without
-        ``network_servers=`` (their sites carry the servers directly).
-        """
+        """The ad-network servers this directory rebuilds sites from."""
         return self._network_servers
 
     def domains(self) -> tuple[str, ...]:
@@ -186,17 +149,13 @@ class PublisherDirectory(VirtualServer):
     def get(self, domain: str) -> PublisherSite:
         """Look up a site by domain.
 
-        Eager-registered domains return the resident site; lazy ones a
-        transient view rebuilt from the record (equal by value, never
-        retained by the directory).
+        Returns a transient view rebuilt from the record (equal by value,
+        never retained by the directory).
         """
-        site = self._sites.get(domain)
-        if site is not None:
-            return site
         return self._site_view(self._records[domain])
 
     def sites(self) -> list[PublisherSite]:
-        """All sites, in insertion order (materializes lazy entries)."""
+        """All sites, in insertion order (materializes every view)."""
         return [self.get(domain) for domain in self._records]
 
     def iter_sites(self):
@@ -205,18 +164,7 @@ class PublisherDirectory(VirtualServer):
             yield self.get(domain)
 
     def page_of(self, domain: str) -> PageContent:
-        """The domain's front page, via the mode-appropriate cache."""
-        site = self._sites.get(domain)
-        if site is not None:
-            built = site._page is None
-            page = site.page(self._seed)
-            if built:
-                self.stats.pages_built += 1
-                self.stats.cache_misses += 1
-                self.stats.distinct.add(domain)
-            else:
-                self.stats.cache_hits += 1
-            return page
+        """The domain's front page, via the bounded page cache."""
         record = self._records[domain]
         return self._cache.get(
             domain, lambda: derive_publisher_page(self._site_view(record), self._seed)

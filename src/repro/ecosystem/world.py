@@ -12,15 +12,11 @@ the ``paper_scale`` preset; smaller presets preserve the *ratios* that
 the reproduced tables depend on (per-network SE rates, category shares,
 domain churn per crawl window) while shrinking population sizes.
 
-Materialization: ``build_world(config, lazy=True)`` — the default —
-runs the identical cheap skeleton pass (publisher domains, ranks,
-categories, network assignments, DNS registrations) but materializes
-pages on demand through the directory's bounded cache instead of
-retaining every :class:`PublisherSite` for the life of the run; see
-``DESIGN.md`` ("World materialization").  Eager construction is capped
-at :data:`EAGER_PUBLISHER_LIMIT` publishers and fails fast with a
-:class:`~repro.errors.WorldConfigError` beyond it — ``paper_scale``
-worlds only build lazily.
+Materialization: ``build_world`` runs a cheap skeleton pass (publisher
+domains, ranks, categories, network assignments, DNS registrations) and
+materializes pages on demand through the directory's bounded cache
+instead of retaining every :class:`PublisherSite` for the life of the
+run; see ``DESIGN.md`` ("World materialization").
 """
 
 from __future__ import annotations
@@ -170,23 +166,11 @@ class WorldConfig:
         return cls(**settings)
 
 
-#: Largest population :func:`build_world` will construct eagerly.  Eager
-#: worlds retain every site (and every touched page) for the life of the
-#: run — past this bound that is an OOM in waiting, so construction
-#: fails fast and points at the lazy path instead.
-EAGER_PUBLISHER_LIMIT = 20_000
-
-
 class World:
     """The built ecosystem: everything the pipeline can touch."""
 
-    def __init__(self, config: WorldConfig, lazy: bool = False) -> None:
+    def __init__(self, config: WorldConfig) -> None:
         self.config = config
-        #: Whether publisher pages materialize on demand (bounded cache)
-        #: or sites are retained eagerly.  Not part of ``WorldConfig`` —
-        #: it changes memory behavior, never a single output byte, so
-        #: store metadata stays identical across modes.
-        self.lazy = lazy
         self.clock = SimClock()
         fault_plan = None
         if config.fault_rate > 0.0:
@@ -208,7 +192,7 @@ class World:
         self.campaigns: list[Campaign] = []
         self.campaign_servers: dict[str, CampaignServer] = {}
         # The directory shares the live ``networks`` dict: servers are
-        # registered into it before publishers exist, so lazy site views
+        # registered into it before publishers exist, so site views
         # can always resolve their network keys.
         self.publisher_directory = PublisherDirectory(
             config.seed, network_servers=self.networks
@@ -305,30 +289,14 @@ class World:
         return issues
 
 
-def build_world(
-    config: WorldConfig | None = None, *, lazy: bool | None = None
-) -> World:
+def build_world(config: WorldConfig | None = None) -> World:
     """Build the full deterministic ecosystem.
 
-    ``lazy`` selects on-demand page materialization (the default): the
-    world's outputs are byte-identical either way — only memory behavior
-    differs — and eager construction refuses populations beyond
-    :data:`EAGER_PUBLISHER_LIMIT` rather than OOMing late.
+    Publisher pages materialize on demand through a bounded cache, so
+    memory stays flat in the population size.
     """
     config = config if config is not None else WorldConfig()
-    if lazy is None:
-        lazy = True
-    population = config.n_publishers + config.resolved_new_publishers
-    if not lazy and population > EAGER_PUBLISHER_LIMIT:
-        raise WorldConfigError(
-            f"{population} publishers exceed the eager-construction limit "
-            f"of {EAGER_PUBLISHER_LIMIT}: an eager world retains every "
-            "site and page in memory for the whole run.  Build this "
-            "population lazily instead — the default build_world(config) "
-            "/ build_world(config, lazy=True), or drop --no-lazy-world "
-            "on the CLI."
-        )
-    world = World(config, lazy=lazy)
+    world = World(config)
     _build_benign(world)
     _build_networks(world)
     _build_campaigns(world)
@@ -466,14 +434,13 @@ def _assign_campaigns_to_networks(world: World) -> None:
 def _publisher_skeletons(world: World) -> Iterator[tuple[SiteRecord, bool]]:
     """The sequential publisher-generation pass, as a record stream.
 
-    Yields ``(record, is_new)`` per publisher.  This pass is *shared* by
-    eager and lazy construction and must stay sequential: every draw
-    consumes the one ``(seed, "publishers")`` RNG stream, and domain
-    uniqueness is enforced against the live DNS registry, so the Nth
-    publisher's identity depends on all N-1 before it.  It is also cheap
-    — a record, a DNS entry and a WebPulse category per site — which is
-    what keeps lazy construction byte-identical to eager at any
-    population size: only the heavy page artifacts differ in lifetime.
+    Yields ``(record, is_new)`` per publisher.  This pass must stay
+    sequential: every draw consumes the one ``(seed, "publishers")`` RNG
+    stream, and domain uniqueness is enforced against the live DNS
+    registry, so the Nth publisher's identity depends on all N-1 before
+    it.  It is also cheap — a record, a DNS entry and a WebPulse category
+    per site — so it scales to any population; the heavy page artifacts
+    are derived later, on demand.
     """
     config = world.config
     rng: random.Random = rng_for(config.seed, "publishers")
@@ -535,25 +502,10 @@ def _publisher_skeletons(world: World) -> Iterator[tuple[SiteRecord, bool]]:
 
 def _build_publishers(world: World) -> None:
     directory = world.publisher_directory
-    if world.lazy:
-        regular: list[str] = []
-        fresh: list[str] = []
-        for record, is_new in _publisher_skeletons(world):
-            directory.add_record(record)
-            (fresh if is_new else regular).append(record.domain)
-        world.publishers = SiteSequence(directory, tuple(regular))
-        world.new_publishers = SiteSequence(directory, tuple(fresh))
-    else:
-        publishers: list[PublisherSite] = []
-        new_publishers: list[PublisherSite] = []
-        for record, is_new in _publisher_skeletons(world):
-            site = PublisherSite(
-                domain=record.domain,
-                rank=record.rank,
-                category=record.category,
-                networks=[world.networks[key] for key in record.network_keys],
-            )
-            directory.add(site)
-            (new_publishers if is_new else publishers).append(site)
-        world.publishers = publishers
-        world.new_publishers = new_publishers
+    regular: list[str] = []
+    fresh: list[str] = []
+    for record, is_new in _publisher_skeletons(world):
+        directory.add_record(record)
+        (fresh if is_new else regular).append(record.domain)
+    world.publishers = SiteSequence(directory, tuple(regular))
+    world.new_publishers = SiteSequence(directory, tuple(fresh))

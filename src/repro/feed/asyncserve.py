@@ -64,7 +64,12 @@ LATENCY_BOUNDARIES_MS = (
 )
 
 _REASONS = {200: "OK", 304: "Not Modified", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed"}
+            405: "Method Not Allowed", 431: "Request Header Fields Too Large"}
+
+#: Largest unterminated request head a connection may buffer — the line
+#: limit of stdlib ``http.server``.  Past it the client gets a 431 and
+#: the connection is closed.
+MAX_HEAD_BYTES = 65536
 
 #: How often (seconds) each replica refreshes its stats-mailbox file.
 STATS_PUBLISH_INTERVAL = 0.5
@@ -198,6 +203,11 @@ class _Wire:
         )
         self.not_found = _compose(404, b'{"error":"unknown path"}\n', ())
         self.bad_method = _compose(405, b'{"error":"GET only"}\n', ())
+        self.head_too_large = _compose(
+            431,
+            b'{"error":"request head too large"}\n',
+            (("Connection", "close"),),
+        )
         self.healthz = _compose(200, b'{"status":"ok"}\n', ())
         # Payload metadata per known version (status + identity body
         # size), so per-request accounting never re-inspects bytes —
@@ -249,6 +259,10 @@ class FeedProtocol(asyncio.Protocol):
             if close:
                 buffer = b""
                 break
+        if len(buffer) > MAX_HEAD_BYTES:
+            responses.append(self.engine.reject_oversized_head())
+            buffer = b""
+            close = True
         self.buffer = buffer
         if responses and self.transport is not None:
             self.transport.write(b"".join(responses))
@@ -296,7 +310,8 @@ class AsyncFeedServer:
             if method != b"GET":
                 return self._finish("error", wire.bad_method, started, False)
             headers = head[line_end + 2:] if line_end >= 0 else b""
-            close = b"connection: close" in headers.lower()
+            connection = self._header(headers, b"connection")
+            close = connection is not None and connection.lower() == b"close"
             path, _, query = target.partition(b"?")
             if path == b"/v1/feed":
                 return self._feed_response(query, headers, started, close)
@@ -339,6 +354,11 @@ class AsyncFeedServer:
             else wire.meta_full
         self._account(status, size)
         return self._finish(status, pair[1] if accept_gzip else pair[0], started, close)
+
+    def reject_oversized_head(self) -> bytes:
+        """Count and answer a request head past :data:`MAX_HEAD_BYTES`."""
+        self.bad_requests += 1
+        return self.wire.head_too_large
 
     # ---------------------------------------------------------- accounting
 

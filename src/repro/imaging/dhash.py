@@ -61,38 +61,6 @@ def dhash128_many(images: Sequence[np.ndarray]) -> list[int]:
     return results
 
 
-def dhash128_pure(image: np.ndarray) -> int:
-    """Pure-Python :func:`dhash128` (no numpy array math).
-
-    Integer block sums divided by exact integer counts reproduce the
-    float64 block means bit-for-bit, so this returns the same hash as the
-    vectorized paths.  Used when the numpy accelerator is disabled.
-    """
-    data = to_grayscale(image).tolist()
-    in_height = len(data)
-    in_width = len(data[0])
-    out_width = DHASH_COLS + 1
-    row_edges = [(r * in_height) // DHASH_ROWS for r in range(DHASH_ROWS + 1)]
-    col_edges = [(c * in_width) // out_width for c in range(out_width + 1)]
-    value = 0
-    for r in range(DHASH_ROWS):
-        top = row_edges[r]
-        bottom = max(row_edges[r + 1], top + 1)
-        rows = data[top:bottom]
-        previous = 0.0
-        for c in range(out_width):
-            left = col_edges[c]
-            right = max(col_edges[c + 1], left + 1)
-            total = 0
-            for row in rows:
-                total += sum(row[left:right])
-            cell = total / ((bottom - top) * (right - left))
-            if c:
-                value = (value << 1) | (1 if cell > previous else 0)
-            previous = cell
-    return value
-
-
 def dhash_bytes(hash_value: int) -> bytes:
     """The hash as 16 big-endian bytes (for storage / display)."""
     return hash_value.to_bytes(DHASH_BITS // 8, "big")

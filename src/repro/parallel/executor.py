@@ -94,11 +94,6 @@ class ShardSpec:
     #: own :class:`~repro.telemetry.Telemetry` and ships spans + metrics
     #: home through the segment file.
     telemetry: bool = False
-    #: Mirror the parent's materialization mode.  A lazy worker rebuilds
-    #: only the skeleton world and materializes just the pages its
-    #: shard's sessions touch — each worker holds its slice, not the
-    #: whole population.
-    lazy: bool = True
 
 
 def run_shard(spec: ShardSpec) -> None:
@@ -122,7 +117,7 @@ def run_shard(spec: ShardSpec) -> None:
             crash_point("segment.emit.post")
 
         try:
-            world = build_world(spec.world_config, lazy=spec.lazy)
+            world = build_world(spec.world_config)
             ensure_resilience(
                 world,
                 retries_enabled=spec.retries_enabled,
@@ -340,7 +335,6 @@ class ShardedCrawlExecutor:
             shard_count=self.workers,
             segment_path=str(path),
             telemetry=current_telemetry().enabled,
-            lazy=getattr(self.world, "lazy", True),
         )
         process = self._context.Process(
             target=run_shard, args=(spec,), name=f"crawl-shard-{shard}"

@@ -44,7 +44,7 @@ from repro.store.records import (
 )
 
 
-def load_world(store: RunStore, lazy: bool | None = None) -> World:
+def load_world(store: RunStore) -> World:
     """Rebuild the simulated world a stored run measured.
 
     The returned world's clock sits at the stored run's last recorded
@@ -53,10 +53,6 @@ def load_world(store: RunStore, lazy: bool | None = None) -> World:
     with the GSB listings each rotation triggers — has been replayed up
     to that time, so blacklist lookups against the rebuilt world answer
     exactly as they did during the run.
-
-    ``lazy`` selects the materialization mode of the rebuilt world
-    (default lazy); offline rehydration never needs the full page set
-    resident, so the lazy view is almost always right.
     """
     data = store.get_meta("world_config")
     if data is None:
@@ -64,7 +60,7 @@ def load_world(store: RunStore, lazy: bool | None = None) -> World:
             f"store {store.run_id!r} has no world_config metadata; only "
             "stores written by `repro run --stream` can be rehydrated"
         )
-    world = build_world(world_config_from_meta(data), lazy=lazy)
+    world = build_world(world_config_from_meta(data))
     target = store.get_meta("finished_at")
     if target is None:
         progress = store.read(PROGRESS)

@@ -5,8 +5,8 @@ readers (and CI dashboards) treat as reproducible: its ``benchmark``
 field names the ``benchmarks/bench_<name>.py`` script that wrote it.
 This suite fails when a result file references a script that no longer
 exists — the drift that silently turns committed numbers into folklore
-— and checks the worldscale result records enough provenance (kernel
-variant, numpy availability) to rerun any individual rung.
+— and checks the worldscale result records a per-publisher figure for
+every rung and a completed 93k rung.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import json
 from pathlib import Path
 
 import pytest
-
-from repro.core.sessionbatch import KERNELS
 
 BENCHMARKS_DIR = Path(__file__).parent.parent / "benchmarks"
 RESULTS = sorted((BENCHMARKS_DIR / "results").glob("BENCH_*.json"))
@@ -51,22 +49,10 @@ class TestWorldscaleProvenance:
         assert path.exists(), "worldscale result not committed"
         return _load(path)
 
-    def test_every_run_records_kernel_and_numpy(self, payload):
+    def test_every_run_records_ms_per_publisher(self, payload):
         assert payload["runs"], "worldscale result has no runs"
         for run in payload["runs"]:
-            assert run["kernel"] in KERNELS, run
-            assert isinstance(run["numpy"], bool), run
             assert run["ms_per_publisher"] > 0, run
-
-    def test_kernel_speedup_recorded_at_reference_rung(self, payload):
-        speedup = payload["kernel_speedup"]
-        assert speedup["scalar_ms_per_publisher"] > 0
-        assert speedup["batch_ms_per_publisher"] > 0
-        assert speedup["speedup"] >= 1.0
-        # The ROADMAP item 1 acceptance figure: the committed result
-        # must show the batch kernel at >= 3x per publisher against the
-        # pre-kernel baseline at the 10k rung.
-        assert speedup["speedup_vs_baseline"] >= 3.0
 
     def test_93k_rung_completed(self, payload):
         largest = payload["runs"][-1]

@@ -193,8 +193,8 @@ FAST_DIRECTIVES = [
     CrashDirective("store.append.mid", occurrence=40),
     CrashDirective("feed.publish.pre", occurrence=2),
     CrashDirective("feed.publish.post", occurrence=1),
-    # The batch session kernel's per-domain resolve phase (one hit per
-    # crawled domain under the default kernel).
+    # The session kernel's per-domain resolve phase (one hit per crawled
+    # domain).
     CrashDirective("farm.sessionbatch.pre", occurrence=4),
     CrashDirective("farm.sessionbatch.post", occurrence=2),
 ]

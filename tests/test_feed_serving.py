@@ -29,6 +29,8 @@ from __future__ import annotations
 import asyncio
 import gzip
 import http.client
+import http.server
+import io
 import json
 import socket
 import threading
@@ -49,8 +51,10 @@ from repro.feed import (
     FleetConfig,
 )
 from repro.feed.asyncserve import (
+    MAX_HEAD_BYTES,
     AsyncFeedHTTPServer,
     AsyncFeedServer,
+    FeedProtocol,
     LatencyHistogram,
 )
 from repro.feed.http import FeedHTTPServer
@@ -121,6 +125,42 @@ def fetch(
         return response.status, body, dict(response.getheaders())
     finally:
         conn.close()
+
+
+def exchange(port: int, chunks: list[bytes]) -> bytes:
+    """Send ``chunks`` over one raw connection; read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        for chunk in chunks:
+            sock.sendall(chunk)
+        blob = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return blob
+            blob += chunk
+
+
+class _StdlibHeadProbe(http.server.BaseHTTPRequestHandler):
+    """Runs only stdlib ``parse_request`` over one request head."""
+
+    protocol_version = "HTTP/1.1"
+
+    def __init__(self, head: bytes) -> None:  # no socket: parse only
+        self.rfile = io.BytesIO(head)
+        self.raw_requestline = self.rfile.readline()
+        assert self.parse_request()
+
+
+class _RecordingTransport:
+    def __init__(self) -> None:
+        self.written = b""
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        self.written += data
+
+    def close(self) -> None:
+        self.closed = True
 
 
 def significant(status: int, body: bytes, headers: dict) -> tuple:
@@ -256,6 +296,62 @@ class TestAsyncOnlySurface:
     def test_workers_must_be_positive(self, history):
         with pytest.raises(ValueError, match="workers"):
             AsyncFeedHTTPServer(make_server(history), workers=0)
+
+    @pytest.mark.parametrize(
+        "header, closes",
+        [
+            (b"Connection: close", True),
+            (b"Connection:close", True),
+            (b"connection: CLOSE", True),
+            (b"X-Note: connection: close", False),
+            (b"Connection: keep-alive", False),
+        ],
+    )
+    def test_connection_header_parsed_like_stdlib(self, history, header, closes):
+        head = b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + header + b"\r\n\r\n"
+        assert _StdlibHeadProbe(head).close_connection is closes
+        # A pipelined follow-up is answered only if the first request
+        # left the connection open; it closes the connection itself.
+        follow_up = b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        with AsyncFeedHTTPServer(make_server(history)) as server:
+            blob = exchange(server.port, [head + follow_up])
+        assert blob.count(b"HTTP/1.1 200 OK") == (1 if closes else 2)
+
+    def test_oversized_head_is_431_and_closes(self, history):
+        engine = AsyncFeedServer(make_server(history))
+        protocol = FeedProtocol(engine)
+        transport = _RecordingTransport()
+        protocol.transport = transport
+        # A pipelined burst of complete heads far past the cap is fine.
+        burst = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" * 4096
+        assert len(burst) > MAX_HEAD_BYTES
+        protocol.data_received(burst)
+        assert transport.written.count(b"HTTP/1.1 200 OK") == 4096
+        assert not transport.closed and protocol.buffer == b""
+        # An unterminated head is buffered only up to the cap.
+        transport.written = b""
+        chunk = b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 4000
+        while not transport.closed:
+            protocol.data_received(chunk)
+            assert len(protocol.buffer) <= MAX_HEAD_BYTES
+            chunk = b"a" * 4096
+        assert transport.written.startswith(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+        )
+        assert transport.written.count(b"HTTP/1.1 ") == 1
+        assert protocol.buffer == b""
+        assert engine.bad_requests == 1
+
+        # Live: 65,537 bytes with no terminator, streamed in chunks.
+        with AsyncFeedHTTPServer(make_server(history)) as server:
+            payload = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+            payload += b"a" * (MAX_HEAD_BYTES + 1 - len(payload))
+            chunks = [payload[i:i + 4096] for i in range(0, len(payload), 4096)]
+            blob = exchange(server.port, chunks)
+            stats = json.loads(fetch(server.port, "/v1/stats")[1])
+        assert blob.startswith(b"HTTP/1.1 431 ")
+        assert blob.count(b"HTTP/1.1 ") == 1
+        assert stats["bad_requests"] == 1
 
 
 # ------------------------------------------------------- worker replicas

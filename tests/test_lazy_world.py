@@ -1,25 +1,21 @@
-"""Lazy-vs-eager world equivalence (repro.ecosystem.materialize).
+"""World materialization (repro.ecosystem.materialize).
 
-The lazy world's contract is *observational indistinguishability*: every
-population the eager path can reach must produce byte-identical store
-files, report output and canonical sim-lane trace when built lazily —
-only memory behavior may differ.  This suite proves that end to end
-(seeds × configs × workers 1/2) and unit-tests the machinery it rests
-on: the bounded :class:`PageCache`, the record-level skeleton, and the
-pure page-derivation function that makes eviction safe.
+Publisher pages are derived on demand into a bounded cache, which is safe
+only because page derivation is pure.  This suite unit-tests that
+machinery — the bounded :class:`PageCache`, the record-level skeleton
+behind ``world.publishers``, the pure page-derivation function and
+re-derivation after eviction — and checks that only crawled publishers
+are ever materialized.  End to end (seeds × workers 1/2, streaming and
+batch ``run()``), the on-demand world must leave the store files, report,
+canonical sim-lane trace and metrics text recorded from an eagerly built
+world (``tests/golden.py``).
 """
 
 from __future__ import annotations
 
-import hashlib
-from pathlib import Path
-
 import pytest
 
 from repro import SeacmaPipeline, WorldConfig, build_world
-from repro.analysis.reportgen import generate_report
-from repro.core.milking import MilkingConfig
-from repro.ecosystem import world as world_module
 from repro.ecosystem.materialize import (
     DEFAULT_PAGE_CACHE_SIZE,
     MaterializationStats,
@@ -27,42 +23,32 @@ from repro.ecosystem.materialize import (
     SiteSequence,
 )
 from repro.ecosystem.publisher import PublisherDirectory, derive_publisher_page
-from repro.errors import WorldConfigError
 from repro.store import JsonlStore
 from repro.telemetry import Telemetry, use
-from repro.telemetry.export import canonical_trace_bytes
 
-MILKING = MilkingConfig(duration_days=0.5, post_lookup_days=0.5)
-
-
-def micro_config(seed: int) -> WorldConfig:
-    return WorldConfig(seed=seed, n_publishers=8, n_campaigns=6)
-
-
-def store_digest(store_dir: Path) -> str:
-    digest = hashlib.sha256()
-    for path in sorted(store_dir.glob("*.jsonl")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
+from tests.golden import (
+    MILKING,
+    SEEDS,
+    WORKERS,
+    cached_batch_report_digest,
+    cached_streaming_digests,
+    golden,
+    micro_config,
+    run_key,
+)
 
 
-def run_streaming(tmp_path: Path, seed: int, workers: int, lazy: bool):
-    """One traced streaming run; returns every observable artifact."""
-    store_dir = tmp_path / f"{'lazy' if lazy else 'eager'}-s{seed}-w{workers}"
-    world = build_world(micro_config(seed), lazy=lazy)
-    assert world.lazy is lazy
+def run_streaming(tmp_path, seed: int):
+    """One traced streaming run; returns the world, result and metrics."""
+    world = build_world(micro_config(seed))
     pipeline = SeacmaPipeline(world, milking_config=MILKING)
     telemetry = Telemetry(world.clock)
     with use(telemetry):
         result = pipeline.run_streaming(
-            store=JsonlStore(store_dir), workers=workers, batch_domains=2
+            store=JsonlStore(tmp_path / "store"), batch_domains=2
         )
     return {
-        "trace": canonical_trace_bytes(telemetry),
         "metrics": telemetry.metrics.to_prometheus(),
-        "store": store_digest(store_dir),
-        "report": generate_report(world, result),
         "world": world,
         "result": result,
     }
@@ -120,17 +106,11 @@ class TestPageCache:
 
 
 class TestLazyDirectory:
-    def test_lazy_and_eager_share_one_skeleton(self):
-        eager = build_world(WorldConfig.tiny(seed=7), lazy=False)
-        lazy = build_world(WorldConfig.tiny(seed=7), lazy=True)
-        eager_dir, lazy_dir = eager.publisher_directory, lazy.publisher_directory
-        assert eager_dir.domains() == lazy_dir.domains()
-        for domain in eager_dir.domains():
-            assert eager_dir.record(domain) == lazy_dir.record(domain)
-
     def test_publishers_sequence_is_lazy_but_equal(self):
-        # Network servers compare by identity, so cross-world sites are
-        # compared field-wise via their skeleton projection.
+        world = build_world(WorldConfig.tiny(seed=7))
+        directory = world.publisher_directory
+        records = [directory.record(domain) for domain in directory.domains()]
+
         def skeleton(site):
             return (
                 site.domain,
@@ -139,28 +119,24 @@ class TestLazyDirectory:
                 tuple(network.spec.key for network in site.networks),
             )
 
-        eager = build_world(WorldConfig.tiny(seed=7), lazy=False)
-        lazy = build_world(WorldConfig.tiny(seed=7), lazy=True)
-        assert isinstance(lazy.publishers, SiteSequence)
-        assert len(lazy.publishers) == len(eager.publishers)
-        assert list(map(skeleton, lazy.publishers)) == list(
-            map(skeleton, eager.publishers)
-        )
-        assert [skeleton(site) for site in lazy.publishers[:3]] == [
-            skeleton(site) for site in eager.publishers[:3]
-        ]
-        assert skeleton(lazy.new_publishers[0]) == skeleton(
-            eager.new_publishers[0]
-        )
+        def record_skeleton(record):
+            return (record.domain, record.rank, record.category, record.network_keys)
 
-    def test_pages_byte_identical_across_modes(self):
-        eager = build_world(WorldConfig.tiny(seed=7), lazy=False)
-        lazy = build_world(WorldConfig.tiny(seed=7), lazy=True)
-        for domain in eager.publisher_directory.domains():
-            assert (
-                lazy.publisher_directory.source_of(domain)
-                == eager.publisher_directory.source_of(domain)
-            )
+        assert isinstance(world.publishers, SiteSequence)
+        assert isinstance(world.new_publishers, SiteSequence)
+        n_regular = len(world.publishers)
+        assert n_regular + len(world.new_publishers) == len(records)
+        assert list(map(skeleton, world.publishers)) == list(
+            map(record_skeleton, records[:n_regular])
+        )
+        assert [skeleton(site) for site in world.publishers[:3]] == list(
+            map(record_skeleton, records[:3])
+        )
+        assert skeleton(world.new_publishers[0]) == record_skeleton(
+            records[n_regular]
+        )
+        # Views are transient: building them materialized no page.
+        assert directory.stats.pages_built == 0
 
     def test_rederivation_after_eviction_is_identical(self):
         seed = 7
@@ -169,27 +145,27 @@ class TestLazyDirectory:
             network_servers=build_world(WorldConfig.tiny(seed=seed)).networks,
             page_cache_size=1,
         )
-        lazy = build_world(WorldConfig.tiny(seed=seed), lazy=True)
+        world = build_world(WorldConfig.tiny(seed=seed))
         first: dict[str, str] = {}
-        domains = lazy.publisher_directory.domains()[:5]
+        domains = world.publisher_directory.domains()[:5]
         for domain in domains:
-            first[domain] = lazy.publisher_directory.source_of(domain)
+            first[domain] = world.publisher_directory.source_of(domain)
         # Force churn through a capacity-1 view of the same records.
         del directory  # (constructed only to cover the ctor knob)
         small = PublisherDirectory(
-            seed, network_servers=lazy.networks, page_cache_size=1
+            seed, network_servers=world.networks, page_cache_size=1
         )
         for domain in domains:
-            small.add_record(lazy.publisher_directory.record(domain))
+            small.add_record(world.publisher_directory.record(domain))
         for _ in range(2):
             for domain in domains:
                 assert small.source_of(domain) == first[domain]
         assert small.stats.cache_evictions > 0
 
     def test_derive_publisher_page_is_pure(self):
-        lazy = build_world(WorldConfig.tiny(seed=7), lazy=True)
-        domain = lazy.publisher_directory.domains()[0]
-        site = lazy.publisher_directory.get(domain)
+        world = build_world(WorldConfig.tiny(seed=7))
+        domain = world.publisher_directory.domains()[0]
+        site = world.publisher_directory.get(domain)
         once = derive_publisher_page(site, 7).source_text()
         again = derive_publisher_page(site, 7).source_text()
         assert once == again
@@ -198,51 +174,22 @@ class TestLazyDirectory:
         assert DEFAULT_PAGE_CACHE_SIZE >= 256
 
 
-# ------------------------------------------------------- eager fail-fast
-
-
-class TestEagerFailFast:
-    def test_paper_scale_eager_fails_fast(self):
-        with pytest.raises(WorldConfigError) as excinfo:
-            build_world(WorldConfig.paper_scale(), lazy=False)
-        message = str(excinfo.value)
-        assert "eager-construction limit" in message
-        assert "lazy" in message
-
-    def test_guard_respects_limit_boundary(self, monkeypatch):
-        monkeypatch.setattr(world_module, "EAGER_PUBLISHER_LIMIT", 50)
-        config = WorldConfig.tiny(seed=7)  # 120 publishers + new pubs
-        with pytest.raises(WorldConfigError):
-            build_world(config, lazy=False)
-        # The same population builds lazily without complaint.
-        world = build_world(config, lazy=True)
-        assert len(world.publishers) == config.n_publishers
-
-
 # --------------------------------------------------------- end-to-end
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("seed", [7, 13])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_streaming_run_byte_identical(self, tmp_path, seed, workers):
-        eager = run_streaming(tmp_path, seed, workers, lazy=False)
-        lazy = run_streaming(tmp_path, seed, workers, lazy=True)
-        assert lazy["store"] == eager["store"]
-        assert lazy["trace"] == eager["trace"]
-        assert lazy["metrics"] == eager["metrics"]
-        assert lazy["report"] == eager["report"]
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_streaming_run_byte_identical(self, seed, workers):
+        expected = golden()["streaming"][run_key(seed, workers)]
+        assert cached_streaming_digests(seed, workers) == expected
 
     def test_batch_report_byte_identical(self):
-        outputs = {}
-        for lazy in (False, True):
-            world = build_world(micro_config(7), lazy=lazy)
-            result = SeacmaPipeline(world, milking_config=MILKING).run()
-            outputs[lazy] = generate_report(world, result)
-        assert outputs[True] == outputs[False]
+        expected = golden()["batch_report"]["seed7"]
+        assert cached_batch_report_digest(7) == expected
 
     def test_materialized_gauge_counts_only_crawled_publishers(self, tmp_path):
-        artifacts = run_streaming(tmp_path, 7, 1, lazy=True)
+        artifacts = run_streaming(tmp_path, 7)
         config = micro_config(7)
         population = config.n_publishers + config.resolved_new_publishers
         line = next(

@@ -89,9 +89,10 @@ class TestBenignAdoptHost:
 
 class TestPublisherDirectory:
     def test_duplicate_rejected(self, fresh_world):
-        site = fresh_world.publishers[0]
+        directory = fresh_world.publisher_directory
+        record = directory.record(fresh_world.publishers[0].domain)
         with pytest.raises(ValueError):
-            fresh_world.publisher_directory.add(site)
+            directory.add_record(record)
 
     def test_unknown_lookup_raises(self, fresh_world):
         with pytest.raises(KeyError):

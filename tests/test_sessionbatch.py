@@ -1,26 +1,21 @@
-"""Session-kernel equivalence (repro.core.sessionbatch).
+"""The session kernel (repro.core.sessionbatch).
 
-The batch kernel's contract is byte-identity: for every seed, worker
-count, and execution mode (batch ``run()``, streaming, crash-resume),
-the ``batch`` kernel — with numpy and with the pure-Python hash
-fallback — must produce the same store bytes, canonical sim-lane trace,
-metrics text and report as the original ``scalar`` loop.  This suite
-proves that end to end and unit-tests the machinery it rests on: the
-vectorized/pure dhash variants, the content-addressed hash memo, the
-deferred recorder's placeholder resolution, and the kernel selection
-plumbing (FarmConfig, CLI, chaos points).
+Unit-tests the machinery the kernel rests on — the batched dhash against
+the per-image reference, the content-addressed hash memo, the deferred
+recorder's placeholder resolution, the resolve-phase chaos points — and
+checks end to end that the kernel reproduces the store bytes, canonical
+sim-lane trace, metrics text and report recorded from the original
+scalar session loop (``tests/golden.py``): for every seed and worker
+count, for the batch ``run()`` report, and for a crawl crashed inside
+the resolve phase and resumed.
 """
 
 from __future__ import annotations
 
-import hashlib
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from repro import SeacmaPipeline, WorldConfig, build_world
-from repro.analysis.reportgen import generate_report
+from repro import SeacmaPipeline, build_world
 from repro.chaos import (
     CRASH_POINTS,
     CrashDirective,
@@ -29,28 +24,23 @@ from repro.chaos import (
     install,
     reset,
 )
-from repro.core.farm import CrawlerFarm, FarmConfig
-from repro.core.milking import MilkingConfig
-from repro.core.sessionbatch import (
-    DEFAULT_KERNEL,
-    KERNELS,
-    NUMPY_ENV,
-    BatchSessionKernel,
-    DeferredRecorder,
-    HashMemo,
-    ScalarSessionKernel,
-    make_kernel,
-    numpy_enabled,
-)
-from repro.errors import ConfigError
-from repro.imaging.dhash import dhash128, dhash128_many, dhash128_pure
+from repro.core.sessionbatch import DeferredRecorder, HashMemo
+from repro.imaging.dhash import dhash128, dhash128_many
 from repro.imaging.image import render_visual
 from repro.store import JsonlStore
 from repro.store.persist import load_world
-from repro.telemetry import Telemetry, use
-from repro.telemetry.export import canonical_trace_bytes
 
-MILKING = MilkingConfig(duration_days=0.5, post_lookup_days=0.5)
+from tests.golden import (
+    MILKING,
+    SEEDS,
+    WORKERS,
+    cached_batch_report_digest,
+    cached_streaming_digests,
+    golden,
+    micro_config,
+    run_key,
+    stream_digests,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -58,40 +48,6 @@ def _pristine_crash_state():
     reset()
     yield
     reset()
-
-
-def micro_config(seed: int) -> WorldConfig:
-    return WorldConfig(seed=seed, n_publishers=8, n_campaigns=6)
-
-
-def store_digest(store_dir: Path) -> str:
-    digest = hashlib.sha256()
-    for path in sorted(store_dir.glob("*.jsonl")):
-        digest.update(path.name.encode())
-        digest.update(path.read_bytes())
-    return digest.hexdigest()
-
-
-def run_streaming(tmp_path: Path, seed: int, workers: int, kernel: str, tag: str):
-    """One traced streaming run; returns every observable artifact."""
-    store_dir = tmp_path / f"{tag}-s{seed}-w{workers}"
-    world = build_world(micro_config(seed))
-    pipeline = SeacmaPipeline(
-        world,
-        farm_config=FarmConfig(session_kernel=kernel),
-        milking_config=MILKING,
-    )
-    telemetry = Telemetry(world.clock)
-    with use(telemetry):
-        result = pipeline.run_streaming(
-            store=JsonlStore(store_dir), workers=workers, batch_domains=2
-        )
-    return {
-        "trace": canonical_trace_bytes(telemetry),
-        "metrics": telemetry.metrics.to_prometheus(),
-        "store": store_digest(store_dir),
-        "report": generate_report(world, result),
-    }
 
 
 # ------------------------------------------------------------------- dhash
@@ -106,11 +62,9 @@ class TestDhashVariants:
                 images.append(rng.integers(0, 256, size=shape, dtype=np.uint8))
         return images
 
-    def test_many_and_pure_match_scalar(self):
+    def test_many_matches_scalar(self):
         images = self._sample_images()
-        scalar = [dhash128(image) for image in images]
-        assert dhash128_many(images) == scalar
-        assert [dhash128_pure(image) for image in images] == scalar
+        assert dhash128_many(images) == [dhash128(image) for image in images]
 
     def test_rendered_screenshots_match(self):
         # The arrays the crawl actually hashes, not just random noise.
@@ -166,13 +120,12 @@ class TestDeferredRecorder:
         rng = np.random.default_rng(seed)
         return rng.integers(0, 256, size=(72, 128), dtype=np.uint8)
 
-    @pytest.mark.parametrize("use_numpy", [True, False], ids=["numpy", "pure"])
-    def test_placeholders_resolve_to_scalar_hashes(self, use_numpy):
+    def test_placeholders_resolve_to_scalar_hashes(self):
         recorder = DeferredRecorder(HashMemo())
         images = [self._image(1), self._image(2), self._image(1)]
         slots = [recorder.screenshot_hash(image) for image in images]
         assert slots == [0, 1, 2]
-        hashes, stats = recorder.resolve(use_numpy)
+        hashes, stats = recorder.resolve()
         assert hashes == [dhash128(image) for image in images]
         # The duplicate frame was deduplicated, not hashed twice.
         assert stats == {"screens": 3, "hashed": 2, "features_memoized": 0}
@@ -181,50 +134,18 @@ class TestDeferredRecorder:
         memo = HashMemo()
         first = DeferredRecorder(memo)
         first.screenshot_hash(self._image(1))
-        first.resolve(True)
+        first.resolve()
         second = DeferredRecorder(memo)
         second.screenshot_hash(self._image(1))
-        hashes, stats = second.resolve(True)
+        hashes, stats = second.resolve()
         assert hashes == [dhash128(self._image(1))]
         assert stats["hashed"] == 0  # served entirely from the memo
 
 
-# ------------------------------------------------------------ kernel plumbing
+# -------------------------------------------------------------- crash points
 
 
 class TestKernelSelection:
-    def test_make_kernel(self):
-        assert isinstance(make_kernel("scalar"), ScalarSessionKernel)
-        assert isinstance(make_kernel("batch"), BatchSessionKernel)
-        assert DEFAULT_KERNEL in KERNELS
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigError, match="unknown session kernel"):
-            make_kernel("gpu")
-
-    def test_bad_farm_config_fails_at_construction(self):
-        world = build_world(micro_config(7))
-        with pytest.raises(ConfigError):
-            CrawlerFarm(world, FarmConfig(session_kernel="gpu"))
-
-    def test_numpy_env_gate(self, monkeypatch):
-        monkeypatch.delenv(NUMPY_ENV, raising=False)
-        assert numpy_enabled()
-        for value in ("0", "off", "false", "no"):
-            monkeypatch.setenv(NUMPY_ENV, value)
-            assert not numpy_enabled()
-        monkeypatch.setenv(NUMPY_ENV, "1")
-        assert numpy_enabled()
-
-    def test_cli_exposes_kernel_flag(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        args = parser.parse_args(["run", "--session-kernel", "scalar"])
-        assert args.session_kernel == "scalar"
-        args = parser.parse_args(["run"])
-        assert args.session_kernel == "batch"
-
     def test_sessionbatch_crash_points_in_catalog(self):
         assert "farm.sessionbatch.pre" in CRASH_POINTS
         assert "farm.sessionbatch.post" in CRASH_POINTS
@@ -234,53 +155,30 @@ class TestKernelSelection:
 
 
 class TestKernelEquivalence:
-    @pytest.mark.parametrize("seed", [7, 13])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_streaming_run_byte_identical(self, tmp_path, seed, workers):
-        scalar = run_streaming(tmp_path, seed, workers, "scalar", "scalar")
-        batch = run_streaming(tmp_path, seed, workers, "batch", "batch")
-        assert batch["store"] == scalar["store"]
-        assert batch["trace"] == scalar["trace"]
-        assert batch["metrics"] == scalar["metrics"]
-        assert batch["report"] == scalar["report"]
-
-    def test_numpy_fallback_byte_identical(self, tmp_path, monkeypatch):
-        batch = run_streaming(tmp_path, 7, 2, "batch", "np")
-        # The env var reaches forked shard workers too, so the pure
-        # fallback is exercised wherever the sessions actually run.
-        monkeypatch.setenv(NUMPY_ENV, "0")
-        pure = run_streaming(tmp_path, 7, 2, "batch", "pure")
-        assert not make_kernel("batch").use_numpy
-        assert pure == batch
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("workers", WORKERS)
+    def test_streaming_run_byte_identical(self, seed, workers):
+        expected = golden()["streaming"][run_key(seed, workers)]
+        assert cached_streaming_digests(seed, workers) == expected
 
     def test_batch_mode_report_byte_identical(self):
-        reports = {}
-        for kernel in KERNELS:
-            world = build_world(micro_config(7))
-            pipeline = SeacmaPipeline(
-                world,
-                farm_config=FarmConfig(session_kernel=kernel),
-                milking_config=MILKING,
-            )
-            reports[kernel] = generate_report(world, pipeline.run())
-        assert reports["batch"] == reports["scalar"]
+        expected = golden()["batch_report"]["seed7"]
+        assert cached_batch_report_digest(7) == expected
 
     @pytest.mark.parametrize(
         "point", ["farm.sessionbatch.pre", "farm.sessionbatch.post"]
     )
     def test_resume_after_kernel_crash_byte_identical(self, tmp_path, point):
-        # Uninterrupted scalar-kernel reference...
-        reference = run_streaming(tmp_path, 7, 1, "scalar", "ref")
-        # ...versus a batch-kernel run crashed mid-resolve and resumed.
+        # A run crashed mid-resolve and resumed must leave the store bytes
+        # of the golden uninterrupted run.
+        expected = golden()["streaming"][run_key(7, 1)]["streams"]
         store_dir = tmp_path / "crashed"
         store = JsonlStore(store_dir)
         install(CrashPlan(CrashDirective(point, occurrence=3)))
         try:
             with pytest.raises(CrashError):
                 SeacmaPipeline(
-                    build_world(micro_config(7)),
-                    farm_config=FarmConfig(session_kernel="batch"),
-                    milking_config=MILKING,
+                    build_world(micro_config(7)), milking_config=MILKING
                 ).run_streaming(store=store)
         finally:
             install(None)
@@ -288,10 +186,6 @@ class TestKernelEquivalence:
 
         store = JsonlStore.open(store_dir)
         world = load_world(store)
-        SeacmaPipeline(
-            world,
-            farm_config=FarmConfig(session_kernel="batch"),
-            milking_config=MILKING,
-        ).resume_streaming(store)
+        SeacmaPipeline(world, milking_config=MILKING).resume_streaming(store)
         store.close()
-        assert store_digest(store_dir) == reference["store"]
+        assert stream_digests(store_dir) == expected
