@@ -3,7 +3,7 @@
 :class:`ChaosRunner` executes one crash scenario end to end against the
 actual CLI in child processes:
 
-1. run ``seacma run --stream`` with one :class:`CrashDirective` armed
+1. run ``seacma run --store-dir`` with one :class:`CrashDirective` armed
    through the ``SEACMA_CRASH_*`` environment — the child dies at the
    scheduled point (or survives it, when the point is a worker-internal
    one the executor recovers in-process);
@@ -142,7 +142,6 @@ class ChaosRunner:
     def _run_args(self, store_dir: Path) -> list[str]:
         return [
             "run",
-            "--stream",
             "--store-dir",
             str(store_dir),
             "--preset",

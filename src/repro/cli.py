@@ -8,8 +8,8 @@ Subcommands::
 
     seacma run       --preset tiny --seed 7 --days 2 [--fault-rate P]
                      [--no-retries] [--no-milking] [--out DIR]
-                     [--stream --store-dir DIR [--batch-domains N]
-                      [--workers K] [--fsync]]
+                     [--store-dir DIR] [--batch-domains N]
+                     [--workers K] [--fsync]
                      [--policy static|egreedy|ucb1 [--explore-floor F]
                       [--session-budget N]]
                      [--trace-dir DIR] [--metrics]
@@ -22,15 +22,16 @@ Subcommands::
     seacma trace     summarize TRACE_DIR
     seacma store     check STORE_DIR
     seacma feed      serve STORE_DIR [--host H] [--port N]
-                     [--engine asyncio|stdlib] [--serve-workers N]
-                     [--checkpoint-interval K]
+                     [--serve-workers N] [--checkpoint-interval K]
     seacma feed      pull  STORE_DIR [--since N] [--json]
     seacma feed      lag   STORE_DIR [--cohorts N] [--clients-per-cohort N]
                      [--poll-minutes F] [--fault-rate P] [--fleet-seed N]
                      [--poll-jitter F]
     seacma selfcheck --preset small
 
-``run --stream`` persists the run into a store directory as it goes;
+``run`` is one streaming loop: every finished crawl batch feeds the
+incremental analysis stages while the crawl goes on, and
+``--store-dir`` persists the run into a store directory as it goes;
 ``resume`` continues a run whose process died mid-crawl; ``tables`` and
 ``report`` with ``--from-store`` regenerate their output offline from a
 stored run without re-crawling anything.  ``run --workers K`` executes
@@ -60,10 +61,9 @@ populations of 10k+ publishers run in bounded memory.
 
 The ``feed`` group works against the versioned blocklist a streamed,
 milking-enabled run published into its store: ``feed serve`` mounts it
-behind an HTTP API — by default the precomputed-payload asyncio engine
-(``--engine asyncio``, optionally replicated across ``--serve-workers``
-SO_REUSEPORT processes; ``--engine stdlib`` selects the threaded
-reference server), with delta-chain compaction tuned by
+behind an HTTP API — the precomputed-payload asyncio engine, optionally
+replicated across ``--serve-workers`` SO_REUSEPORT processes, with
+delta-chain compaction tuned by
 ``--checkpoint-interval`` — ``feed pull`` performs one snapshot/delta
 poll in-process (``--since`` gives the client's current version,
 ``--json`` dumps the raw payload), and ``feed lag`` replays a simulated
@@ -134,15 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument("--out", type=pathlib.Path, default=None)
             command.add_argument("--no-milking", action="store_true")
             command.add_argument(
-                "--stream",
-                action="store_true",
-                help="run the streaming pipeline (incremental stages)",
-            )
-            command.add_argument(
                 "--store-dir",
                 type=pathlib.Path,
                 default=None,
-                help="persist the streaming run into this directory",
+                help="persist the run into this store directory",
             )
             command.add_argument(
                 "--batch-domains",
@@ -154,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--workers",
                 type=int,
                 default=1,
-                help="crawl worker processes (requires --stream; results "
-                "are byte-identical to --workers 1)",
+                help="crawl worker processes (results are byte-identical "
+                "to --workers 1)",
             )
             command.add_argument(
                 "--fsync",
@@ -242,17 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8337, help="listen port (0 = ephemeral)"
     )
     serve.add_argument(
-        "--engine",
-        choices=("asyncio", "stdlib"),
-        default="asyncio",
-        help="serving engine: the precomputed-payload asyncio front-end "
-        "(default) or the threaded stdlib reference server",
-    )
-    serve.add_argument(
         "--serve-workers",
         type=int,
         default=1,
-        help="SO_REUSEPORT worker replicas for the asyncio engine "
+        help="SO_REUSEPORT worker replicas "
         "(this process plus N-1 forked workers on the same port)",
     )
     serve.add_argument(
@@ -351,24 +339,21 @@ def _run_pipeline(args):
     with_milking = not getattr(args, "no_milking", False)
     telemetry = _activate_telemetry(args, world)
     try:
-        if getattr(args, "stream", False):
-            store = None
-            if args.store_dir is not None:
-                from repro.store import JsonlStore
+        store = None
+        if getattr(args, "store_dir", None) is not None:
+            from repro.store import JsonlStore
 
-                store = JsonlStore(
-                    args.store_dir,
-                    run_id=f"{args.preset}-{args.seed}",
-                    fsync=args.fsync,
-                )
-            result = pipeline.run_streaming(
-                store=store,
-                with_milking=with_milking,
-                batch_domains=args.batch_domains,
-                workers=args.workers,
+            store = JsonlStore(
+                args.store_dir,
+                run_id=f"{args.preset}-{args.seed}",
+                fsync=args.fsync,
             )
-        else:
-            result = pipeline.run(with_milking=with_milking)
+        result = pipeline.run_streaming(
+            store=store,
+            with_milking=with_milking,
+            batch_domains=getattr(args, "batch_domains", 1),
+            workers=getattr(args, "workers", 1),
+        )
     finally:
         if telemetry is not None:
             from repro.telemetry import deactivate
@@ -486,8 +471,6 @@ def main(argv: list[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) > 1 and args.command == "run" and not args.stream:
-        parser.error("--workers requires --stream (the batch mode is sequential)")
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be at least 1")
     try:
@@ -500,6 +483,7 @@ def main(argv: list[str] | None = None) -> int:
 def _feed(args) -> int:
     from repro.feed import (
         NOT_MODIFIED,
+        AsyncFeedHTTPServer,
         FeedClientFleet,
         FeedRequest,
         FeedServer,
@@ -525,25 +509,12 @@ def _feed(args) -> int:
     if args.feed_command == "serve":
         if args.serve_workers < 1:
             raise ConfigError("--serve-workers must be at least 1")
-        if args.engine == "asyncio":
-            from repro.feed.asyncserve import AsyncFeedHTTPServer
-
-            httpd = AsyncFeedHTTPServer(
-                server, host=args.host, port=args.port, workers=args.serve_workers
-            )
-            engine_note = f"asyncio, {args.serve_workers} replica(s)"
-        else:
-            if args.serve_workers != 1:
-                raise ConfigError(
-                    "--serve-workers applies to the asyncio engine only"
-                )
-            from repro.feed.http import FeedHTTPServer
-
-            httpd = FeedHTTPServer(server, host=args.host, port=args.port)
-            engine_note = "stdlib reference"
+        httpd = AsyncFeedHTTPServer(
+            server, host=args.host, port=args.port, workers=args.serve_workers
+        )
         print(
             f"serving feed v{latest.version} ({len(latest)} entries) "
-            f"at {httpd.url}/v1/feed [{engine_note}]"
+            f"at {httpd.url}/v1/feed [asyncio, {args.serve_workers} replica(s)]"
         )
         try:
             httpd.serve_forever()
@@ -718,7 +689,7 @@ def _dispatch(args) -> int:
                 f"residential cap: {result.crawl.residential_dropped} "
                 "residential-group domains not visited (bandwidth budget)"
             )
-        if args.stream and args.store_dir is not None:
+        if args.store_dir is not None:
             print(f"run store written to {args.store_dir}/")
         if result.milking is not None:
             print(

@@ -1,6 +1,6 @@
 """Incremental DBSCAN over streaming dhash populations.
 
-The batch pipeline clusters all screenshot hashes at once; the streaming
+Batch DBSCAN clusters all screenshot hashes at once; the streaming
 pipeline receives them in crawl-order batches as the farm emits them.
 :class:`IncrementalDBSCAN` maintains the expensive part of DBSCAN — the
 fixed-radius neighbour structure — incrementally: each inserted hash is

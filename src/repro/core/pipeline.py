@@ -13,21 +13,17 @@
 Each stage is also callable on its own, so experiments (and tests) can
 run any prefix of the pipeline.
 
-Two execution modes share the same stage objects:
-
-* :meth:`SeacmaPipeline.run` — the batch mode: crawl everything, then
-  run each analysis stage once over the full interaction list;
-* :meth:`SeacmaPipeline.run_streaming` — the streaming mode: a
-  :class:`StreamingRun` feeds every finished crawl batch into the
-  incremental stages *while the crawl is still going*, persisting each
-  record into a :class:`~repro.store.base.RunStore` as it is produced.
-
-Both modes produce byte-identical results (see
-``tests/test_streaming_pipeline.py``): the incremental stages are
-schedule-invariant and milking starts after the crawl in either mode, so
-the virtual-time line is the same.  A streaming run whose process died
-mid-crawl is continued by :meth:`SeacmaPipeline.resume_streaming` over
-the surviving store.
+A full run is one streaming loop: :meth:`SeacmaPipeline.run_streaming`
+starts a :class:`StreamingRun` that feeds every finished crawl batch
+into the incremental stages *while the crawl is still going*,
+persisting each record into a :class:`~repro.store.base.RunStore` as it
+is produced.  :meth:`SeacmaPipeline.run` is the same loop over a fresh
+:class:`~repro.store.memory.MemoryStore`.  The incremental stages are
+schedule-invariant, so results match the one-shot batch functions
+(``discover_campaigns``, ``attribute_interactions``) whatever the
+``batch_domains`` grouping (``tests/test_streaming_pipeline.py``).  A
+run whose process died mid-crawl is continued by
+:meth:`SeacmaPipeline.resume_streaming` over the surviving store.
 """
 
 from __future__ import annotations
@@ -288,55 +284,8 @@ class SeacmaPipeline:
     # ---------------------------------------------------------------- run
 
     def run(self, with_milking: bool = True) -> PipelineResult:
-        """Run the full pipeline in batch mode and collect every artifact."""
-        if self.sched_config is not None and self.sched_config.is_adaptive:
-            # Adaptive scheduling is inherently incremental (each round's
-            # allocation needs the previous round's analysis), so batch
-            # mode delegates to a streaming run over an in-process store.
-            return self.run_streaming(with_milking=with_milking)
-        telemetry = current_telemetry()
-        result = PipelineResult()
-        with telemetry.span("pipeline.run", attrs={"mode": "batch"}):
-            with telemetry.span("stage.patterns"):
-                result.patterns = self.derive_patterns()
-            with telemetry.span("stage.reverse"):
-                result.publisher_domains = self.reverse_publishers(result.patterns)
-            with telemetry.span(
-                "stage.crawl", attrs={"publishers": len(result.publisher_domains)}
-            ):
-                result.crawl = self.crawl(result.publisher_domains)
-            with telemetry.span("stage.discovery"):
-                result.discovery = self.discover(result.crawl)
-            with telemetry.span("stage.attribution"):
-                result.attribution = self.attribute(result.crawl, result.patterns)
-            with telemetry.span("stage.expansion"):
-                result.new_patterns = discover_new_networks(
-                    result.attribution.unknown
-                )
-                result.expanded_publishers = expand_publisher_list(
-                    result.new_patterns,
-                    self._require_publicwww(),
-                    already_known=set(result.publisher_domains),
-                )
-            if with_milking:
-                with telemetry.span("stage.milking"):
-                    publisher = self.feed_publisher(
-                        result.discovery, result.attribution
-                    )
-                    result.milking = self.milk(
-                        result.discovery, observers=(publisher,)
-                    )
-                    result.feed = publisher.snapshots
-            result.fault_stats = self.world.internet.fault_stats
-            telemetry.record_fault_stats(result.fault_stats)
-            telemetry.set_gauge(
-                "crawl.publishers", result.crawl.publishers_visited
-            )
-            telemetry.set_gauge(
-                "discovery.campaigns", len(result.discovery.campaigns)
-            )
-            record_world_stats(self.world)
-        return result
+        """Run the full pipeline over a fresh in-process store."""
+        return self.run_streaming(with_milking=with_milking)
 
     # ---------------------------------------------------------- streaming
 
@@ -370,11 +319,11 @@ class SeacmaPipeline:
         batch_domains: int = 1,
         workers: int = 1,
     ) -> PipelineResult:
-        """Run the full pipeline in streaming mode.
+        """Run the full pipeline, persisting into ``store`` as it goes.
 
-        Identical results to :meth:`run`, but every crawl record is
-        ingested by the incremental stages and appended to ``store`` the
-        moment its publisher domain finishes crawling.  ``batch_domains``
+        Every crawl record is ingested by the incremental stages and
+        appended to ``store`` (a fresh :class:`MemoryStore` when omitted)
+        the moment its publisher domain finishes crawling.  ``batch_domains``
         sets how many finished domains are grouped per analysis-stage
         ingest (any value produces the same results; it exists to bound
         per-ingest overhead and to let tests vary the batch schedule).
@@ -441,8 +390,8 @@ class StreamingRun:
     * per ``batch_domains`` finished domains: the buffered interactions
       are fed to discovery and attribution, which update incrementally;
     * :meth:`finalize` closes the crawl summary, writes campaigns,
-      attribution rows and the milking report, and returns the same
-      :class:`PipelineResult` a batch run produces.
+      attribution rows and the milking report, and returns the run's
+      :class:`PipelineResult`.
     """
 
     def __init__(
@@ -557,7 +506,9 @@ class StreamingRun:
             yield from self._policy_batches(telemetry)
             return
         if self.workers > 1:
-            batches = self._parallel_batches()
+            batches = self._make_executor().run(
+                self.result.publisher_domains, self._checkpoint
+            )
         else:
             batches = self.farm.crawl_incremental(
                 self.result.publisher_domains, self._checkpoint
@@ -628,8 +579,7 @@ class StreamingRun:
     def _round_batches(self, plan) -> Iterator[CrawlBatch]:
         """Crawl one round through the farm or the sharded executor."""
         if self.workers > 1:
-            executor = self._make_executor()
-            return executor.run(
+            return self._make_executor().run(
                 list(plan.domains), self._checkpoint, started_at=plan.started_at
             )
         return self.farm.crawl_incremental(
@@ -674,11 +624,6 @@ class StreamingRun:
                 "interactions": len(batch.interactions),
             },
         )
-
-    def _parallel_batches(self) -> Iterator[CrawlBatch]:
-        """The sharded-executor crawl path (``workers`` > 1)."""
-        executor = self._make_executor()
-        return executor.run(self.result.publisher_domains, self._checkpoint)
 
     def _make_executor(self):
         # Imported lazily: repro.parallel imports the world builder, which
@@ -817,7 +762,7 @@ class StreamingRun:
         if status is None:
             raise StoreError(
                 f"store {store.run_id!r} holds no run to resume; start one "
-                "with `repro run --stream --store-dir DIR`"
+                "with `repro run --store-dir DIR`"
             )
         progress = store.read(PROGRESS)
         raw = store.read(INTERACTIONS)

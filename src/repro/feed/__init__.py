@@ -20,11 +20,11 @@ Browsing Update API shape:
 * :mod:`repro.feed.fleet` — a seeded, cohort-aggregated client fleet
   (sim-clock driven, scalable to ~10⁶ modeled clients) measuring
   protection lag versus the simulated GSB blacklist;
-* :mod:`repro.feed.http` — the stdlib HTTP reference front-end;
-* :mod:`repro.feed.asyncserve` — the production asyncio front-end:
-  precomputed wire responses, pipelined keep-alive serving, and
-  ``SO_REUSEPORT`` worker replicas proven byte-identical to the
-  reference server.
+* :mod:`repro.feed.asyncserve` — the HTTP front-end: precomputed wire
+  responses, pipelined keep-alive serving with idle-timeout and
+  write-backpressure guards, and ``SO_REUSEPORT`` worker replicas
+  proven byte-identical to :meth:`FeedServer.handle
+  <repro.feed.server.FeedServer.handle>`.
 
 Determinism contract: snapshots and deltas are byte-identical across
 ``--workers`` counts, repeat runs, and resume
@@ -40,7 +40,6 @@ from repro.feed.fleet import (
     lag_table,
     percentile,
 )
-from repro.feed.http import FeedHTTPServer
 from repro.feed.payloads import CHECKPOINT_INTERVAL, Payload, PayloadStore
 from repro.feed.publisher import FeedPublisher, network_of_clusters
 from repro.feed.server import (
@@ -73,7 +72,6 @@ __all__ = [
     "FleetReport",
     "lag_table",
     "percentile",
-    "FeedHTTPServer",
     "FeedPublisher",
     "network_of_clusters",
     "DELTA",

@@ -1,21 +1,28 @@
-"""High-throughput asyncio front-end for the blocklist feed.
+"""The asyncio HTTP front-end for the blocklist feed.
 
-The stdlib :class:`~repro.feed.http.FeedHTTPServer` is the *reference*
-implementation: one thread per connection, every response assembled
-through the :class:`~repro.feed.server.FeedServer` protocol objects.
-This module is the production front-end: at startup it renders every
-response the tip of the feed can ever produce into **complete HTTP wire
-bytes** — status line, headers, body; identity and gzip variants — and
-the event loop answers each request with one dictionary lookup and one
-``transport.write``.  No ``FeedServer`` protocol objects, no JSON, no
-per-request allocation beyond the parse.
+``seacma feed serve`` mounts a :class:`~repro.feed.server.FeedServer`
+behind ``GET /v1/feed[?since=N]`` (full snapshot or delta; ``304`` on a
+matching ``If-None-Match``), ``GET /v1/stats`` and ``GET /healthz``.
+At startup the engine renders every response the tip of the feed can
+ever produce into **complete HTTP wire bytes** — status line, headers,
+body; identity and gzip variants — and the event loop answers each
+request with one dictionary lookup and one ``transport.write``.  No
+``FeedServer`` protocol objects, no JSON, no per-request allocation
+beyond the parse.
 
-Semantics are pinned to the reference server: both front-ends derive
-every payload decision from the same precomputed
+Semantics are pinned to :meth:`FeedServer.handle
+<repro.feed.server.FeedServer.handle>`: both derive every payload
+decision from the same precomputed
 :class:`~repro.feed.payloads.PayloadStore`, so for every
-``(client_version, client_hash)`` case the two serve byte-identical
-bodies and identical ``ETag``/``X-Feed-Version``/``X-Feed-Status``
-headers (``tests/test_feed_serving.py`` proves it exhaustively).
+``(client_version, client_hash)`` case the wire response carries the
+status, body, ``ETag``, ``X-Feed-Version`` and ``X-Feed-Status`` that
+``handle`` answers (``tests/test_feed_serving.py`` proves it
+exhaustively).
+
+Transport guards (see :class:`FeedProtocol`): idle connections are
+evicted, a client that never reads its responses is paused, oversized
+heads get a 431 and GETs with a body a 400; ``/v1/stats`` counts them
+as ``stalled_timeouts``, ``client_disconnects`` and ``bad_requests``.
 
 Scaling out: ``workers=N`` runs N replicas accepting on the same
 ``(host, port)`` via ``SO_REUSEPORT`` — replica 0 in-process, the rest
@@ -47,10 +54,17 @@ import multiprocessing
 import os
 import shutil
 import socket
+import sys
 import tempfile
 import threading
 import time
 from urllib.parse import parse_qs
+
+try:  # the kernel's unsent-byte count for a socket (Linux)
+    from fcntl import ioctl
+    from termios import TIOCOUTQ
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    ioctl = TIOCOUTQ = None
 
 from repro.errors import ConfigError
 from repro.feed.server import DELTA, FULL, NOT_MODIFIED, FeedServer
@@ -70,6 +84,15 @@ _REASONS = {200: "OK", 304: "Not Modified", 400: "Bad Request", 404: "Not Found"
 #: limit of stdlib ``http.server``.  Past it the client gets a 431 and
 #: the connection is closed.
 MAX_HEAD_BYTES = 65536
+
+#: Seconds a connection may go without sending a byte or draining a
+#: response byte before it is evicted and counted in ``stalled_timeouts``.
+IDLE_TIMEOUT_S = 30.0
+
+#: Responses answered from one read are written in chunks of about this
+#: many bytes, so ``pause_writing`` can stop a pipelined burst between
+#: chunks instead of after all of it.
+_WRITE_CHUNK_BYTES = 65536
 
 #: How often (seconds) each replica refreshes its stats-mailbox file.
 STATS_PUBLISH_INTERVAL = 0.5
@@ -203,6 +226,9 @@ class _Wire:
         )
         self.not_found = _compose(404, b'{"error":"unknown path"}\n', ())
         self.bad_method = _compose(405, b'{"error":"GET only"}\n', ())
+        self.body_not_allowed = _compose(
+            400, b'{"error":"GET requests carry no body"}\n', (("Connection", "close"),)
+        )
         self.head_too_large = _compose(
             431,
             b'{"error":"request head too large"}\n',
@@ -211,8 +237,8 @@ class _Wire:
         self.healthz = _compose(200, b'{"status":"ok"}\n', ())
         # Payload metadata per known version (status + identity body
         # size), so per-request accounting never re-inspects bytes —
-        # the reference server counts identity bytes in ``bytes_served``
-        # and stats parity requires the same here.
+        # ``FeedServer.handle`` counts identity bytes in
+        # ``bytes_served`` and stats parity requires the same here.
         self.meta_full = (FULL, len(full.body))
         self.meta: dict[int, tuple[str, int]] = {}
         for version in self.tip:
@@ -221,14 +247,31 @@ class _Wire:
 
 
 class FeedProtocol(asyncio.Protocol):
-    """Pipelined keep-alive HTTP/1.1 over the precomputed wire table."""
+    """Pipelined keep-alive HTTP/1.1 over the precomputed wire table.
 
-    __slots__ = ("engine", "transport", "buffer")
+    One idle timer per connection: ``data_received`` only stamps the
+    loop time, and the timer re-arms for the remaining time until
+    :data:`IDLE_TIMEOUT_S` passes with no byte received and no response
+    byte drained; then the connection is evicted.  While the transport's
+    write buffer is above its high mark (``pause_writing``), reading is
+    paused and buffered pipelined heads wait unanswered.
+    """
 
-    def __init__(self, engine: "AsyncFeedServer") -> None:
+    __slots__ = ("engine", "loop", "transport", "buffer", "paused", "timer",
+                 "last_activity", "written", "drained")
+
+    def __init__(self, engine: "AsyncFeedServer", loop: asyncio.AbstractEventLoop) -> None:
         self.engine = engine
+        self.loop = loop
         self.transport: asyncio.Transport | None = None
         self.buffer = b""
+        self.paused = False
+        self.timer: asyncio.TimerHandle | None = None
+        self.last_activity = 0.0
+        #: Response bytes handed to the transport, and how many of them
+        #: had left its buffer and the kernel's at the last idle check.
+        self.written = 0
+        self.drained = 0
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport
@@ -238,36 +281,103 @@ class FeedProtocol(asyncio.Protocol):
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
+        self.last_activity = self.loop.time()
+        self.timer = self.loop.call_later(IDLE_TIMEOUT_S, self._check_idle)
 
     def connection_lost(self, exc: Exception | None) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
         if exc is not None or self.buffer:
             # Dropped mid-request (or with unread pipelined input).
             self.engine.client_disconnects += 1
 
     def data_received(self, data: bytes) -> None:
-        buffer = self.buffer + data if self.buffer else data
+        self.last_activity = self.loop.time()
+        self.buffer = self.buffer + data if self.buffer else data
+        if not self.paused:
+            self._answer()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.last_activity = self.loop.time()
+        self._answer()
+        if not self.paused and not self.transport.is_closing():
+            self.transport.resume_reading()
+
+    def _answer(self) -> None:
+        """Answer the buffered complete heads, in write chunks, until
+        the buffer holds only an unterminated tail or writing pauses."""
+        transport = self.transport
+        buffer = self.buffer
+        start = 0
         responses: list[bytes] = []
+        pending = 0
         close = False
         while True:
-            head_end = buffer.find(b"\r\n\r\n")
+            head_end = buffer.find(b"\r\n\r\n", start)
             if head_end < 0:
                 break
-            head = buffer[:head_end]
-            buffer = buffer[head_end + 4:]
-            response, close = self.engine.respond(head)
+            response, close = self.engine.respond(buffer[start:head_end])
+            start = head_end + 4
             responses.append(response)
             if close:
-                buffer = b""
+                start = len(buffer)
                 break
+            pending += len(response)
+            if pending >= _WRITE_CHUNK_BYTES:
+                self.written += pending
+                transport.write(b"".join(responses))
+                responses = []
+                pending = 0
+                if self.paused:
+                    self.buffer = buffer[start:]
+                    return
+        buffer = buffer[start:] if start else buffer
         if len(buffer) > MAX_HEAD_BYTES:
             responses.append(self.engine.reject_oversized_head())
             buffer = b""
             close = True
         self.buffer = buffer
-        if responses and self.transport is not None:
-            self.transport.write(b"".join(responses))
+        if responses:
+            blob = b"".join(responses)
+            self.written += len(blob)
+            transport.write(blob)
             if close:
-                self.transport.close()
+                transport.close()
+
+    def _check_idle(self) -> None:
+        """The idle timer: re-arm while the connection shows activity,
+        evict it once :data:`IDLE_TIMEOUT_S` passed without any."""
+        transport = self.transport
+        if transport.is_closing():
+            return
+        now = self.loop.time()
+        drained = self.written - transport.get_write_buffer_size()
+        sock = transport.get_extra_info("socket")
+        if sock is not None and ioctl is not None:
+            try:  # bytes the kernel still holds for the peer count as unsent
+                drained -= int.from_bytes(ioctl(sock.fileno(), TIOCOUTQ, bytes(4)), sys.byteorder)
+            except OSError:
+                pass
+        if drained > self.drained:
+            self.drained = drained
+            self.last_activity = now
+        remaining = self.last_activity + IDLE_TIMEOUT_S - now
+        if remaining > 0:
+            self.timer = self.loop.call_later(remaining, self._check_idle)
+            return
+        self.timer = None
+        self.engine.stalled_timeouts += 1
+        # Evicted, not dropped by the client: unanswered input does not
+        # count as a disconnect, and abort() discards the unread
+        # responses close() would wait forever to flush.
+        self.buffer = b""
+        transport.abort()
 
 
 class AsyncFeedServer:
@@ -284,6 +394,7 @@ class AsyncFeedServer:
         self.wire = _Wire(feed)
         self.client_disconnects = 0
         self.bad_requests = 0
+        self.stalled_timeouts = 0
         #: Shared mailbox directory for cross-replica stats (None when
         #: the front-end runs a single replica with no mailbox).
         self.stats_dir = stats_dir
@@ -310,11 +421,20 @@ class AsyncFeedServer:
             if method != b"GET":
                 return self._finish("error", wire.bad_method, started, False)
             headers = head[line_end + 2:] if line_end >= 0 else b""
-            connection = self._header(headers, b"connection")
+            lowered = headers.lower()
+            if b"content-length" in lowered or b"transfer-encoding" in lowered:
+                # A GET body would be parsed as the next request: refuse
+                # any Transfer-Encoding and a Content-Length other than 0.
+                length = self._header(headers, lowered, b"content-length") or b"0"
+                encoded = self._header(headers, lowered, b"transfer-encoding") is not None
+                if encoded or length.strip(b"0"):
+                    self.bad_requests += 1
+                    return self._finish("error", wire.body_not_allowed, started, True)
+            connection = self._header(headers, lowered, b"connection")
             close = connection is not None and connection.lower() == b"close"
             path, _, query = target.partition(b"?")
             if path == b"/v1/feed":
-                return self._feed_response(query, headers, started, close)
+                return self._feed_response(query, headers, lowered, started, close)
             if path == b"/healthz":
                 return self._finish(None, wire.healthz, started, close)
             if path == b"/v1/stats":
@@ -327,12 +447,12 @@ class AsyncFeedServer:
             return self._finish("error", wire.bad_since, started, True)
 
     def _feed_response(
-        self, query: bytes, headers: bytes, started: float, close: bool
+        self, query: bytes, headers: bytes, lowered: bytes, started: float, close: bool
     ) -> tuple[bytes, bool]:
         wire = self.wire
-        client_hash = self._header(headers, b"if-none-match")
+        client_hash = self._header(headers, lowered, b"if-none-match")
         accept_gzip = b"gzip" in (
-            self._header(headers, b"accept-encoding") or b""
+            self._header(headers, lowered, b"accept-encoding") or b""
         )
         since = None
         if query:
@@ -387,9 +507,9 @@ class AsyncFeedServer:
         return response, close
 
     @staticmethod
-    def _header(headers: bytes, name: bytes) -> bytes | None:
-        """Case-insensitive single-header lookup in a raw header block."""
-        lowered = headers.lower()
+    def _header(headers: bytes, lowered: bytes, name: bytes) -> bytes | None:
+        """Case-insensitive single-header lookup in a raw header block
+        (``lowered`` is ``headers.lower()``, computed once per request)."""
         needle = name + b":"
         start = 0
         while True:
@@ -414,6 +534,7 @@ class AsyncFeedServer:
             stats = self.feed.stats.as_dict()
             stats["client_disconnects"] = self.client_disconnects
             stats["bad_requests"] = self.bad_requests
+            stats["stalled_timeouts"] = self.stalled_timeouts
             stats["replica_pid"] = os.getpid()
             stats["latency_ms"] = {
                 status: histogram.summary()
@@ -431,6 +552,7 @@ class AsyncFeedServer:
             | {
                 "client_disconnects": self.client_disconnects,
                 "bad_requests": self.bad_requests,
+                "stalled_timeouts": self.stalled_timeouts,
             },
             "replica_pid": os.getpid(),
             "latency_ms": {
@@ -547,7 +669,7 @@ def _serve_replica_process(
     loop = asyncio.new_event_loop()
     sock = _reuseport_socket(host, port)
     server = loop.run_until_complete(
-        loop.create_server(lambda: FeedProtocol(engine), sock=sock)
+        loop.create_server(lambda: FeedProtocol(engine, loop), sock=sock)
     )
     engine.start_stats_publisher(loop)
     try:
@@ -562,9 +684,8 @@ def _serve_replica_process(
 class AsyncFeedHTTPServer:
     """The asyncio feed front-end, optionally replicated via SO_REUSEPORT.
 
-    API mirrors :class:`~repro.feed.http.FeedHTTPServer` (``port=0``
-    binds an ephemeral port; context manager serves from a background
-    thread).  ``workers=N`` accepts on the same port from N replicas:
+    ``port=0`` binds an ephemeral port (read it back from :attr:`port`);
+    the context manager serves from a background thread.  ``workers=N`` accepts on the same port from N replicas:
     this process plus ``N-1`` forked workers, each with its own event
     loop, wire table, and kernel accept queue.  ``/v1/stats`` answers
     with the handling replica's own counters;
@@ -633,7 +754,7 @@ class AsyncFeedHTTPServer:
         loop = asyncio.get_running_loop()
         self._loop = loop
         server = await loop.create_server(
-            lambda: FeedProtocol(self.engine), sock=self._sock
+            lambda: FeedProtocol(self.engine, loop), sock=self._sock
         )
         self.engine.start_stats_publisher(loop)
         self._started.set()

@@ -23,8 +23,9 @@ built once per snapshot history and is immutable afterwards:
   is a dictionary lookup returning frozen bytes.
 
 Because every byte here is a pure function of the snapshot records,
-independently constructed stores — stdlib server, asyncio server, every
-``SO_REUSEPORT`` worker replica — are byte-identical by construction;
+independently constructed stores — the in-process ``FeedServer``, the
+asyncio front-end, every ``SO_REUSEPORT`` worker replica — are
+byte-identical by construction;
 ``tests/test_feed_serving.py`` proves it case by case.
 """
 

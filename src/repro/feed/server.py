@@ -24,9 +24,10 @@ request handling is dictionary lookups, no serialization.  Time-scoped
 requests (``now=``, the sim-replay path) additionally memoize deltas in
 a bounded LRU cache keyed by ``(from, to)``.
 
-The server is driven concurrently by the threaded HTTP front-end, so
-:class:`ServerStats` updates are lock-protected — counters are exact
-under load, not approximate.
+The server may be driven from several threads at once (the HTTP
+front-end's event loop and in-process callers), so :class:`ServerStats`
+updates are lock-protected — counters are exact under load, not
+approximate.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class FeedResponse:
 class ServerStats:
     """Request accounting (also mirrored into telemetry counters).
 
-    Mutated from many threads at once under the threaded HTTP front-end,
-    so every update happens under one lock; reads of individual fields
+    Mutated from many threads at once (the HTTP front-end's event loop
+    and in-process callers), so every update happens under one lock; reads of individual fields
     are torn-free (plain ints) and :meth:`as_dict` takes the lock for a
     consistent cross-field snapshot.
     """
@@ -200,7 +201,7 @@ class FeedServer:
         if not records:
             raise StoreError(
                 f"store {store.run_id!r} holds no feed snapshots; run "
-                "`seacma run --stream --store-dir DIR` (with milking "
+                "`seacma run --store-dir DIR` (with milking "
                 "enabled) to publish a feed"
             )
         return cls(

@@ -142,7 +142,7 @@ class JsonlStore(StoreBase):
             raise StoreError(
                 f"no run store at {directory} (missing or incomplete "
                 f"{META}.jsonl); create one with "
-                "`repro run --stream --store-dir DIR`"
+                "`repro run --store-dir DIR`"
             )
         return cls(directory, fsync=fsync)
 

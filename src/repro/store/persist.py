@@ -58,7 +58,7 @@ def load_world(store: RunStore) -> World:
     if data is None:
         raise StoreError(
             f"store {store.run_id!r} has no world_config metadata; only "
-            "stores written by `repro run --stream` can be rehydrated"
+            "stores written by `repro run --store-dir DIR` can be rehydrated"
         )
     world = build_world(world_config_from_meta(data))
     target = store.get_meta("finished_at")

@@ -79,10 +79,10 @@ class TestStreaming:
     def test_parser_stream_options(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["run", "--stream", "--store-dir", "d", "--batch-domains", "4"]
+            ["run", "--store-dir", "d", "--workers", "2", "--batch-domains", "4"]
         )
-        assert args.stream and str(args.store_dir) == "d"
-        assert args.batch_domains == 4
+        assert str(args.store_dir) == "d"
+        assert args.workers == 2 and args.batch_domains == 4
         args = parser.parse_args(["resume", "d", "--days", "1.5"])
         assert args.command == "resume"
         assert str(args.store_dir) == "d" and args.days == 1.5
@@ -90,7 +90,7 @@ class TestStreaming:
     def test_run_stream_then_offline_report(self, tmp_path, capsys):
         store_dir = tmp_path / "store"
         code = main(
-            ["run", "--days", "0.5", "--seed", "3", "--stream",
+            ["run", "--days", "0.5", "--seed", "3",
              "--store-dir", str(store_dir)]
         )
         assert code == 0
@@ -142,22 +142,28 @@ class TestStoreErrorPaths:
 
 
 class TestWorkersFlag:
-    def test_workers_require_stream(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "--workers", "2"])
-        assert "--stream" in capsys.readouterr().err
+    def test_workers_apply_without_a_store(self, capsys):
+        # Every run streams, so --workers needs no other flag.
+        code = main(
+            ["run", "--workers", "2", "--batch-domains", "4", "--seed", "3",
+             "--days", "0.5", "--no-milking"]
+        )
+        assert code == 0
+        assert "crawled" in capsys.readouterr().out
 
     def test_zero_workers_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["run", "--stream", "--workers", "0"])
+            main(["run", "--workers", "0"])
+        assert "--workers must be at least 1" in capsys.readouterr().err
 
     def test_streamed_run_with_workers(self, tmp_path, capsys):
         code = main(
             [
                 "run",
-                "--stream",
                 "--workers",
                 "2",
+                "--batch-domains",
+                "4",
                 "--seed",
                 "3",
                 "--days",
@@ -256,7 +262,6 @@ class TestTelemetryFlags:
         code = main(
             [
                 "run",
-                "--stream",
                 "--seed",
                 "3",
                 "--days",
@@ -292,7 +297,6 @@ class TestTelemetryFlags:
         code = main(
             [
                 "run",
-                "--stream",
                 "--seed",
                 "3",
                 "--days",
@@ -324,6 +328,13 @@ class TestFeedCommands:
         assert args.feed_command == "lag"
         assert args.cohorts == 4 and args.clients_per_cohort == 100
         assert args.poll_minutes == 15.0
+
+    def test_engine_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["feed", "serve", "store", "--engine", "stdlib"]
+            )
+        assert "--engine" in capsys.readouterr().err
 
     def test_feed_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -8,12 +8,11 @@ the HTTP front-end.
 
 from __future__ import annotations
 
-import io
 import json
 import socket
+import threading
 import time
 import urllib.request
-from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -37,8 +36,10 @@ from repro.feed import (
     network_of_clusters,
     state_hash,
 )
-from repro.feed.http import FeedHTTPServer, TransportStats, _FeedRequestHandler
+from repro.feed import asyncserve
+from repro.feed.asyncserve import AsyncFeedHTTPServer, AsyncFeedServer, FeedProtocol
 from repro.store.memory import MemoryStore
+from tests.test_feed_serving import build_history, connected
 
 
 def entry(domain: str, first: float = 0.0, last: float = 0.0, **kwargs) -> FeedEntry:
@@ -488,7 +489,7 @@ class TestHTTP:
 
     def test_full_delta_and_conditional_requests(self):
         server = FeedServer(self.history())
-        with FeedHTTPServer(server) as httpd:
+        with AsyncFeedHTTPServer(server) as httpd:
             status, headers, body = self.fetch(f"{httpd.url}/v1/feed")
             assert status == 200
             assert headers["X-Feed-Status"] == FULL
@@ -508,7 +509,7 @@ class TestHTTP:
 
     def test_stats_healthz_and_errors(self):
         server = FeedServer(self.history())
-        with FeedHTTPServer(server) as httpd:
+        with AsyncFeedHTTPServer(server) as httpd:
             status, _, body = self.fetch(f"{httpd.url}/healthz")
             assert status == 200 and json.loads(body)["status"] == "ok"
 
@@ -523,103 +524,206 @@ class TestHTTP:
             assert status == 404
 
 
-class _FailingWriter:
-    """A ``wfile`` stand-in whose every write raises a transport error."""
-
-    def __init__(self, error: type[Exception]) -> None:
-        self.error = error
-
-    def write(self, data: bytes) -> None:
-        raise self.error()
-
-    def flush(self) -> None:
-        raise self.error()
+REQUEST = b"GET /v1/feed HTTP/1.1\r\nHost: x\r\n\r\n"
 
 
-def bare_handler(wfile=None) -> _FeedRequestHandler:
-    """A handler instance with no socket behind it (unit-testing _send)."""
-    handler = _FeedRequestHandler.__new__(_FeedRequestHandler)
-    handler.transport = TransportStats()
-    handler.request_version = "HTTP/1.1"
-    handler.requestline = "GET /v1/feed HTTP/1.1"
-    handler.close_connection = False
-    handler.wfile = wfile if wfile is not None else io.BytesIO()
-    return handler
+def engine() -> AsyncFeedServer:
+    return AsyncFeedServer(FeedServer(build_history()))
+
+
+def stats_of(httpd: AsyncFeedHTTPServer) -> dict:
+    with urllib.request.urlopen(f"{httpd.url}/v1/stats") as response:
+        return json.loads(response.read())
 
 
 class TestHTTPHardening:
     """Disconnecting and stalling clients are counted, never crashes."""
 
     def test_send_counts_client_disconnects(self):
+        # The peer hangs up while a response is still queued: the
+        # transport reports the error through connection_lost.
         for error in (BrokenPipeError, ConnectionResetError):
-            handler = bare_handler(_FailingWriter(error))
-            handler._send(200, b'{"ok":true}\n')  # must not raise
-            assert handler.transport.client_disconnects == 1
-            assert handler.close_connection
+            server = engine()
+            protocol, transport, loop = connected(server, high_water=1024)
+            protocol.data_received(REQUEST * 64)
+            assert transport.buffered > 0
+            protocol.connection_lost(error())  # must not raise
+            assert server.client_disconnects == 1
+            assert server.stalled_timeouts == 0
+            assert all(timer.cancelled for timer in loop.timers)
 
     def test_send_counts_stalled_timeouts(self):
-        handler = bare_handler(_FailingWriter(TimeoutError))
-        handler._send(200, b'{"ok":true}\n')
-        assert handler.transport.stalled_timeouts == 1
-        assert handler.close_connection
+        # The peer stops reading mid-response: writing pauses, nothing
+        # drains, and the idle timer evicts the connection.
+        server = engine()
+        protocol, transport, loop = connected(server, high_water=1024)
+        protocol.data_received(REQUEST * 64)
+        assert not transport.reading
+        loop.advance(asyncserve.IDLE_TIMEOUT_S + 1)
+        assert transport.aborted
+        assert server.stalled_timeouts == 1
+        protocol.connection_lost(None)  # the eviction is not a disconnect
+        assert server.client_disconnects == 0
 
     def test_send_intact_writer_counts_nothing(self):
-        handler = bare_handler()
-        handler._send(200, b'{"ok":true}\n')
-        assert handler.transport.client_disconnects == 0
-        assert handler.transport.stalled_timeouts == 0
-        assert b'{"ok":true}' in handler.wfile.getvalue()
+        server = engine()
+        protocol, transport, loop = connected(server)
+        protocol.data_received(REQUEST)
+        assert transport.written.startswith(b"HTTP/1.1 200 OK\r\n")
+        transport.drain(transport.buffered)
+        protocol.connection_lost(None)
+        loop.advance(10 * asyncserve.IDLE_TIMEOUT_S)
+        assert not transport.aborted
+        assert server.client_disconnects == 0
+        assert server.stalled_timeouts == 0
+        assert server.bad_requests == 0
 
-    def test_handle_swallows_late_disconnects(self, monkeypatch):
-        # The stdlib flushes wfile *after* do_GET returns; a disconnect
-        # surfacing there must be demoted to a counter, not a traceback.
-        monkeypatch.setattr(
-            BaseHTTPRequestHandler,
-            "handle",
-            lambda self: (_ for _ in ()).throw(BrokenPipeError()),
-        )
-        handler = bare_handler()
-        handler.handle()
-        assert handler.transport.client_disconnects == 1
+    def test_handle_swallows_late_disconnects(self):
+        # A reset arriving after the response went out, or a hang-up
+        # with pipelined input still unanswered, is counted, not raised.
+        server = engine()
+        protocol, transport, _ = connected(server)
+        protocol.data_received(REQUEST)
+        transport.drain(transport.buffered)
+        protocol.connection_lost(ConnectionResetError())
+        protocol, transport, _ = connected(server)
+        protocol.data_received(b"GET /v1/feed HTTP/1.1\r\nHo")
+        protocol.connection_lost(None)
+        assert server.client_disconnects == 2
+        assert server.stalled_timeouts == 0
 
     def test_log_error_counts_stdlib_read_timeouts(self):
-        handler = bare_handler()
-        handler.log_error("Request timed out: %r", TimeoutError())
-        assert handler.transport.stalled_timeouts == 1
-        handler.log_error("code 400, message Bad request")
-        assert handler.transport.stalled_timeouts == 1  # only timeouts count
+        # A read timeout — half a request head, then silence — is a
+        # stall; a rejected request is not.
+        server = engine()
+        protocol, transport, loop = connected(server)
+        protocol.data_received(b"GET /v1/feed HTTP/1.1\r\n")
+        loop.advance(asyncserve.IDLE_TIMEOUT_S / 2)
+        assert not transport.aborted
+        loop.advance(asyncserve.IDLE_TIMEOUT_S)
+        assert transport.aborted
+        assert server.stalled_timeouts == 1
+        protocol, transport, loop = connected(server)
+        protocol.data_received(b"GET /v1/feed?since=x HTTP/1.1\r\n\r\n")
+        protocol.data_received(b"GET / HTTP/1.1\r\nContent-Length: 5\r\n\r\n")
+        assert transport.closed and server.bad_requests == 2
+        assert server.stalled_timeouts == 1  # only timeouts count
 
     def test_stats_expose_transport_counters(self):
         server = FeedServer([snapshot(1, 0.0, "a.com")])
-        with FeedHTTPServer(server) as httpd:
-            with urllib.request.urlopen(f"{httpd.url}/v1/stats") as response:
-                body = json.loads(response.read())
-        assert body["client_disconnects"] == 0
-        assert body["stalled_timeouts"] == 0
+        with AsyncFeedHTTPServer(server) as httpd:
+            body = stats_of(httpd)
+            record = httpd.engine.stats_record()["counters"]
+            cluster = httpd.engine.cluster_stats()
+        for stats in (body, record, cluster):
+            assert stats["client_disconnects"] == 0
+            assert stats["stalled_timeouts"] == 0
 
-    def test_stalled_reader_is_timed_out_and_counted(self):
+    def test_stalled_reader_is_timed_out_and_counted(self, monkeypatch):
+        monkeypatch.setattr(asyncserve, "IDLE_TIMEOUT_S", 0.2)
         server = FeedServer([snapshot(1, 0.0, "a.com")])
-        httpd = FeedHTTPServer(server, request_timeout=0.2)
-        with httpd:
-            # Connect and go silent: the per-connection socket timeout
-            # must evict us and bump the stall counter.
+        with AsyncFeedHTTPServer(server) as httpd:
+            # Connect and go silent: the idle timer must evict us and
+            # bump the stall counter.
             stalled = socket.create_connection(("127.0.0.1", httpd.port))
             try:
-                deadline = time.monotonic() + 5.0
-                count = 0
-                while time.monotonic() < deadline:
-                    with urllib.request.urlopen(
-                        f"{httpd.url}/v1/stats"
-                    ) as response:
-                        count = json.loads(response.read())["stalled_timeouts"]
-                    if count >= 1:
-                        break
-                    time.sleep(0.05)
+                stalled.settimeout(5.0)
+                assert stalled.recv(1) == b""  # closed by the server
+                assert stats_of(httpd)["stalled_timeouts"] == 1
             finally:
                 stalled.close()
-            assert count >= 1
 
-    def test_request_timeout_reaches_the_handler_class(self):
-        server = FeedServer([snapshot(1, 0.0, "a.com")])
-        with FeedHTTPServer(server, request_timeout=7.5) as httpd:
-            assert httpd._httpd.RequestHandlerClass.timeout == 7.5
+    def test_request_timeout_reaches_the_handler_class(self, monkeypatch):
+        # The module constant is read when each connection arms its timer.
+        monkeypatch.setattr(asyncserve, "IDLE_TIMEOUT_S", 7.5)
+        protocol, transport, loop = connected(engine())
+        assert [timer.when for timer in loop.timers] == [7.5]
+        loop.advance(7.4)
+        assert not transport.aborted
+        loop.advance(0.2)
+        assert transport.aborted
+
+    def test_paused_writing_stops_answering_pipelined_heads(self):
+        server = engine()
+        protocol, transport, _ = connected(server, high_water=65536)
+        protocol.data_received(REQUEST * 20_000)
+        response = len(server.wire.full[0])
+        # One write chunk past the high mark, then no more answers.
+        assert transport.peak < 65536 + 65536 + response
+        assert not transport.reading and protocol.paused
+        answered = transport.written.count(b"HTTP/1.1 200 OK")
+        assert len(protocol.buffer) == (20_000 - answered) * len(REQUEST)
+        # Draining resumes answering; the whole burst is answered in order.
+        while not transport.reading:
+            transport.drain(transport.buffered)
+            assert transport.peak < 65536 + 65536 + response
+        assert transport.written.count(b"HTTP/1.1 200 OK") == 20_000
+        assert protocol.buffer == b"" and server.bad_requests == 0
+
+    def test_draining_reader_is_never_evicted(self):
+        server = engine()
+        protocol, transport, loop = connected(server, high_water=65536)
+        protocol.data_received(REQUEST * 2_000)
+        step = asyncserve.IDLE_TIMEOUT_S / 4
+        for _ in range(200):  # fifty idle periods of slow draining
+            loop.advance(step)
+            transport.drain(4096)
+        assert not transport.aborted and server.stalled_timeouts == 0
+        while transport.buffered or not transport.reading:
+            transport.drain(1 << 20)
+        assert transport.written.count(b"HTTP/1.1 200 OK") == 2_000
+
+    def test_non_reading_pipeliner_is_bounded_and_evicted(self, monkeypatch):
+        monkeypatch.setattr(asyncserve, "IDLE_TIMEOUT_S", 0.5)
+        peaks: list[int] = []
+        for name in ("data_received", "resume_writing"):
+            original = getattr(FeedProtocol, name)
+
+            def measured(protocol, *args, _original=original):
+                _original(protocol, *args)
+                peaks.append(protocol.transport.get_write_buffer_size())
+
+            monkeypatch.setattr(FeedProtocol, name, measured)
+        with AsyncFeedHTTPServer(FeedServer(build_history())) as httpd:
+            sock = socket.create_connection(("127.0.0.1", httpd.port))
+
+            def flood():
+                try:
+                    sock.sendall(REQUEST * 20_000)
+                except OSError:
+                    pass  # evicted mid-send
+
+            sender = threading.Thread(target=flood, daemon=True)
+            sender.start()
+            try:
+                deadline = time.monotonic() + 20
+                while stats_of(httpd)["stalled_timeouts"] < 1:
+                    assert time.monotonic() < deadline, "never evicted"
+                    time.sleep(0.05)
+            finally:
+                sock.close()
+                sender.join(timeout=5)
+        assert peaks and max(peaks) < 1 << 20
+
+    def test_slow_reader_is_never_evicted(self, monkeypatch):
+        monkeypatch.setattr(asyncserve, "IDLE_TIMEOUT_S", 0.3)
+        requests = 600
+        with AsyncFeedHTTPServer(FeedServer(build_history())) as httpd:
+            expected = requests * len(httpd.engine.wire.full[0])
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32768)
+            sock.connect(("127.0.0.1", httpd.port))
+            sock.settimeout(5.0)
+            with sock:
+                sock.sendall(REQUEST * requests)
+                started, received = time.monotonic(), 0
+                while received < expected:
+                    time.sleep(0.05)  # reads in small sips, never stops
+                    chunk = sock.recv(65536)
+                    assert chunk, "evicted while draining"
+                    received += len(chunk)
+                elapsed = time.monotonic() - started
+                stats = stats_of(httpd)
+        assert received == expected
+        assert elapsed > 3 * asyncserve.IDLE_TIMEOUT_S
+        assert stats["stalled_timeouts"] == 0

@@ -1,10 +1,10 @@
-"""Serving-correctness suite for the feed HTTP front-ends.
+"""Serving-correctness suite for the feed HTTP front-end.
 
 The contract under test: the asyncio front-end
 (:class:`~repro.feed.asyncserve.AsyncFeedHTTPServer`) — including every
-``SO_REUSEPORT`` worker replica — serves responses byte-identical to the
-stdlib reference server (:class:`~repro.feed.http.FeedHTTPServer`) for
-every ``(client_version, client_hash)`` case, and the underlying
+``SO_REUSEPORT`` worker replica — serves, for every
+``(client_version, client_hash)`` case, exactly the answer the
+in-process :meth:`~repro.feed.server.FeedServer.handle` gives, and the underlying
 :class:`~repro.feed.server.FeedServer` protocol is invariant under
 record round-trips for every ``(client_version, client_hash, now)``
 case.  "Byte-identical" means the response body plus every
@@ -18,8 +18,8 @@ Also here: regression coverage for the serving bug sweep —
   state) must be repaired with a full snapshot, never answered 304
   (proved at the HTTP layer and at fleet level);
 * request handling never re-renders snapshot canonical bytes;
-* ``ServerStats`` counters are exact under concurrency (threaded stdlib
-  server and pipelined async clients alike);
+* ``ServerStats`` counters are exact under concurrency (threads calling
+  ``handle`` and concurrent pipelined HTTP clients alike);
 * ``latest_at`` (bisect) agrees with a linear reference scan everywhere,
   including exact publication instants.
 """
@@ -57,7 +57,6 @@ from repro.feed.asyncserve import (
     FeedProtocol,
     LatencyHistogram,
 )
-from repro.feed.http import FeedHTTPServer
 from repro.feed.snapshot import state_hash
 from repro.telemetry import Telemetry, use
 
@@ -151,16 +150,108 @@ class _StdlibHeadProbe(http.server.BaseHTTPRequestHandler):
         assert self.parse_request()
 
 
-class _RecordingTransport:
+class FakeLoop:
+    """The two loop calls :class:`FeedProtocol` makes, on a manual clock."""
+
     def __init__(self) -> None:
-        self.written = b""
+        self.now = 0.0
+        self.timers: list[FakeTimer] = []
+
+    def time(self) -> float:
+        return self.now
+
+    def call_later(self, delay: float, callback) -> "FakeTimer":
+        timer = FakeTimer(self.now + delay, callback)
+        self.timers.append(timer)
+        return timer
+
+    def advance(self, seconds: float) -> None:
+        """Move the clock, firing every timer that comes due on the way."""
+        target = self.now + seconds
+        while True:
+            due = [t for t in self.timers if not t.cancelled and t.when <= target]
+            if not due:
+                break
+            timer = min(due, key=lambda t: t.when)
+            self.timers.remove(timer)
+            self.now = timer.when
+            timer.callback()
+        self.now = target
+
+
+class FakeTimer:
+    def __init__(self, when: float, callback) -> None:
+        self.when = when
+        self.callback = callback
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class RecordingTransport:
+    """A transport stand-in whose peer reads nothing until :meth:`drain`.
+
+    Written bytes stay buffered; past ``high_water`` the protocol's
+    ``pause_writing`` is called, and draining to ``high_water // 4``
+    calls ``resume_writing`` — the flow control of asyncio's own
+    transports.
+    """
+
+    def __init__(self, protocol: FeedProtocol, high_water: int = 1 << 40) -> None:
+        self.protocol = protocol
+        self.high_water = high_water
+        self.written = bytearray()
+        self.buffered = 0
+        self.peak = 0
+        self.paused = False
+        self.reading = True
         self.closed = False
+        self.aborted = False
+
+    def get_extra_info(self, name: str):
+        return None
 
     def write(self, data: bytes) -> None:
         self.written += data
+        self.buffered += len(data)
+        self.peak = max(self.peak, self.buffered)
+        if self.buffered > self.high_water and not self.paused:
+            self.paused = True
+            self.protocol.pause_writing()
+
+    def drain(self, size: int) -> None:
+        self.buffered = max(0, self.buffered - size)
+        if self.paused and self.buffered <= self.high_water // 4:
+            self.paused = False
+            self.protocol.resume_writing()
+
+    def get_write_buffer_size(self) -> int:
+        return self.buffered
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def is_closing(self) -> bool:
+        return self.closed or self.aborted
 
     def close(self) -> None:
         self.closed = True
+
+    def abort(self) -> None:
+        self.aborted = True
+
+
+def connected(engine: AsyncFeedServer, **transport_options) -> tuple:
+    """A :class:`FeedProtocol` on a fake loop and transport."""
+    loop = FakeLoop()
+    protocol = FeedProtocol(engine, loop)
+    transport = RecordingTransport(protocol, **transport_options)
+    protocol.connection_made(transport)
+    return protocol, transport, loop
 
 
 def significant(status: int, body: bytes, headers: dict) -> tuple:
@@ -175,18 +266,50 @@ def significant(status: int, body: bytes, headers: dict) -> tuple:
     )
 
 
-# -------------------------------------------- stdlib vs asyncio equivalence
+#: The error and health bodies, pinned byte for byte.
+HEALTHZ = (200, b'{"status":"ok"}\n')
+NOT_FOUND = (404, b'{"error":"unknown path"}\n')
+BAD_SINCE = (400, b'{"error":"since must be an integer version"}\n')
+
+
+def expected(
+    feed: FeedServer,
+    since: str | None = None,
+    client_hash: str | None = None,
+    gzip_ok: bool = False,
+) -> tuple:
+    """What :meth:`FeedServer.handle` answers, as :func:`significant`
+    projects an HTTP response: 304 with no body, or 200 with the payload
+    (the publish-time gzip variant when the client accepts it)."""
+    version = int(since) if since else None
+    response = feed.handle(FeedRequest(client_version=version, client_hash=client_hash))
+    if response.status == NOT_MODIFIED:
+        status, body, encoding = 304, b"", None
+    elif gzip_ok and response.gzip_payload is not None:
+        status, body, encoding = 200, response.gzip_payload, "gzip"
+    else:
+        status, body, encoding = 200, response.payload, None
+    return (
+        status,
+        body,
+        response.content_hash,
+        str(response.version),
+        response.status,
+        encoding,
+    )
+
+
+# --------------------------------------- asyncio vs FeedServer.handle
 
 
 class TestFrontEndEquivalence:
-    """Exhaustive (client_version, client_hash) sweep over both servers."""
+    """Exhaustive (client_version, client_hash) sweep: the asyncio engine
+    over the wire against :meth:`FeedServer.handle` in process."""
 
     @pytest.fixture(scope="class")
     def servers(self, history):
-        stdlib = FeedHTTPServer(make_server(history))
-        aio = AsyncFeedHTTPServer(make_server(history))
-        with stdlib, aio:
-            yield stdlib, aio
+        with AsyncFeedHTTPServer(make_server(history)) as aio:
+            yield make_server(history), aio
 
     def _cases(self, history):
         latest = history[-1]
@@ -204,50 +327,48 @@ class TestFrontEndEquivalence:
                 yield since, client_hash
 
     def test_every_case_byte_identical(self, servers, history):
-        stdlib, aio = servers
+        feed, aio = servers
         checked = 0
         for since, client_hash in self._cases(history):
             path = "/v1/feed" if since is None else f"/v1/feed?since={since}"
-            headers = {} if client_hash is None else {"If-None-Match": client_hash}
-            reference = significant(*fetch(stdlib.port, path, headers))
-            candidate = significant(*fetch(aio.port, path, headers))
-            assert candidate == reference, (since, client_hash)
-            checked += 1
-        assert checked == (len(history) + 4) * 4
+            for gzip_ok in (False, True):
+                headers = {} if client_hash is None else {"If-None-Match": client_hash}
+                if gzip_ok:
+                    headers["Accept-Encoding"] = "gzip"
+                reference = expected(feed, since, client_hash, gzip_ok)
+                candidate = significant(*fetch(aio.port, path, headers))
+                assert candidate == reference, (since, client_hash, gzip_ok)
+                checked += 1
+        assert checked == (len(history) + 4) * 4 * 2
 
     def test_malformed_since_is_400_on_both(self, servers):
-        stdlib, aio = servers
-        reference = significant(*fetch(stdlib.port, "/v1/feed?since=banana"))
-        candidate = significant(*fetch(aio.port, "/v1/feed?since=banana"))
-        assert reference[0] == candidate[0] == 400
-        assert reference == candidate
+        _, aio = servers
+        status, body, headers = fetch(aio.port, "/v1/feed?since=banana")
+        assert (status, body) == BAD_SINCE
+        assert "ETag" not in headers and "X-Feed-Status" not in headers
 
     def test_empty_since_serves_full_on_both(self, servers, history):
-        stdlib, aio = servers
-        reference = significant(*fetch(stdlib.port, "/v1/feed?since="))
+        feed, aio = servers
         candidate = significant(*fetch(aio.port, "/v1/feed?since="))
-        assert reference == candidate
-        assert reference[4] == FULL
-        assert json.loads(reference[1])["version"] == history[-1].version
+        assert candidate == expected(feed)
+        assert candidate[4] == FULL
+        assert json.loads(candidate[1])["version"] == history[-1].version
 
     def test_unknown_path_and_health_agree(self, servers):
-        stdlib, aio = servers
-        for path in ("/healthz", "/nope"):
-            reference = fetch(stdlib.port, path)
-            candidate = fetch(aio.port, path)
-            assert (reference[0], reference[1]) == (candidate[0], candidate[1])
+        _, aio = servers
+        assert fetch(aio.port, "/healthz")[:2] == HEALTHZ
+        assert fetch(aio.port, "/nope")[:2] == NOT_FOUND
 
     def test_gzip_bodies_decompress_to_identity(self, servers):
-        stdlib, aio = servers
-        for server in (stdlib, aio):
-            plain_status, plain, _ = fetch(server.port, "/v1/feed?since=1")
-            status, body, headers = fetch(
-                server.port, "/v1/feed?since=1", {"Accept-Encoding": "gzip"}
-            )
-            assert plain_status == status == 200
-            assert headers.get("Content-Encoding") == "gzip"
-            assert len(body) < len(plain)
-            assert gzip.decompress(body) == plain
+        _, aio = servers
+        plain_status, plain, _ = fetch(aio.port, "/v1/feed?since=1")
+        status, body, headers = fetch(
+            aio.port, "/v1/feed?since=1", {"Accept-Encoding": "gzip"}
+        )
+        assert plain_status == status == 200
+        assert headers.get("Content-Encoding") == "gzip"
+        assert len(body) < len(plain)
+        assert gzip.decompress(body) == plain
 
     def test_delta_chain_compaction_over_http(self, servers, history):
         """since=v1 gets a *small* delta to a checkpoint, not the tip."""
@@ -319,9 +440,7 @@ class TestAsyncOnlySurface:
 
     def test_oversized_head_is_431_and_closes(self, history):
         engine = AsyncFeedServer(make_server(history))
-        protocol = FeedProtocol(engine)
-        transport = _RecordingTransport()
-        protocol.transport = transport
+        protocol, transport, _ = connected(engine)
         # A pipelined burst of complete heads far past the cap is fine.
         burst = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n" * 4096
         assert len(burst) > MAX_HEAD_BYTES
@@ -353,6 +472,36 @@ class TestAsyncOnlySurface:
         assert blob.count(b"HTTP/1.1 ") == 1
         assert stats["bad_requests"] == 1
 
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: %d",
+            b"content-length:%d",
+            b"Transfer-Encoding: chunked",
+            b"transfer-encoding:",
+        ],
+    )
+    def test_get_with_body_is_400_and_closes(self, history, framing):
+        """A body on a GET is never parsed as the next request."""
+        body = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+        if b"%d" in framing:
+            framing = framing % len(body)
+        head = b"GET /healthz HTTP/1.1\r\nHost: x\r\n" + framing + b"\r\n\r\n"
+        with AsyncFeedHTTPServer(make_server(history)) as server:
+            blob = exchange(server.port, [head + body])
+            stats = json.loads(fetch(server.port, "/v1/stats")[1])
+        assert blob.count(b"HTTP/1.1 ") == 1
+        assert blob.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"Connection: close\r\n" in blob
+        assert stats["bad_requests"] == 1
+
+    def test_zero_length_body_is_served(self, history):
+        head = b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n"
+        with AsyncFeedHTTPServer(make_server(history)) as server:
+            blob = exchange(server.port, [head + b"Connection: close\r\n\r\n"])
+        assert blob.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert blob.endswith(HEALTHZ[1])
+
 
 # ------------------------------------------------------- worker replicas
 
@@ -380,19 +529,18 @@ class TestWorkerReplicas:
     )
     def test_live_replicas_match_stdlib_reference(self, history):
         """Every response from a 2-replica server — whichever process
-        answers — is byte-identical to the single stdlib server's."""
-        stdlib = FeedHTTPServer(make_server(history))
+        answers — is what :meth:`FeedServer.handle` answers."""
+        feed = make_server(history)
         replicated = AsyncFeedHTTPServer(make_server(history), workers=2)
+        sinces = [None, "1", str(history[-2].version), "999"]
         cases = [
-            "/v1/feed",
-            "/v1/feed?since=1",
-            f"/v1/feed?since={history[-2].version}",
-            "/v1/feed?since=999",
+            "/v1/feed" if since is None else f"/v1/feed?since={since}"
+            for since in sinces
         ]
-        with stdlib, replicated:
-            reference = {
-                path: significant(*fetch(stdlib.port, path)) for path in cases
-            }
+        reference = {
+            path: expected(feed, since) for path, since in zip(cases, sinces)
+        }
+        with replicated:
             pids = set()
             deadline = time.monotonic() + 20
             while len(pids) < 2 and time.monotonic() < deadline:
@@ -476,20 +624,20 @@ class TestLatestAtBisect:
 class TestCorruptedClientRepair:
     def test_http_repair_on_both_front_ends(self, history):
         """A client claiming the latest version with a wrong hash is
-        served a full snapshot (200), never 304."""
+        served a full snapshot (200), never 304 — over HTTP exactly as
+        :meth:`FeedServer.handle` answers in process."""
         latest = history[-1]
-        stdlib = FeedHTTPServer(make_server(history))
-        aio = AsyncFeedHTTPServer(make_server(history))
-        with stdlib, aio:
-            for server in (stdlib, aio):
-                status, body, headers = fetch(
-                    server.port,
-                    f"/v1/feed?since={latest.version}",
-                    {"If-None-Match": "sha256:corrupt"},
-                )
-                assert status == 200
-                assert headers["X-Feed-Status"] == FULL
-                assert json.loads(body)["version"] == latest.version
+        since = str(latest.version)
+        reference = expected(make_server(history), since, "sha256:corrupt")
+        assert reference[0] == 200 and reference[4] == FULL
+        with AsyncFeedHTTPServer(make_server(history)) as aio:
+            response = fetch(
+                aio.port,
+                f"/v1/feed?since={since}",
+                {"If-None-Match": "sha256:corrupt"},
+            )
+        assert significant(*response) == reference
+        assert json.loads(response[1])["version"] == latest.version
 
     def test_fleet_recovers_from_corrupted_cohort(self, history):
         """Fleet-level regression: corrupt a cohort's state once it
@@ -602,7 +750,9 @@ class TestConcurrentStatsExactness:
         assert stats["bytes_served"] == polls * (full_size + len(delta_size))
 
     def test_stdlib_http_concurrent_counts_exact(self, history):
-        server = FeedHTTPServer(make_server(history))
+        """Concurrent one-request connections (the access pattern of
+        ``urllib``/``curl`` clients) are counted exactly."""
+        server = AsyncFeedHTTPServer(make_server(history))
         latest = server.feed.latest
         threads_n, per_thread = 6, 8
         barrier = threading.Barrier(threads_n)
@@ -630,6 +780,7 @@ class TestConcurrentStatsExactness:
         assert stats["full"] == polls
         assert stats["delta"] == polls
         assert stats["not_modified"] == polls
+        assert stats["bad_requests"] == polls
 
     def test_async_http_concurrent_counts_exact(self, history):
         server = AsyncFeedHTTPServer(make_server(history))

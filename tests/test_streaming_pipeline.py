@@ -2,8 +2,10 @@
 
 The contract under test (DESIGN.md, "Streaming architecture"):
 
-* ``run_streaming()`` produces **byte-identical** campaigns, attribution
-  and milking to ``run()``, for any seed and any batch schedule;
+* ``run()`` and ``run_streaming()`` produce **byte-identical** campaigns,
+  attribution and milking, for any seed and any batch schedule, and the
+  same as the one-shot stage methods (``crawl``, ``discover``,
+  ``attribute``, ``milk``) chained by hand;
 * a run streamed into a :class:`JsonlStore` regenerates the same report
   offline (store → reload → report == live report);
 * a run whose process dies mid-crawl resumes from its store and
@@ -24,6 +26,7 @@ from repro.analysis.export import (
 )
 from repro.analysis.reportgen import generate_report
 from repro.core.milking import MilkingConfig, MilkingSource
+from repro.core.pipeline import PipelineResult
 from repro.core.reports import regenerate_report
 from repro.errors import ConfigError, StoreError
 from repro.store import JsonlStore, MemoryStore
@@ -90,23 +93,35 @@ def _sorted_json(text: str) -> str:
 class TestBatchStreamingEquivalence:
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_streaming_equals_batch_across_schedules(self, seed):
-        baseline = fingerprint(*self._run(seed, mode="batch"))
+        world, pipeline = make_pipeline(seed)
+        baseline = fingerprint(world, pipeline.run())
+        arms = {"stages": self._stagewise(seed)}
         for batch_domains in (1, 5):  # two batch schedules per seed
-            streamed = fingerprint(
-                *self._run(seed, mode="stream", batch_domains=batch_domains)
+            world, pipeline = make_pipeline(seed)
+            arms[f"batch_domains {batch_domains}"] = (
+                world,
+                pipeline.run_streaming(batch_domains=batch_domains),
             )
+        for arm, run in arms.items():
+            candidate = fingerprint(*run)
             for component, expected in baseline.items():
-                assert streamed[component] == expected, (
-                    f"seed {seed}, batch_domains {batch_domains}: "
-                    f"{component} diverged"
+                assert candidate[component] == expected, (
+                    f"seed {seed}, {arm}: {component} diverged"
                 )
 
     @staticmethod
-    def _run(seed, mode, batch_domains=1):
+    def _stagewise(seed):
+        """The paper's stages run one-shot, each over the whole crawl."""
         world, pipeline = make_pipeline(seed)
-        if mode == "batch":
-            return world, pipeline.run()
-        return world, pipeline.run_streaming(batch_domains=batch_domains)
+        patterns = pipeline.derive_patterns()
+        crawl = pipeline.crawl(pipeline.reverse_publishers(patterns))
+        discovery = pipeline.discover(crawl)
+        attribution = pipeline.attribute(crawl, patterns)
+        result = PipelineResult(
+            crawl=crawl, discovery=discovery, attribution=attribution
+        )
+        result.milking = pipeline.milk(discovery)
+        return world, result
 
     def test_live_stage_results_mid_crawl(self):
         world, pipeline = make_pipeline(3)
