@@ -8,7 +8,8 @@ durability posture:
   harness landed;
 * ``durable`` — the real store, intents on, ``fsync`` off (the default
   every test and CLI run uses);
-* ``fsync`` — the paranoid mode: every append and truncate swap synced.
+* ``fsync`` — the paranoid mode: every append, cut and journal write
+  synced.
 
 The acceptance bar: with fsync off, the durability layer (intent
 journal + crash-point checks) must cost **under 10%** wall-clock over

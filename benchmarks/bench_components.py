@@ -1,8 +1,8 @@
 """Micro-benchmarks for the pipeline's computational kernels.
 
 These track the cost of the hot paths — screenshot rendering, dhash,
-Hamming neighbour search, DBSCAN — so regressions in the substrate are
-visible independently of the end-to-end benches.
+DBSCAN over ``IncrementalDBSCAN``'s adjacency — so regressions in the
+substrate are visible independently of the end-to-end benches.
 """
 
 import itertools
@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from repro.cluster.dbscan import dbscan
-from repro.cluster.metrics import HammingNeighborIndex
+from repro.cluster.incremental import IncrementalDBSCAN
 from repro.dom.page import VisualSpec
 from repro.imaging.dhash import dhash128
 from repro.imaging.image import render_visual
@@ -46,23 +46,9 @@ def hash_population():
     return hashes
 
 
-def test_neighbor_index_build(benchmark, hash_population):
-    index = benchmark(HammingNeighborIndex, hash_population, 12)
-    assert index.neighbors_of(0)
-
-
-def test_neighbor_index_query(benchmark, hash_population):
-    index = HammingNeighborIndex(hash_population, 12)
-
-    def query_all():
-        return sum(len(index.neighbors_of(i)) for i in range(0, 3000, 30))
-
-    total = benchmark(query_all)
-    assert total > 0
-
-
 def test_dbscan_on_hash_population(benchmark, hash_population):
-    index = HammingNeighborIndex(hash_population, 12)
+    index = IncrementalDBSCAN(12, 3)
+    index.add_batch(hash_population)
 
     labels = benchmark(dbscan, len(hash_population), index.neighbors_of, 3)
     clusters = {label for label in labels if label >= 0}

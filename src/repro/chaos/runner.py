@@ -31,7 +31,7 @@ reaped between phases.
 Truncate points only execute during recovery (a healthy run never
 truncates), so ``recovery_only`` directives run a three-phase scenario:
 a priming crash leaves an uncommitted batch intent behind, the armed
-resume then crashes inside the rollback's truncate, and a final clean
+resume then crashes inside the rollback, and a final clean
 resume completes the run.
 """
 

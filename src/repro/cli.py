@@ -76,6 +76,7 @@ blacklist.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import pathlib
 import sys
@@ -339,7 +340,7 @@ def _run_pipeline(args):
     with_milking = not getattr(args, "no_milking", False)
     telemetry = _activate_telemetry(args, world)
     try:
-        store = None
+        store = contextlib.nullcontext()
         if getattr(args, "store_dir", None) is not None:
             from repro.store import JsonlStore
 
@@ -348,12 +349,13 @@ def _run_pipeline(args):
                 run_id=f"{args.preset}-{args.seed}",
                 fsync=args.fsync,
             )
-        result = pipeline.run_streaming(
-            store=store,
-            with_milking=with_milking,
-            batch_domains=getattr(args, "batch_domains", 1),
-            workers=getattr(args, "workers", 1),
-        )
+        with store as opened:
+            result = pipeline.run_streaming(
+                store=opened,
+                with_milking=with_milking,
+                batch_domains=getattr(args, "batch_domains", 1),
+                workers=getattr(args, "workers", 1),
+            )
     finally:
         if telemetry is not None:
             from repro.telemetry import deactivate
@@ -400,22 +402,22 @@ def _resume(args) -> int:
     from repro.store import JsonlStore
     from repro.store.persist import load_world
 
-    store = JsonlStore.open(args.store_dir, fsync=args.fsync)
-    world = load_world(store)
-    pipeline = SeacmaPipeline(world, milking_config=_milking_config(args))
-    telemetry = _activate_telemetry(args, world)
-    try:
-        result = pipeline.resume_streaming(
-            store,
-            with_milking=not args.no_milking,
-            batch_domains=args.batch_domains,
-            workers=args.workers,
-        )
-    finally:
-        if telemetry is not None:
-            from repro.telemetry import deactivate
+    with JsonlStore.open(args.store_dir, fsync=args.fsync) as store:
+        world = load_world(store)
+        pipeline = SeacmaPipeline(world, milking_config=_milking_config(args))
+        telemetry = _activate_telemetry(args, world)
+        try:
+            result = pipeline.resume_streaming(
+                store,
+                with_milking=not args.no_milking,
+                batch_domains=args.batch_domains,
+                workers=args.workers,
+            )
+        finally:
+            if telemetry is not None:
+                from repro.telemetry import deactivate
 
-            deactivate()
+                deactivate()
     print(
         f"resumed run {store.run_id}: {result.crawl.publishers_visited} publishers "
         f"crawled in total, {len(result.crawl.interactions)} ads, "
@@ -429,8 +431,8 @@ def _load_stored(path):
     from repro.store import JsonlStore
     from repro.store.persist import load_result, load_world
 
-    store = JsonlStore.open(path)
-    return load_world(store), load_result(store)
+    with JsonlStore.open(path) as store:
+        return load_world(store), load_result(store)
 
 
 def _print_tables(world, result, out=print) -> None:
@@ -490,21 +492,22 @@ def _feed(args) -> int:
         FleetConfig,
         lag_table,
     )
-    from repro.store import JsonlStore
-
-    store = JsonlStore.open(args.store_dir)
-    checkpoint_interval = getattr(args, "checkpoint_interval", None)
-    if checkpoint_interval is not None and checkpoint_interval < 1:
-        raise ConfigError("--checkpoint-interval must be at least 1")
     from repro.feed.payloads import CHECKPOINT_INTERVAL
+    from repro.store import JsonlStore
+    from repro.store.persist import load_world
 
-    server = FeedServer.from_store(
-        store,
-        checkpoint_interval=(
-            checkpoint_interval if checkpoint_interval is not None
-            else CHECKPOINT_INTERVAL
-        ),
-    )
+    with JsonlStore.open(args.store_dir) as store:
+        checkpoint_interval = getattr(args, "checkpoint_interval", None)
+        if checkpoint_interval is not None and checkpoint_interval < 1:
+            raise ConfigError("--checkpoint-interval must be at least 1")
+        server = FeedServer.from_store(
+            store,
+            checkpoint_interval=(
+                checkpoint_interval if checkpoint_interval is not None
+                else CHECKPOINT_INTERVAL
+            ),
+        )
+        world = load_world(store) if args.feed_command == "lag" else None
     latest = server.latest
     if args.feed_command == "serve":
         if args.serve_workers < 1:
@@ -542,9 +545,6 @@ def _feed(args) -> int:
             )
         return 0
     # lag
-    from repro.store.persist import load_world
-
-    world = load_world(store)
     config = FleetConfig(
         cohorts=args.cohorts,
         clients_per_cohort=args.clients_per_cohort,
@@ -594,24 +594,20 @@ def _feed(args) -> int:
 def _store_check(args) -> int:
     """``seacma store check``: validate (and repair) a run store.
 
-    Recoverable crash damage — torn tails, stale truncate temps, an
-    uncommitted write intent — is repaired and reported; corruption a
-    crash cannot explain raises :class:`~repro.errors.StoreError`, which
-    :func:`main` turns into a one-line stderr message and exit code 2.
+    Recoverable crash damage — torn tails and an uncommitted write
+    intent, cut back to the byte sizes its journal record holds — is
+    repaired and reported.  Damage a crash cannot explain (a corrupt
+    interior record, a stream shorter than its journaled size) raises
+    :class:`~repro.errors.StoreError`, which :func:`main` turns into a
+    one-line stderr message and exit code 2.
     """
     from repro.store import JsonlStore
 
-    store = JsonlStore.open(args.store_dir)
-    recovery = store.last_recovery
-    counts = store.check()
-    store.close()
+    with JsonlStore.open(args.store_dir) as store:
+        recovery = store.last_recovery
+        counts = store.check()
     status = "clean" if recovery.clean else "repaired"
     print(f"run {store.run_id!r} at {args.store_dir}: {status}")
-    if recovery.stale_temps:
-        print(
-            f"  removed {len(recovery.stale_temps)} stale truncate "
-            f"temp file(s): {', '.join(recovery.stale_temps)}"
-        )
     for stream, torn in sorted(recovery.torn_tails.items()):
         print(f"  repaired torn tail: {stream} ({torn} bytes trimmed)")
     if recovery.intent_rolled_back is not None:

@@ -2,14 +2,12 @@
 
 from repro.cluster.dbscan import DBSCAN_NOISE, dbscan
 from repro.cluster.incremental import IncrementalDBSCAN
-from repro.cluster.metrics import pairwise_hamming_matrix
 from repro.cluster.filtering import distinct_e2lds, filter_clusters_by_domains
 
 __all__ = [
     "dbscan",
     "DBSCAN_NOISE",
     "IncrementalDBSCAN",
-    "pairwise_hamming_matrix",
     "distinct_e2lds",
     "filter_clusters_by_domains",
 ]

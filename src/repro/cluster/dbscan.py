@@ -7,8 +7,9 @@ formulation: core points have at least ``min_pts`` neighbours (inclusive
 of themselves) within ``eps``; clusters are density-connected sets; border
 points join the first cluster that reaches them; everything else is noise.
 
-The neighbour search is delegated to a pluggable index so dense hash
-populations can use the bucketed index in :mod:`repro.cluster.metrics`.
+The neighbour search is delegated to a pluggable function; the
+pipeline passes the bucketed adjacency that
+:class:`~repro.cluster.incremental.IncrementalDBSCAN` maintains.
 """
 
 from __future__ import annotations

@@ -4,14 +4,18 @@ Batch DBSCAN clusters all screenshot hashes at once; the streaming
 pipeline receives them in crawl-order batches as the farm emits them.
 :class:`IncrementalDBSCAN` maintains the expensive part of DBSCAN — the
 fixed-radius neighbour structure — incrementally: each inserted hash is
-bucketed by 8-bit words (the pigeonhole index of
-:mod:`repro.cluster.metrics`) and its neighbour edges are added to a
-growing adjacency list in O(neighbours) per insert, instead of
-recomputing the O(n²) neighbourhood from scratch per batch.
+bucketed by 8-bit words and its neighbour edges are added to a growing
+adjacency list in O(neighbours) per insert, instead of recomputing the
+O(n²) neighbourhood from scratch per batch.  If two 128-bit hashes
+differ in at most ``radius`` bits, the differing bits touch at most
+``radius`` of the 16 words, so for ``radius < 16`` at least one word is
+identical (pigeonhole) and probing the new hash's 16 word-buckets finds
+every true neighbour.  The paper's ``eps = 0.1`` radius is 12 bits,
+inside that exact regime; larger radii fall back to a linear scan.
 
 **Equivalence guarantee.**  For any insertion order, the adjacency list
-after *n* inserts is exactly what :class:`HammingNeighborIndex` would
-return for the same *n* hashes: ``adjacency[i]`` is sorted ascending and
+after *n* inserts is exactly the brute-force within-radius neighbour
+list of the same *n* hashes: ``adjacency[i]`` is sorted ascending and
 includes ``i`` itself (``i``'s own neighbours are found at insert time;
 later arrivals ``j > i`` within the radius are appended in increasing
 ``j``, preserving sort order).  :meth:`labels` then replays Ester et
@@ -65,7 +69,7 @@ class IncrementalDBSCAN:
         self._hashes: list[int] = []
         self._adjacency: list[list[int]] = []
         # radius >= word count defeats the pigeonhole argument; fall back
-        # to linear probing there (same regime as HammingNeighborIndex).
+        # to linear probing there.
         self._exact_bucketing = radius_bits < _WORDS
         self._buckets: list[dict[int, list[int]]] = [dict() for _ in range(_WORDS)]
         self._labels: list[int] | None = []

@@ -18,6 +18,7 @@ For one (publisher, user-agent, vantage) triple the crawler:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.browser.browser import Browser, Tab
 from repro.browser.devtools import DevToolsClient
@@ -105,6 +106,75 @@ class AdInteraction:
     #: Ground-truth annotations from the landing page — used only for
     #: evaluating the pipeline, never by the pipeline itself.
     labels: dict = field(default_factory=dict, hash=False, compare=False)
+
+
+def interaction_to_dict(record: AdInteraction) -> dict[str, Any]:
+    """One ad interaction as a JSON-compatible dict.
+
+    The one interaction codec: the released crawl dataset, the store's
+    ``interactions`` stream and the shard segments all use it.
+    """
+    return {
+        "publisher_domain": record.publisher_domain,
+        "publisher_url": record.publisher_url,
+        "ua_name": record.ua_name,
+        "vantage_name": record.vantage_name,
+        "landing_url": record.landing_url,
+        "landing_host": record.landing_host,
+        "landing_e2ld": record.landing_e2ld,
+        "screenshot_hash": f"{record.screenshot_hash:032x}",
+        "timestamp": record.timestamp,
+        "chain": [
+            {"url": node.url, "cause": node.cause, "source_url": node.source_url}
+            for node in record.chain
+        ],
+        "publisher_scripts": list(record.publisher_scripts),
+        "load_failed": record.load_failed,
+        "notification_prompt": record.notification_prompt,
+        "notification_push_endpoint": record.notification_push_endpoint,
+        "popunder": record.popunder,
+        "page_features": {
+            "n_scripts": record.page_features.n_scripts,
+            "n_images": record.page_features.n_images,
+            "n_anchors": record.page_features.n_anchors,
+            "n_offsite_anchors": record.page_features.n_offsite_anchors,
+            "title": record.page_features.title,
+        },
+        "labels": dict(record.labels),
+    }
+
+
+def interaction_from_dict(data: dict[str, Any]) -> AdInteraction:
+    """Inverse of :func:`interaction_to_dict`."""
+    features = data.get("page_features", {})
+    return AdInteraction(
+        publisher_domain=data["publisher_domain"],
+        publisher_url=data["publisher_url"],
+        ua_name=data["ua_name"],
+        vantage_name=data["vantage_name"],
+        landing_url=data["landing_url"],
+        landing_host=data["landing_host"],
+        landing_e2ld=data["landing_e2ld"],
+        screenshot_hash=int(data["screenshot_hash"], 16),
+        timestamp=data["timestamp"],
+        chain=tuple(
+            ChainNode(url=node["url"], cause=node["cause"], source_url=node.get("source_url"))
+            for node in data["chain"]
+        ),
+        publisher_scripts=tuple(data["publisher_scripts"]),
+        load_failed=data["load_failed"],
+        notification_prompt=data["notification_prompt"],
+        notification_push_endpoint=data.get("notification_push_endpoint"),
+        popunder=data["popunder"],
+        page_features=PageFeatures(
+            n_scripts=features.get("n_scripts", 0),
+            n_images=features.get("n_images", 0),
+            n_anchors=features.get("n_anchors", 0),
+            n_offsite_anchors=features.get("n_offsite_anchors", 0),
+            title=features.get("title", ""),
+        ),
+        labels=dict(data.get("labels", {})),
+    )
 
 
 @dataclass(frozen=True)

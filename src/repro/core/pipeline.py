@@ -40,6 +40,7 @@ from repro.core.attribution import (
     discover_new_networks,
     expand_publisher_list,
 )
+from repro.core.crawler import interaction_from_dict
 from repro.core.discovery import (
     DiscoveryResult,
     IncrementalDiscovery,
@@ -84,7 +85,6 @@ from repro.store.records import (
     campaign_to_record,
     crawl_summary_to_meta,
     discovery_stats_to_meta,
-    interaction_from_record,
     milking_to_records,
     pattern_to_record,
     progress_to_record,
@@ -794,7 +794,7 @@ class StreamingRun:
             # The writer counted the trimmed rows; rebuild it on the
             # repaired store so row numbering restarts at the right place.
             self.writer = StoreWriter(store)
-        interactions = [interaction_from_record(record) for record in raw]
+        interactions = [interaction_from_dict(record) for record in raw]
         for row, record in enumerate(interactions):
             self.writer.rows_of[id(record)] = row
         with current_telemetry().span(

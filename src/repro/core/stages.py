@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.core.crawler import AdInteraction
+from repro.core.crawler import AdInteraction, interaction_to_dict
 from repro.store.base import HASHES, INTERACTIONS, RunStore
-from repro.store.records import hash_to_record, interaction_to_record
+from repro.store.records import hash_to_record
 
 
 @runtime_checkable
@@ -76,7 +76,7 @@ class StoreWriter:
 
     def ingest(self, batch: Iterable[AdInteraction]) -> None:
         for record in batch:
-            self.store.append(INTERACTIONS, interaction_to_record(record))
+            self.store.append(INTERACTIONS, interaction_to_dict(record))
             if record.landing_e2ld:
                 self.store.append(HASHES, hash_to_record(self._row, record))
             self.rows_of[id(record)] = self._row

@@ -26,7 +26,6 @@ stream byte-identical to the sequential one.
 
 from __future__ import annotations
 
-import json
 import logging
 import multiprocessing
 import os
@@ -51,6 +50,7 @@ from repro.ecosystem.world import WorldConfig, build_world
 from repro.errors import ConfigError, ReproError
 from repro.faults.retry import RetryPolicy, ensure_resilience
 from repro.faults.stats import FaultStats
+from repro.store.jsonl import encode_record
 from repro.store.segments import (
     SegmentReader,
     batch_from_segment_record,
@@ -110,7 +110,7 @@ def run_shard(spec: ShardSpec) -> None:
 
         def emit(record: dict) -> None:
             crash_point("segment.emit.pre")
-            handle.write(json.dumps(record, separators=(",", ":"), sort_keys=True))
+            handle.write(encode_record(record))
             crash_point("segment.emit.mid", flush=handle)
             handle.write("\n")
             handle.flush()

@@ -9,29 +9,31 @@ Layout of a store directory::
     <dir>/attribution.jsonl     # per-interaction attribution rows
     <dir>/milking.jsonl         # milking samples + summary
     <dir>/progress.jsonl        # per-domain crawl progress markers
-    <dir>/intent.log            # open write-barrier record, if any
+    <dir>/intent.log            # write-barrier journal, while open
 
-Every write is a single ``json.dumps`` line flushed to disk, so a run
-killed mid-crawl loses at most the record being written; ``repro resume``
+Every write is a single JSON line flushed to disk, so a run killed
+mid-crawl loses at most the record being written; ``repro resume``
 reloads the directory and continues from the last progress marker.
 
 Durability model (see DESIGN.md, "Chaos & durability"):
 
 * *torn tails* — a partial trailing line from a killed append — are
   expected damage: skipped on read, cut off before the next append;
-* *truncation is atomic*: the kept prefix is written to a sibling
-  ``<stream>.jsonl.tmp`` and swapped in with :func:`os.replace`, so a
-  crash mid-truncate leaves either the old file or the new one, never a
-  half-rewritten stream;
+* *one cut primitive*: a stream only ever shrinks by a single
+  ``ftruncate`` to a byte offset on a line boundary
+  (:meth:`JsonlStore._cut`).  The kept prefix is never rewritten, so a
+  crash leaves a stream either uncut or cut;
 * *multi-stream updates* (a crawl batch's rows + its progress marker,
-  the finalize block) are bracketed by an **intent record** in
-  ``intent.log``: :meth:`begin_intent` snapshots every stream's record
-  count before the first write, :meth:`commit_intent` retires the
-  snapshot after the last.  Opening a store that died inside an intent
-  rolls every stream back to the snapshot, so the group takes effect
+  the finalize block) are bracketed by an **intent**:
+  :meth:`begin_intent` writes one record holding every stream's byte
+  size to ``intent.log`` before the first write, and
+  :meth:`commit_intent` empties the journal after the last — emptying
+  it is the commit point.  Opening a store whose journal still holds a
+  begin record cuts every stream back to its journaled size and removes
+  the streams born inside the intent, so the group takes effect
   all-or-nothing;
-* ``fsync=True`` additionally fsyncs after every append and before
-  every truncate swap — the paranoid mode for real deployments; off by
+* ``fsync=True`` additionally fsyncs after every append, cut and
+  journal write — the paranoid mode for real deployments; off by
   default because the simulation's crash model (process death, not
   power loss) only needs the OS-level write ordering.
 
@@ -52,16 +54,15 @@ from typing import Any, IO, Mapping
 
 from repro.chaos.points import crash_point
 from repro.errors import StoreError
-
-#: One reusable encoder for every store write.  ``json.dumps`` with
-#: non-default keyword arguments constructs a fresh ``JSONEncoder`` per
-#: call; at ~170k appends per mid-sized run that construction is pure
-#: overhead.  The output bytes are identical to
-#: ``json.dumps(obj, separators=(",", ":"), sort_keys=True)``.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
-_encode = _ENCODER.encode
 from repro.store.base import META, StoreBase
 from repro.telemetry import current as current_telemetry
+
+#: One reusable encoder for every store and shard-segment line.
+#: ``json.dumps`` with non-default keyword arguments constructs a fresh
+#: ``JSONEncoder`` per call; at ~170k appends per mid-sized run that
+#: construction is pure overhead.  The output bytes are identical to
+#: ``json.dumps(obj, separators=(",", ":"), sort_keys=True)``.
+encode_record = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 _STREAM_NAME = re.compile(r"^[a-z][a-z0-9_-]*$")
 
@@ -77,8 +78,6 @@ logger = logging.getLogger(__name__)
 class RecoveryReport:
     """What opening (or checking) a store had to repair."""
 
-    #: Orphaned ``*.jsonl.tmp`` files removed (interrupted truncates).
-    stale_temps: list[str] = field(default_factory=list)
     #: Torn trailing bytes trimmed, per stream.
     torn_tails: dict[str, int] = field(default_factory=dict)
     #: Label of the uncommitted intent that was rolled back, if any.
@@ -90,11 +89,7 @@ class RecoveryReport:
 
     @property
     def clean(self) -> bool:
-        return not (
-            self.stale_temps
-            or self.torn_tails
-            or self.intent_rolled_back is not None
-        )
+        return not self.torn_tails and self.intent_rolled_back is None
 
 
 class JsonlStore(StoreBase):
@@ -112,6 +107,7 @@ class JsonlStore(StoreBase):
         self._handles: dict[str, IO[str]] = {}
         self._counts: dict[str, int] = {}
         self._intent_active = False
+        self._journal: IO[bytes] | None = None
         self.last_recovery = RecoveryReport()
         self._recover()
         existing = self._stream_path(META).exists()
@@ -228,14 +224,12 @@ class JsonlStore(StoreBase):
             len(tail),
             path,
         )
-        with path.open("r+b") as handle:
-            handle.truncate(len(keep))
-        self._counts.pop(path.stem, None)
+        self._cut(path, len(keep))
         self.last_recovery.torn_tails[path.stem] = (
             self.last_recovery.torn_tails.get(path.stem, 0) + len(tail)
         )
 
-    def _sync(self, handle: IO[str]) -> None:
+    def _sync(self, handle: IO) -> None:
         if self.fsync:
             os.fsync(handle.fileno())
 
@@ -245,7 +239,7 @@ class JsonlStore(StoreBase):
         crash_point("store.append.pre")
         before = self.count(stream)
         handle = self._handle(stream)
-        line = _encode(dict(record))
+        line = encode_record(dict(record))
         handle.write(line)
         # ``mid`` flushes the newline-less line first, so the crash leaves
         # exactly the torn tail a real mid-write death leaves.
@@ -313,36 +307,42 @@ class JsonlStore(StoreBase):
         )
 
     def truncate(self, stream: str, keep: int) -> None:
-        """Atomically drop every record of ``stream`` past ``keep``.
+        """Drop every record of ``stream`` past ``keep``.
 
-        The surviving prefix is written to ``<stream>.jsonl.tmp`` and
-        swapped in with :func:`os.replace`: at no instant does the stream
-        file hold less than either the old or the new contents, so a
-        crash anywhere inside leaves nothing to lose — at worst a stale
-        temp file the next open sweeps up.
+        One :meth:`_cut` at the end of the ``keep``-th line: the kept
+        prefix is never rewritten, so a crash leaves the stream either
+        whole or cut.  A stream of at most ``keep`` complete lines is
+        left as it is.
         """
         if keep < 0:
             raise StoreError("keep must be non-negative")
         path = self._stream_path(stream)
         if not path.exists():
             return
-        crash_point("store.truncate.pre")
+        data = path.read_bytes()
+        offset = kept = 0
+        while kept < keep:
+            end = data.find(b"\n", offset)
+            if end < 0:
+                return
+            kept += bool(data[offset:end].strip())
+            offset = end + 1
+        if offset < len(data):
+            self._cut(path, offset)
+            self._counts[stream] = keep
+
+    def _cut(self, path: Path, size: int) -> None:
+        """Shorten ``path`` to ``size`` bytes: the one way a stream shrinks."""
+        stream = path.stem
         handle = self._handles.pop(stream, None)
         if handle is not None:
             handle.close()
-        records = self.read(stream)[:keep]
-        temp = path.with_name(path.name + ".tmp")
-        with temp.open("w", encoding="utf-8") as out:
-            for record in records:
-                out.write(_encode(record))
-                out.write("\n")
-            out.flush()
+        self._counts.pop(stream, None)
+        crash_point("store.truncate.pre")
+        with path.open("r+b") as out:
+            out.truncate(size)
             self._sync(out)
-        # The replacement is fully on disk; the swap is the commit point.
-        crash_point("store.truncate.mid")
-        os.replace(temp, path)
         crash_point("store.truncate.post")
-        self._counts[stream] = len(records)
         current_telemetry().inc(f"store.truncates.{stream}")
 
     # ------------------------------------------------------ write barriers
@@ -351,49 +351,51 @@ class JsonlStore(StoreBase):
     def _intent_path(self) -> Path:
         return self.directory / INTENT_LOG
 
+    def _journal_handle(self) -> IO[bytes]:
+        if self._journal is None:
+            self._journal = self._intent_path.open("ab")
+        return self._journal
+
     def begin_intent(self, label: str) -> None:
-        """Open a write barrier: snapshot every stream's record count.
+        """Open a write barrier: journal every stream's byte size.
 
         Until :meth:`commit_intent`, the store is *provisional*: a crash
-        leaves ``intent.log`` ending in this begin record, and the next
-        open rolls every stream back to the snapshot — so the writes
-        between begin and commit land all-or-nothing.
+        leaves ``intent.log`` holding this begin record, and the next
+        open cuts every stream back to its journaled size — so the
+        writes between begin and commit land all-or-nothing.
         """
         if self._intent_active:
             raise StoreError(f"intent {label!r} begun inside an open intent")
-        counts = {stream: self.count(stream) for stream in self.streams()}
-        record = {"op": "begin", "label": label, "counts": counts}
-        with self._intent_path.open("a", encoding="utf-8") as handle:
-            handle.write(_encode(record))
-            handle.write("\n")
-            handle.flush()
-            self._sync(handle)
+        sizes = {}
+        for path in self.directory.glob("*.jsonl"):
+            # Opening the append handle repairs a torn tail, so every
+            # journaled size ends on a line boundary.
+            handle = self._handle(path.stem)
+            sizes[path.stem] = os.fstat(handle.fileno()).st_size
+        journal = self._journal_handle()
+        record = {"op": "begin", "label": label, "sizes": sizes}
+        journal.write(encode_record(record).encode() + b"\n")
+        journal.flush()
+        self._sync(journal)
         self._intent_active = True
 
     def commit_intent(self) -> None:
         """Retire the open write barrier: the group of writes is final.
 
-        A commit record is flushed before the journal is removed, so a
-        crash between the two still reads as committed — recovery never
-        rolls back work whose commit reached disk.
+        Emptying the journal is the commit point: recovery rolls back
+        only a journal whose last complete record is a begin.
         """
         if not self._intent_active:
             return
-        with self._intent_path.open("a", encoding="utf-8") as handle:
-            handle.write('{"op":"commit"}\n')
-            handle.flush()
-            self._sync(handle)
-        self._intent_path.unlink()
+        journal = self._journal_handle()
+        journal.truncate(0)
+        self._sync(journal)
         self._intent_active = False
 
     # ------------------------------------------------------------ recovery
 
     def _recover(self) -> None:
-        """Sweep up after a crash: stale temps, then the intent journal."""
-        report = self.last_recovery
-        for temp in sorted(self.directory.glob("*.jsonl.tmp")):
-            report.stale_temps.append(temp.name)
-            temp.unlink()
+        """Finish a crashed intent: roll it back, then drop the journal."""
         path = self._intent_path
         if not path.exists():
             return
@@ -414,27 +416,49 @@ class JsonlStore(StoreBase):
         path.unlink()
 
     def _roll_back(self, begin: dict[str, Any]) -> None:
-        """Undo every stream write made after ``begin`` was journaled."""
+        """Cut every stream back to the size ``begin`` journaled."""
         report = self.last_recovery
-        report.intent_rolled_back = begin.get("label", "")
-        counts = begin.get("counts", {})
-        for path in sorted(self.directory.glob("*.jsonl")):
-            stream = path.stem
-            snapshot = counts.get(stream)
+        label = report.intent_rolled_back = begin.get("label", "")
+        sizes = begin.get("sizes")
+        if sizes is None:
+            raise StoreError(
+                f"intent journal {self._intent_path} holds an open intent "
+                f"{label!r} without stream sizes; it was written by an "
+                "older store format and cannot be rolled back"
+            )
+        current = {
+            path: path.stat().st_size
+            for path in sorted(self.directory.glob("*.jsonl"))
+        }
+        for path, size in current.items():
+            snapshot = sizes.get(path.stem, 0)
+            if size < snapshot:
+                # Checked before any cut, so a refused store is untouched.
+                raise StoreError(
+                    f"stream {path.stem!r} in {self.directory} holds {size} "
+                    f"bytes, fewer than the {snapshot} its open intent "
+                    f"{label!r} journaled; a crash cannot shrink a stream, "
+                    "so the store was damaged"
+                )
+        for path, size in current.items():
+            snapshot = sizes.get(path.stem)
             if snapshot is None:
                 # Stream born inside the intent: remove it entirely.
-                report.streams_removed.append(stream)
+                report.streams_removed.append(path.stem)
                 path.unlink()
-                self._counts.pop(stream, None)
-                continue
-            self._repair_tail(path)
-            current = self.count(stream)
-            if current > snapshot:
-                report.records_rolled_back[stream] = current - snapshot
-                self.truncate(stream, snapshot)
+            elif size > snapshot:
+                with path.open("rb") as handle:
+                    handle.seek(snapshot)
+                    dropped = handle.read().count(b"\n")
+                if dropped:
+                    report.records_rolled_back[path.stem] = dropped
+                self._cut(path, snapshot)
+        # A crash here leaves the streams cut and the journal in place;
+        # the next open repeats the rollback, which then cuts nothing.
+        crash_point("store.truncate.mid")
         logger.warning(
             "rolled back uncommitted intent %r: %s",
-            report.intent_rolled_back,
+            label,
             report.records_rolled_back or "no records",
         )
 
@@ -460,10 +484,19 @@ class JsonlStore(StoreBase):
     # ------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Close every open file handle (appends reopen lazily)."""
+        """Close every open file handle (appends reopen lazily).
+
+        The journal is removed too unless an intent is still open, so a
+        cleanly closed store holds only its ``*.jsonl`` streams.
+        """
         for handle in self._handles.values():
             handle.close()
         self._handles.clear()
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
+            if not self._intent_active:
+                self._intent_path.unlink(missing_ok=True)
 
     def __enter__(self) -> "JsonlStore":
         return self

@@ -20,6 +20,7 @@ reports are byte-identical to the ones the live run printed (covered by
 
 from __future__ import annotations
 
+from repro.core.crawler import interaction_from_dict
 from repro.core.pipeline import PipelineResult
 from repro.ecosystem.world import World, build_world
 from repro.errors import StoreError
@@ -37,7 +38,6 @@ from repro.store.records import (
     attribution_from_records,
     crawl_summary_from_meta,
     discovery_from_store,
-    interaction_from_record,
     milking_from_records,
     pattern_from_record,
     world_config_from_meta,
@@ -89,7 +89,7 @@ def load_result(store: RunStore) -> PipelineResult:
     ]
     result.publisher_domains = store.get_meta("publisher_domains", [])
     interactions = [
-        interaction_from_record(record) for record in store.read(INTERACTIONS)
+        interaction_from_dict(record) for record in store.read(INTERACTIONS)
     ]
     crawl_summary = store.get_meta("crawl_summary")
     if crawl_summary is not None:

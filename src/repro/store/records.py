@@ -1,10 +1,10 @@
 """Record codecs: typed schemas for every run-store stream.
 
 Each pair of ``*_to_record`` / ``*_from_record`` functions defines the
-JSON schema of one stream (or meta value) and its inverse.  Interaction
-records reuse the released-dataset codec from :mod:`repro.analysis.export`
-so the store's ``interactions`` stream is line-for-line the same shape as
-the published crawl dataset.
+JSON schema of one stream (or meta value) and its inverse.  The
+``interactions`` stream uses the released-dataset codec
+(:func:`~repro.core.crawler.interaction_to_dict` and its inverse), so it
+is line-for-line the same shape as the published crawl dataset.
 
 Campaign and attribution records reference interactions by *row index*
 into the ``interactions`` stream instead of duplicating them — the store
@@ -29,22 +29,6 @@ from repro.ecosystem.world import WorldConfig
 from repro.errors import StoreError
 
 # ---------------------------------------------------------- interactions
-
-
-def interaction_to_record(record: AdInteraction) -> dict[str, Any]:
-    """One ``interactions`` stream record."""
-    # Imported lazily: repro.analysis pulls in report generation, which
-    # imports the pipeline, which imports this module.
-    from repro.analysis.export import interaction_to_dict
-
-    return interaction_to_dict(record)
-
-
-def interaction_from_record(data: dict[str, Any]) -> AdInteraction:
-    """Inverse of :func:`interaction_to_record`."""
-    from repro.analysis.export import interaction_from_dict
-
-    return interaction_from_dict(data)
 
 
 def hash_to_record(row: int, record: AdInteraction) -> dict[str, Any]:

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.export import interaction_from_dict, interaction_to_dict
+from repro.core.crawler import interaction_from_dict, interaction_to_dict
 from repro.core.farm import CrawlBatch
 from repro.errors import StoreError
 

@@ -105,6 +105,16 @@ class TestStreaming:
         assert main(["tables", "--from-store", str(store_dir)]) == 0
         assert "TABLE 1" in capsys.readouterr().out
 
+    def test_finished_run_leaves_only_streams(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        assert main(
+            ["run", "--seed", "3", "--no-milking", "--store-dir", str(store_dir)]
+        ) == 0
+        leftovers = [
+            path.name for path in store_dir.iterdir() if path.suffix != ".jsonl"
+        ]
+        assert leftovers == []
+
 
 class TestStoreErrorPaths:
     """Operational store failures must exit non-zero with a one-line

@@ -6,8 +6,8 @@ import pytest
 
 from repro.cluster.dbscan import dbscan
 from repro.cluster.incremental import IncrementalDBSCAN
-from repro.cluster.metrics import HammingNeighborIndex
 from repro.errors import ClusteringError
+from repro.imaging.distance import hamming
 
 
 def mixture(seed: int, groups: int = 25) -> list[int]:
@@ -24,6 +24,14 @@ def mixture(seed: int, groups: int = 25) -> list[int]:
     return values
 
 
+def brute_force_neighbors(values: list[int], radius: int) -> list[list[int]]:
+    """Every point's within-radius neighbours (incl. itself), by full scan."""
+    return [
+        [j for j, other in enumerate(values) if hamming(value, other) <= radius]
+        for value in values
+    ]
+
+
 class TestBatchEquivalence:
     @pytest.mark.parametrize("seed", [1, 7, 23])
     def test_labels_match_batch_dbscan(self, seed):
@@ -31,17 +39,17 @@ class TestBatchEquivalence:
         incremental = IncrementalDBSCAN(12, 3)
         for value in values:
             incremental.add(value)
-        index = HammingNeighborIndex(values, 12)
-        assert incremental.labels() == dbscan(len(values), index.neighbors_of, 3)
+        neighbors = brute_force_neighbors(values, 12)
+        assert incremental.labels() == dbscan(len(values), neighbors.__getitem__, 3)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_adjacency_matches_batch_index(self, seed):
         values = mixture(seed)
         incremental = IncrementalDBSCAN(12, 3)
         incremental.add_batch(values)
-        index = HammingNeighborIndex(values, 12)
+        neighbors = brute_force_neighbors(values, 12)
         for i in range(len(values)):
-            assert incremental.neighbors_of(i) == index.neighbors_of(i)
+            assert incremental.neighbors_of(i) == neighbors[i]
 
     def test_any_batch_split_matches_one_shot(self):
         values = mixture(99)
@@ -60,8 +68,8 @@ class TestBatchEquivalence:
         values = mixture(5, groups=8)
         incremental = IncrementalDBSCAN(20, 2)
         incremental.add_batch(values)
-        index = HammingNeighborIndex(values, 20)
-        assert incremental.labels() == dbscan(len(values), index.neighbors_of, 2)
+        neighbors = brute_force_neighbors(values, 20)
+        assert incremental.labels() == dbscan(len(values), neighbors.__getitem__, 2)
 
 
 class TestIncrementalBehaviour:

@@ -1,40 +1,48 @@
-"""Tests for Hamming distance matrices and the bucketed neighbour index."""
+"""Tests for Hamming distances and the incremental index's neighbour search."""
 
 import random
 
-import numpy as np
+import pytest
 
-from repro.cluster.metrics import HammingNeighborIndex, pairwise_hamming_matrix
+from repro.cluster.incremental import IncrementalDBSCAN
+from repro.errors import ClusteringError
 from repro.imaging.distance import hamming
+
+
+def index_of(hashes, radius):
+    """An ``IncrementalDBSCAN`` holding ``hashes``, for neighbour queries."""
+    index = IncrementalDBSCAN(radius, 1)
+    index.add_batch(hashes)
+    return index
 
 
 class TestPairwiseMatrix:
     def test_small_matrix(self):
         hashes = [0b0000, 0b0001, 0b1111]
-        matrix = pairwise_hamming_matrix(hashes)
-        assert matrix[0, 0] == 0
-        assert matrix[0, 1] == 1
-        assert matrix[0, 2] == 4
-        assert np.array_equal(matrix, matrix.T)
+        assert hamming(hashes[0], hashes[0]) == 0
+        assert hamming(hashes[0], hashes[1]) == 1
+        assert hamming(hashes[0], hashes[2]) == 4
+        for a in hashes:
+            for b in hashes:
+                assert hamming(a, b) == hamming(b, a)
 
     def test_matches_scalar_hamming_on_random_population(self):
         rng = random.Random(7)
         hashes = [rng.getrandbits(128) for _ in range(40)]
-        matrix = pairwise_hamming_matrix(hashes)
-        for i in range(len(hashes)):
-            for j in range(len(hashes)):
-                assert matrix[i, j] == hamming(hashes[i], hashes[j])
+        for a in hashes:
+            for b in hashes:
+                assert hamming(a, b) == bin(a ^ b).count("1")
 
     def test_empty_population(self):
-        matrix = pairwise_hamming_matrix([])
-        assert matrix.shape == (0, 0)
-        assert matrix.dtype == np.int16
+        index = index_of([], 12)
+        assert len(index) == 0
+        assert index.labels() == []
 
     def test_dtype_and_extremes(self):
         # All 128 bits differ between 0 and the all-ones hash.
-        matrix = pairwise_hamming_matrix([0, (1 << 128) - 1])
-        assert matrix.dtype == np.int16
-        assert matrix[0, 1] == matrix[1, 0] == 128
+        ones = (1 << 128) - 1
+        assert hamming(0, ones) == hamming(ones, 0) == 128
+        assert isinstance(hamming(0, ones), int)
 
 
 def brute_force_neighbors(hashes, index, radius):
@@ -60,19 +68,19 @@ class TestHammingNeighborIndex:
 
     def test_matches_brute_force_radius_12(self):
         hashes = self.make_population()
-        index = HammingNeighborIndex(hashes, radius_bits=12)
+        index = index_of(hashes, 12)
         for probe in range(0, len(hashes), 17):
             assert index.neighbors_of(probe) == brute_force_neighbors(hashes, probe, 12)
 
     def test_matches_brute_force_radius_0(self):
         hashes = self.make_population(seed=1)
-        index = HammingNeighborIndex(hashes, radius_bits=0)
+        index = index_of(hashes, 0)
         for probe in range(0, len(hashes), 23):
             assert index.neighbors_of(probe) == brute_force_neighbors(hashes, probe, 0)
 
     def test_large_radius_falls_back_to_scan(self):
         hashes = self.make_population(seed=2, count=60)
-        index = HammingNeighborIndex(hashes, radius_bits=40)
+        index = index_of(hashes, 40)
         for probe in range(0, len(hashes), 7):
             assert sorted(index.neighbors_of(probe)) == brute_force_neighbors(
                 hashes, probe, 40
@@ -80,15 +88,13 @@ class TestHammingNeighborIndex:
 
     def test_self_always_included(self):
         hashes = [0, 2**127, 12345]
-        index = HammingNeighborIndex(hashes, radius_bits=5)
+        index = index_of(hashes, 5)
         for i in range(3):
             assert i in index.neighbors_of(i)
 
     def test_negative_radius_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            HammingNeighborIndex([0], radius_bits=-1)
+        with pytest.raises(ClusteringError):
+            IncrementalDBSCAN(-1, 1)
 
 
 class TestLinearScanFallback:
@@ -99,7 +105,7 @@ class TestLinearScanFallback:
 
     def test_boundary_radius_16_uses_scan_and_is_exact(self):
         hashes = self.population(seed=3, count=80)
-        index = HammingNeighborIndex(hashes, radius_bits=16)
+        index = index_of(hashes, 16)
         assert not index._exact_bucketing
         for probe in range(0, len(hashes), 5):
             assert index.neighbors_of(probe) == brute_force_neighbors(
@@ -107,12 +113,12 @@ class TestLinearScanFallback:
             )
 
     def test_radius_15_still_buckets(self):
-        index = HammingNeighborIndex([0, 1], radius_bits=15)
+        index = index_of([0, 1], 15)
         assert index._exact_bucketing
 
     def test_scan_results_sorted_and_include_self(self):
         hashes = self.population(seed=4, count=50)
-        index = HammingNeighborIndex(hashes, radius_bits=20)
+        index = index_of(hashes, 20)
         for probe in range(0, len(hashes), 11):
             neighbors = index.neighbors_of(probe)
             assert neighbors == sorted(neighbors)
@@ -120,7 +126,7 @@ class TestLinearScanFallback:
 
     def test_huge_radius_returns_everything(self):
         hashes = self.population(seed=5, count=30)
-        index = HammingNeighborIndex(hashes, radius_bits=128)
+        index = index_of(hashes, 128)
         assert index.neighbors_of(0) == list(range(len(hashes)))
 
     def test_scan_matches_bucketed_answers_at_shared_radius(self):
@@ -128,9 +134,11 @@ class TestLinearScanFallback:
         # regime: any point's 15-bit neighbours must be a subset of its
         # 16-bit neighbours, and both must agree with brute force.
         hashes = self.population(seed=6, count=60)
-        bucketed = HammingNeighborIndex(hashes, radius_bits=15)
-        scanned = HammingNeighborIndex(hashes, radius_bits=16)
+        bucketed = index_of(hashes, 15)
+        scanned = index_of(hashes, 16)
         for probe in range(0, len(hashes), 9):
             inner = set(bucketed.neighbors_of(probe))
             outer = set(scanned.neighbors_of(probe))
             assert inner <= outer
+            assert sorted(inner) == brute_force_neighbors(hashes, probe, 15)
+            assert sorted(outer) == brute_force_neighbors(hashes, probe, 16)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.clock import EventScheduler, SimClock
 from repro.cluster.dbscan import DBSCAN_NOISE, dbscan
-from repro.cluster.metrics import HammingNeighborIndex
+from repro.cluster.incremental import IncrementalDBSCAN
 from repro.dom.page import VisualSpec
 from repro.imaging.dhash import DHASH_BITS, dhash128
 from repro.imaging.distance import hamming, normalized_hamming
@@ -110,7 +110,8 @@ class TestNeighborIndexProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_index_matches_brute_force(self, hashes, radius):
-        index = HammingNeighborIndex(hashes, radius)
+        index = IncrementalDBSCAN(radius, 1)
+        index.add_batch(hashes)
         for probe in range(len(hashes)):
             expected = sorted(
                 j for j, value in enumerate(hashes)

@@ -108,7 +108,7 @@ class TestTruncate:
 
 
 class TestAtomicTruncate:
-    """A crash anywhere inside truncate loses nothing already committed."""
+    """A crash anywhere inside a cut loses nothing already committed."""
 
     @pytest.fixture(autouse=True)
     def _no_leftover_plan(self):
@@ -130,26 +130,107 @@ class TestAtomicTruncate:
 
     def test_crash_before_temp_leaves_stream_untouched(self, tmp_path):
         directory = self._crash_truncating(tmp_path, "store.truncate.pre")
-        assert not list(directory.glob("*.jsonl.tmp"))
         store = JsonlStore.open(directory)
         assert [r["n"] for r in store.read("events")] == [0, 1, 2, 3, 4]
         assert store.last_recovery.clean
 
     def test_crash_before_swap_sweeps_temp_keeps_original(self, tmp_path):
-        directory = self._crash_truncating(tmp_path, "store.truncate.mid")
-        assert (directory / "events.jsonl.tmp").exists()
+        # ``mid`` now sits between a rollback's last cut and the journal's
+        # removal: a crash there must leave the next open able to finish.
+        directory = make_store(tmp_path, records=5)
+        whole = (directory / "events.jsonl").read_bytes()
         store = JsonlStore.open(directory)
-        assert store.last_recovery.stale_temps == ["events.jsonl.tmp"]
-        assert not (directory / "events.jsonl.tmp").exists()
-        # The swap never happened, so the truncate never happened.
+        store.begin_intent("grp")
+        store.append("events", {"n": 5})
+        store.close()
+        install(CrashPlan(CrashDirective("store.truncate.mid")))
+        try:
+            with pytest.raises(CrashError):
+                JsonlStore.open(directory)
+        finally:
+            install(None)
+        # The cut is done; only the journal's removal is outstanding.
+        assert (directory / "events.jsonl").read_bytes() == whole
+        assert (directory / "intent.log").exists()
+        store = JsonlStore.open(directory)
+        assert store.last_recovery.intent_rolled_back == "grp"
         assert [r["n"] for r in store.read("events")] == [0, 1, 2, 3, 4]
+        assert not (directory / "intent.log").exists()
 
     def test_crash_after_swap_is_a_completed_truncate(self, tmp_path):
         directory = self._crash_truncating(tmp_path, "store.truncate.post")
-        assert not list(directory.glob("*.jsonl.tmp"))
         store = JsonlStore.open(directory)
         assert [r["n"] for r in store.read("events")] == [0, 1]
         assert store.last_recovery.clean
+
+
+class TestCutPrimitive:
+    def test_truncate_keeps_prefix_bytes(self, tmp_path):
+        directory = tmp_path / "s"
+        JsonlStore(directory, run_id="cut").close()
+        path = directory / "events.jsonl"
+        prefix = b'{"n": 0}\n{"n": 1,  "x": "y"}\n'
+        path.write_bytes(prefix + b'{"n": 2}\n{"n": 3}\n')
+        store = JsonlStore.open(directory)
+        store.truncate("events", 2)
+        assert path.read_bytes() == prefix
+        assert not list(directory.glob("*.tmp"))
+
+    def test_stream_shorter_than_snapshot_refuses_open(self, tmp_path):
+        directory = make_store(tmp_path)
+        store = JsonlStore.open(directory)
+        store.begin_intent("grp")
+        store.close()
+        path = directory / "events.jsonl"
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(StoreError, match="'events'") as error:
+            JsonlStore.open(directory)
+        assert f"{size - 10} bytes" in str(error.value)
+        assert f"the {size} its open intent" in str(error.value)
+
+    def test_store_check_on_shrunk_stream_exits_2(self, tmp_path, capsys):
+        directory = make_store(tmp_path)
+        store = JsonlStore.open(directory)
+        store.begin_intent("grp")
+        store.close()
+        path = directory / "events.jsonl"
+        path.write_bytes(path.read_bytes()[:-10])
+        assert main(["store", "check", str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'events'" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_torn_tail_before_intent_is_repaired_not_journaled(self, tmp_path):
+        # A begin journals sizes on line boundaries: a torn tail is cut
+        # first, so a rollback of an append-free intent shrinks nothing.
+        directory = make_store(tmp_path)
+        path = directory / "events.jsonl"
+        whole = path.read_bytes()
+        with path.open("ab") as handle:
+            handle.write(b'{"n": 99, "pay')
+        store = JsonlStore.open(directory)
+        store.begin_intent("grp")
+        store.close()
+        store = JsonlStore.open(directory)
+        assert store.last_recovery.intent_rolled_back == "grp"
+        assert path.read_bytes() == whole
+
+    def test_old_format_journals(self, tmp_path):
+        # A begin/commit pair from the record-count journal reads as
+        # committed; an open record-count begin cannot be cut by size.
+        directory = make_store(tmp_path)
+        journal = directory / "intent.log"
+        begin = b'{"counts":{"events":1},"label":"old","op":"begin"}\n'
+        journal.write_bytes(begin + b'{"op":"commit"}\n')
+        store = JsonlStore.open(directory)
+        assert store.last_recovery.clean and store.count("events") == 3
+        store.close()
+        journal.write_bytes(begin)
+        with pytest.raises(StoreError, match="older store format"):
+            JsonlStore.open(directory)
+        assert store.read("events") and journal.exists()
 
 
 class TestIntentJournal:
@@ -201,8 +282,8 @@ class TestIntentJournal:
         assert not (directory / "intent.log").exists()
 
     def test_crash_inside_rollback_is_itself_recoverable(self, tmp_path):
-        # The rollback truncates through the same atomic path; a crash in
-        # the middle of *recovery* must leave the next open able to finish.
+        # A crash in the middle of *recovery* must leave the next open
+        # able to finish the rollback.
         reset()
         directory = self._abandoned_intent(tmp_path)
         install(CrashPlan(CrashDirective("store.truncate.mid")))
