@@ -20,8 +20,8 @@ def test_fig5_screenshot_gallery(benchmark, bench_world, save_artifact):
     campaigns = bench_world.campaigns
 
     def render_gallery():
-        # Fresh variants each call so the LRU render cache cannot hide
-        # the rendering cost being measured.
+        # Fresh variants each call: this measures rendering and hashing
+        # a visual the pipeline's per-visual hash memo has not seen.
         base = next(_fresh_variant)
         return [
             dhash128(render_visual(VisualSpec(campaign.template_key, variant=base + i)))

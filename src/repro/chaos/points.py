@@ -74,10 +74,10 @@ WORLD_POINTS = ("world.materialize.pre", "world.materialize.post")
 #: back and the resumed run recomputes the identical record from the
 #: replayed stages.
 POLICY_POINTS = ("policy.update.pre", "policy.update.post")
-#: The session kernel's per-domain resolve phase: ``pre`` dies
-#: before any deferred screenshot hash is computed, ``post`` after the
-#: resolved interactions committed to the in-memory checkpoint but
-#: before the domain's batch reaches the store.  Either way nothing of
+#: The session kernel's per-domain commit: ``pre`` dies before the
+#: domain's finished sessions are committed, ``post`` after they
+#: committed to the in-memory checkpoint but before the domain's batch
+#: reaches the store.  Either way nothing of
 #: the domain was persisted, so recovery re-crawls it from the last
 #: progress marker.  Reached once per crawled domain, in whichever
 #: process runs the domain.

@@ -29,7 +29,6 @@ from repro.browser.logging import (
 )
 from repro.browser.useragent import UserAgentProfile
 from repro.dom.render import clickable_candidates
-from repro.imaging.dhash import dhash128
 from repro.net.ipspace import VantagePoint
 from repro.net.network import Internet
 from repro.urlkit.psl import e2ld
@@ -215,14 +214,15 @@ def crawl_session(
     profile: UserAgentProfile,
     vantage: VantagePoint,
     config: CrawlerConfig | None = None,
-    recorder=None,
+    feature_memo=None,
 ) -> list[AdInteraction]:
     """Run one crawling session and return the recorded ad interactions.
 
-    ``recorder`` (a :class:`repro.core.sessionbatch.DeferredRecorder`)
-    diverts the pure per-interaction work — screenshot hashing, landing
-    page feature extraction — out of the session for a later batched
-    resolve; ``None`` computes both inline, exactly as before.
+    ``feature_memo`` (a :class:`repro.core.sessionbatch.FeatureMemo`)
+    shares landing-page feature extraction across the sessions of one
+    domain; ``None`` extracts features afresh for every interaction.
+    Screenshot hashes are memoized per visual either way
+    (:func:`repro.imaging.dhash.visual_dhash`).
     """
     config = config if config is not None else CrawlerConfig()
     client = DevToolsClient(internet, profile, vantage, stealth=True, bypass_locking=True)
@@ -255,14 +255,15 @@ def crawl_session(
             for new_tab in outcome.new_tabs:
                 interactions.append(
                     _record_interaction(
-                        browser, tab, new_tab, profile, vantage, recorder=recorder
+                        browser, tab, new_tab, profile, vantage,
+                        feature_memo=feature_memo,
                     )
                 )
             if outcome.navigated_away:
                 interactions.append(
                     _record_interaction(
                         browser, tab, tab, profile, vantage,
-                        stolen=True, recorder=recorder,
+                        stolen=True, feature_memo=feature_memo,
                     )
                 )
                 # Re-open the browser tab on the publisher, §3.2.  The
@@ -285,7 +286,7 @@ def _record_interaction(
     profile: UserAgentProfile,
     vantage: VantagePoint,
     stolen: bool = False,
-    recorder=None,
+    feature_memo=None,
 ) -> AdInteraction:
     """Snapshot one triggered ad from the session log."""
     log = browser.log
@@ -322,15 +323,10 @@ def _record_interaction(
     labels = dict(page.labels) if page is not None else {}
     if page is None:
         features = PageFeatures()
-    elif recorder is not None:
-        features = recorder.page_features(page, landing_host)
+    elif feature_memo is not None:
+        features = feature_memo.page_features(page, landing_host)
     else:
         features = PageFeatures.from_page(page, landing_host)
-    screenshot_hash = (
-        recorder.screenshot_hash(shot.image)
-        if recorder is not None
-        else dhash128(shot.image)
-    )
     return AdInteraction(
         publisher_domain=publisher_tab.history[0].host if publisher_tab.history else "",
         publisher_url=str(publisher_tab.history[0]) if publisher_tab.history else "",
@@ -339,7 +335,7 @@ def _record_interaction(
         landing_url=landing_url,
         landing_host=landing_host,
         landing_e2ld=e2ld(landing_host) if landing_host else "",
-        screenshot_hash=screenshot_hash,
+        screenshot_hash=shot.dhash,
         timestamp=shot.timestamp,
         chain=tuple(chain),
         publisher_scripts=scripts,

@@ -464,7 +464,7 @@ class CrawlerFarm:
         )
 
     def _run_session(
-        self, domain: str, profile: UserAgentProfile, vantage, recorder=None
+        self, domain: str, profile: UserAgentProfile, vantage, feature_memo=None
     ) -> list[AdInteraction]:
         """Run one crawl session, surviving injected container crashes."""
         world = self.world
@@ -498,7 +498,7 @@ class CrawlerFarm:
                 profile,
                 vantage,
                 self.config.crawler,
-                recorder=recorder,
+                feature_memo=feature_memo,
             )
         except TransientError:
             # Safety net: an unabsorbed fault killed the container

@@ -35,7 +35,6 @@ from repro.dom.render import clickable_candidates
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import VirusTotal, VtReport
 from repro.errors import MilkingError
-from repro.imaging.dhash import dhash128
 from repro.imaging.similarity import matches_any
 from repro.net.ipspace import VantagePoint
 from repro.net.network import Internet
@@ -299,7 +298,7 @@ class MilkingTracker:
         if not tab.loaded:
             return False
         shot = client.screenshot(tab)
-        return matches_any(dhash128(shot.image), known_hashes)
+        return matches_any(shot.dhash, known_hashes)
 
     # --------------------------------------------------------------- runs
 
@@ -450,7 +449,7 @@ class MilkingTracker:
             return False
         source.failures = 0
         shot = client.screenshot(tab)
-        shot_hash = dhash128(shot.image)
+        shot_hash = shot.dhash
         if not matches_any(shot_hash, source.known_hashes):
             return True  # loaded, but drifted away from the campaign
         source.known_hashes.add(shot_hash)

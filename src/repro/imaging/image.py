@@ -12,8 +12,6 @@ Images are ``uint8`` numpy arrays of shape ``(height, width)`` (grayscale).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from repro.dom.page import VisualSpec
@@ -23,7 +21,6 @@ DEFAULT_HEIGHT = 72
 DEFAULT_WIDTH = 128
 
 
-@lru_cache(maxsize=8192)
 def render_visual(
     spec: VisualSpec,
     height: int = DEFAULT_HEIGHT,
@@ -31,8 +28,9 @@ def render_visual(
 ) -> np.ndarray:
     """Render the screenshot for a page's visual spec.
 
-    Results are cached (a crawl renders the same page thousands of
-    times); treat the returned array as read-only.
+    Deterministic in ``spec`` and not cached: the crawl and milking hash
+    a visual through :func:`repro.imaging.dhash.visual_dhash`, so only a
+    hash-memo miss or an image export renders.
     """
     base = _template_image(spec.template_key, height, width)
     if spec.noise_level <= 0:
@@ -97,39 +95,24 @@ def to_grayscale(image: np.ndarray) -> np.ndarray:
     raise ValueError(f"unsupported image shape {image.shape}")
 
 
-def area_edges(in_size: int, out_size: int) -> np.ndarray:
-    """Integer bucket boundaries for an area-average downscale."""
-    return (np.arange(out_size + 1) * in_size) // out_size
-
-
-def area_means(stack: np.ndarray, out_height: int, out_width: int) -> np.ndarray:
-    """Area-average a ``(n, H, W)`` float64 stack to ``(n, oh, ow)``.
+def resize_area(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:
+    """Area-average resize (the downscale step of perceptual hashing).
 
     Each output cell is the mean of an integer-bounded block of the input.
     Block sums of uint8-valued data are integers below 2**53, so they are
     exact in float64 no matter how they are accumulated — the result is
     bit-identical to averaging each block individually.
     """
-    _, in_height, in_width = stack.shape
-    row_edges = area_edges(in_height, out_height)
-    col_edges = area_edges(in_width, out_width)
-    # reduceat yields a[i] for an empty segment (indices[i] == indices[i+1]),
-    # which is exactly the one-row/one-column fallback the clamped slice
-    # bounds used to provide for degenerate buckets.
-    row_sums = np.add.reduceat(stack, row_edges[:-1], axis=1)
-    cells = np.add.reduceat(row_sums, col_edges[:-1], axis=2)
+    image = to_grayscale(image).astype(np.float64)
+    in_height, in_width = image.shape
+    row_edges = (np.arange(out_height + 1) * in_height) // out_height
+    col_edges = (np.arange(out_width + 1) * in_width) // out_width
+    # reduceat yields a[i] for an empty segment (indices[i] == indices[i+1]):
+    # a bucket narrower than one pixel averages the pixel it starts on.
+    row_sums = np.add.reduceat(image, row_edges[:-1], axis=0)
+    cells = np.add.reduceat(row_sums, col_edges[:-1], axis=1)
     counts = (
         np.maximum(np.diff(row_edges), 1)[:, None]
         * np.maximum(np.diff(col_edges), 1)[None, :]
     )
     return cells / counts
-
-
-def resize_area(image: np.ndarray, out_height: int, out_width: int) -> np.ndarray:
-    """Area-average resize (the downscale step of perceptual hashing).
-
-    Uses integer bucket boundaries so the result is exact and fast for the
-    small targets dhash needs.
-    """
-    image = to_grayscale(image).astype(np.float64)
-    return area_means(image[None, :, :], out_height, out_width)[0]

@@ -193,7 +193,7 @@ FAST_DIRECTIVES = [
     CrashDirective("store.append.mid", occurrence=40),
     CrashDirective("feed.publish.pre", occurrence=2),
     CrashDirective("feed.publish.post", occurrence=1),
-    # The session kernel's per-domain resolve phase (one hit per crawled
+    # The session kernel's per-domain commit (one hit per crawled
     # domain).
     CrashDirective("farm.sessionbatch.pre", occurrence=4),
     CrashDirective("farm.sessionbatch.post", occurrence=2),

@@ -1,13 +1,14 @@
 """The session kernel (repro.core.sessionbatch).
 
-Unit-tests the machinery the kernel rests on — the batched dhash against
-the per-image reference, the content-addressed hash memo, the deferred
-recorder's placeholder resolution, the resolve-phase chaos points — and
-checks end to end that the kernel reproduces the store bytes, canonical
-sim-lane trace, metrics text and report recorded from the original
-scalar session loop (``tests/golden.py``): for every seed and worker
-count, for the batch ``run()`` report, and for a crawl crashed inside
-the resolve phase and resumed.
+Unit-tests the machinery the kernel rests on — ``dhash128`` against a
+brute-force reference, the per-visual hash memo
+(:func:`~repro.imaging.dhash.visual_dhash`) across kernel entries and
+milking, the kernel's crash points — and checks end to end that the
+kernel reproduces the store bytes, canonical sim-lane trace, metrics
+text and report recorded from the original scalar session loop
+(``tests/golden.py``): for every seed and worker count, for the batch
+``run()`` report, and for a crawl crashed inside the kernel's commit
+phase and resumed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro import SeacmaPipeline, build_world
+from repro.browser import browser as browser_module
+from repro.browser.screenshot import DEAD_PAGE_SPEC, capture
 from repro.chaos import (
     CRASH_POINTS,
     CrashDirective,
@@ -24,9 +27,11 @@ from repro.chaos import (
     install,
     reset,
 )
-from repro.core.sessionbatch import DeferredRecorder, HashMemo
-from repro.imaging.dhash import dhash128, dhash128_many
-from repro.imaging.image import render_visual
+from repro.core.farm import CrawlerFarm
+from repro.dom.nodes import Element
+from repro.dom.page import PageContent, VisualSpec
+from repro.imaging.dhash import DHASH_BITS, dhash128, visual_dhash
+from repro.imaging.image import render_visual, to_grayscale
 from repro.store import JsonlStore
 from repro.store.persist import load_world
 
@@ -53,39 +58,64 @@ def _pristine_crash_state():
 # ------------------------------------------------------------------- dhash
 
 
+def reference_dhash(image: np.ndarray) -> int:
+    """Brute-force dhash: one slice mean per grid cell, one bit per step."""
+    gray = to_grayscale(image).astype(np.float64)
+    height, width = gray.shape
+    rows, cols = 8, 17
+    grid = np.empty((rows, cols))
+    for r in range(rows):
+        top, bottom = r * height // rows, (r + 1) * height // rows
+        for c in range(cols):
+            left, right = c * width // cols, (c + 1) * width // cols
+            # A bucket narrower than one pixel averages the pixel it starts on.
+            block = gray[top : max(bottom, top + 1), left : max(right, left + 1)]
+            grid[r, c] = block.mean()
+    value = 0
+    for r in range(rows):
+        for c in range(cols - 1):
+            value = (value << 1) | int(grid[r, c + 1] > grid[r, c])
+    return value
+
+
 class TestDhashVariants:
     def _sample_images(self) -> list[np.ndarray]:
         rng = np.random.default_rng(42)
         images = []
-        for shape in [(72, 128), (72, 128), (31, 47), (8, 17), (5, 9)]:
+        for shape in [(72, 128), (72, 128), (31, 47), (8, 17), (5, 9), (72, 128, 3)]:
             for _ in range(3):
                 images.append(rng.integers(0, 256, size=shape, dtype=np.uint8))
         return images
 
     def test_many_matches_scalar(self):
-        images = self._sample_images()
-        assert dhash128_many(images) == [dhash128(image) for image in images]
+        for image in self._sample_images():
+            assert dhash128(image) == reference_dhash(image)
 
     def test_rendered_screenshots_match(self):
         # The arrays the crawl actually hashes, not just random noise.
-        from repro.dom.page import VisualSpec
-
         specs = [
             VisualSpec(template_key=f"campaign-{i}", variant=i % 3,
                        noise_level=0.02 * (i % 2))
             for i in range(8)
-        ]
-        images = [render_visual(spec) for spec in specs]
-        assert dhash128_many(images) == [dhash128(image) for image in images]
+        ] + [DEAD_PAGE_SPEC]
+        for spec in specs:
+            expected = reference_dhash(render_visual(spec))
+            assert dhash128(render_visual(spec)) == expected
+            assert visual_dhash(spec) == expected
 
     def test_empty_batch(self):
-        assert dhash128_many([]) == []
+        # An edge-free frame sets no bit, whatever its shape or channels.
+        for shape in [(72, 128), (5, 9), (72, 128, 3)]:
+            flat = np.full(shape, 99, dtype=np.uint8)
+            assert dhash128(flat) == reference_dhash(flat) == 0
 
     def test_mixed_shapes_keep_input_order(self):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 256, size=(72, 128), dtype=np.uint8)
-        b = rng.integers(0, 256, size=(31, 47), dtype=np.uint8)
-        assert dhash128_many([a, b, a]) == [dhash128(a), dhash128(b), dhash128(a)]
+        # Bits run row by row, most significant first.
+        ramp = np.tile(np.arange(17, dtype=np.uint8), (8, 1))
+        assert dhash128(ramp) == reference_dhash(ramp) == (1 << DHASH_BITS) - 1
+        step = np.zeros((8, 17), dtype=np.uint8)
+        step[0, 1:] = 200
+        assert dhash128(step) == reference_dhash(step) == 1 << (DHASH_BITS - 1)
 
 
 # ---------------------------------------------------------------- hash memo
@@ -93,53 +123,72 @@ class TestDhashVariants:
 
 class TestHashMemo:
     def test_hit_miss_accounting(self):
-        memo = HashMemo()
-        assert memo.get(b"k1") is None
-        memo.put(b"k1", 42)
-        assert memo.get(b"k1") == 42
-        assert memo.hits == 1
-        assert memo.misses == 1
+        spec = VisualSpec(template_key="memo/accounting", variant=3, noise_level=0.02)
+        visual_dhash.cache_clear()
+        first = visual_dhash(spec)
+        again = visual_dhash(VisualSpec(template_key="memo/accounting", variant=3,
+                                        noise_level=0.02))
+        info = visual_dhash.cache_info()
+        assert first == again == dhash128(render_visual(spec))
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_bounded_lru_eviction(self):
-        memo = HashMemo(max_entries=2)
-        memo.put(b"a", 1)
-        memo.put(b"b", 2)
-        assert memo.get(b"a") == 1  # refresh a; b is now LRU
-        memo.put(b"c", 3)
-        assert len(memo) == 2
-        assert memo.get(b"b") is None
-        assert memo.get(b"a") == 1
-        assert memo.get(b"c") == 3
+        # The memo is bounded: a 93k-publisher run cannot grow it without limit.
+        assert visual_dhash.cache_info().maxsize == 16384
 
 
-# --------------------------------------------------------- deferred recorder
+# ---------------------------------------------------- capture and the kernel
+
+
+def _capture_specs(monkeypatch) -> list[VisualSpec]:
+    """Record the spec of every screenshot the browser captures."""
+    specs: list[VisualSpec] = []
+
+    def recording_capture(*args, **kwargs):
+        shot = capture(*args, **kwargs)
+        specs.append(shot.spec)
+        return shot
+
+    monkeypatch.setattr(browser_module, "capture", recording_capture)
+    return specs
 
 
 class TestDeferredRecorder:
-    def _image(self, seed: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 256, size=(72, 128), dtype=np.uint8)
-
     def test_placeholders_resolve_to_scalar_hashes(self):
-        recorder = DeferredRecorder(HashMemo())
-        images = [self._image(1), self._image(2), self._image(1)]
-        slots = [recorder.screenshot_hash(image) for image in images]
-        assert slots == [0, 1, 2]
-        hashes, stats = recorder.resolve()
-        assert hashes == [dhash128(image) for image in images]
-        # The duplicate frame was deduplicated, not hashed twice.
-        assert stats == {"screens": 3, "hashed": 2, "features_memoized": 0}
+        spec = VisualSpec(template_key="capture/live", variant=2, noise_level=0.02)
+        page = PageContent(title="live", document=Element("html"), visual=spec)
+        live = capture(page, "http://live.example/", 10.0, 1)
+        dead = capture(None, "http://dead.example/", 11.0, 2)
+        assert live.dhash == dhash128(render_visual(spec))
+        assert np.array_equal(live.image, render_visual(spec))
+        assert dead.spec == DEAD_PAGE_SPEC
+        assert dead.dhash == dhash128(render_visual(DEAD_PAGE_SPEC))
 
-    def test_memo_carries_hashes_across_domains(self):
-        memo = HashMemo()
-        first = DeferredRecorder(memo)
-        first.screenshot_hash(self._image(1))
-        first.resolve()
-        second = DeferredRecorder(memo)
-        second.screenshot_hash(self._image(1))
-        hashes, stats = second.resolve()
-        assert hashes == [dhash128(self._image(1))]
-        assert stats["hashed"] == 0  # served entirely from the memo
+    def test_memo_carries_hashes_across_domains(self, monkeypatch):
+        # Two kernel entries over the same pages: the second hashes nothing.
+        def crawl_first_publisher() -> list[int]:
+            world = build_world(micro_config(7))
+            dataset = CrawlerFarm(world).crawl([world.publishers[0].domain])
+            return [record.screenshot_hash for record in dataset.interactions]
+
+        specs = _capture_specs(monkeypatch)
+        visual_dhash.cache_clear()
+        first = crawl_first_publisher()
+        misses = visual_dhash.cache_info().misses
+        assert specs and misses == len(set(specs))
+        assert crawl_first_publisher() == first
+        assert first and visual_dhash.cache_info().misses == misses
+
+
+class TestMilkingHashes:
+    def test_each_visual_hashed_at_most_once(self, monkeypatch):
+        specs = _capture_specs(monkeypatch)
+        visual_dhash.cache_clear()
+        result = SeacmaPipeline(
+            build_world(micro_config(7)), milking_config=MILKING
+        ).run()
+        assert result.milking is not None and result.milking.sessions
+        assert 0 < visual_dhash.cache_info().misses <= len(set(specs))
 
 
 # -------------------------------------------------------------- crash points
