@@ -475,6 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be at least 1")
+    if getattr(args, "batch_domains", 1) < 1:
+        parser.error("--batch-domains must be at least 1")
     try:
         return _dispatch(args)
     except (StoreError, ConfigError) as error:

@@ -11,12 +11,18 @@ paper's operational structure:
 * many container replicas run in parallel, so virtual wall-clock time
   advances by ``session_seconds / parallelism`` per session.
 
-Scheduling is *plan-derived*: :meth:`CrawlerFarm.plan_crawl` assigns
-every (domain, profile) session an absolute virtual start time and every
-residential session a laptop slot, both computed from the session's
-position in the canonical plan rather than from mutable loop state.
-That makes the schedule a pure function of (world config, farm config,
-publisher list), which is what lets :mod:`repro.parallel` carve the plan
+Scheduling is *plan-derived*, and the farm makes every plan.  A
+:class:`CrawlPlan` assigns every (domain, profile) session an absolute
+virtual start time and every residential session a laptop slot, both
+computed from the session's position in the plan rather than from
+mutable loop state.  :meth:`CrawlerFarm.layout` builds one from the two
+publisher groups, a start time and a time step;
+:meth:`CrawlerFarm.plan_crawl` is the static plan (residential cap,
+step derived from the crawl window) and :meth:`CrawlerFarm.plan_round`
+one adaptive round on the scheduler's grid.  :meth:`CrawlerFarm.run_plan`
+runs a plan, whole or one shard of it.  Everything else — the sharded
+executor, its workers, the scheduler, the pipeline — receives plans and
+never re-plans, which is what lets :mod:`repro.parallel` carve a plan
 into deterministic shards whose merged output is byte-identical to a
 sequential crawl.
 """
@@ -63,16 +69,6 @@ class FarmConfig:
     #: Cap on residential-group sites actually visited (§4.1: bandwidth
     #: limits meant only 11,182 of 34,068 such sites were crawled).
     residential_visit_fraction: float = 0.33
-    #: Fixed virtual-time step per session, overriding the derived one.
-    #: The adaptive scheduler (:mod:`repro.sched`) pins this so every
-    #: round — in the parent and in every shard worker — plans on the one
-    #: global grid computed from the whole session budget.
-    plan_time_step: float | None = None
-    #: Whether :meth:`CrawlerFarm.plan_crawl` applies the residential
-    #: visit cap.  Round-based crawls disable it: the scheduler caps the
-    #: eligible universe once up front, and re-capping each (already
-    #: capped) round slice would truncate it again.
-    apply_residential_cap: bool = True
 
 
 @dataclass
@@ -173,12 +169,12 @@ class PlanEntry:
 
 @dataclass(frozen=True)
 class CrawlPlan:
-    """The canonical crawl schedule: entries plus the virtual-time grid.
+    """A crawl schedule: entries plus the virtual-time grid.
 
-    A pure function of (publisher list, farm config, world config,
-    ``started_at``); every party — the sequential farm, each shard
-    worker, and the merge step — derives the identical plan and therefore
-    the identical per-session clock values and laptop assignments.
+    Built by the farm and handed, unchanged, to whoever runs it — the
+    sequential farm, each shard worker and the merge step all read the
+    one plan and therefore the identical per-session clock values and
+    laptop assignments.
     """
 
     entries: tuple[PlanEntry, ...]
@@ -255,45 +251,71 @@ class CrawlerFarm:
                 institutional.append(domain)
         return institutional, residential
 
-    def plan_crawl(
-        self, publisher_domains: Iterable[str], started_at: float
+    def layout(
+        self,
+        institutional: list[str],
+        residential: list[str],
+        started_at: float,
+        time_step: float,
+        residential_dropped: int = 0,
     ) -> CrawlPlan:
-        """Lay out the canonical crawl schedule for ``publisher_domains``.
+        """Lay out a crawl schedule: institutional entries, then residential.
 
-        §4.1: the residential laptops only got through a fraction of
-        their group — but never zero of a non-empty group, and the
-        dropped count is carried on the plan so crawl stats report it.
+        Each residential entry records how many residential sessions come
+        before it — the base of its laptop-rotation slots.
         """
-        config = self.config
-        institutional, residential = self.split_publisher_groups(publisher_domains)
-        if config.apply_residential_cap:
-            residential_cap = 0
-            if residential and config.residential_visit_fraction > 0:
-                residential_cap = max(
-                    1, int(len(residential) * config.residential_visit_fraction)
-                )
-        else:
-            residential_cap = len(residential)
-        dropped = len(residential) - residential_cap
-        residential = residential[:residential_cap]
-        profiles_per_domain = len(config.profiles)
+        profiles_per_domain = len(self.config.profiles)
         entries: list[PlanEntry] = []
-        residential_sessions = 0
         for domain in institutional:
-            entries.append(
-                PlanEntry(domain, False, len(entries), residential_sessions)
-            )
+            entries.append(PlanEntry(domain, False, len(entries), 0))
+        residential_sessions = 0
         for domain in residential:
             entries.append(PlanEntry(domain, True, len(entries), residential_sessions))
             residential_sessions += profiles_per_domain
-        time_step = self._time_step(len(entries) * profiles_per_domain)
         return CrawlPlan(
             entries=tuple(entries),
             started_at=started_at,
             time_step=time_step,
             profiles_per_domain=profiles_per_domain,
-            residential_dropped=dropped,
+            residential_dropped=residential_dropped,
         )
+
+    def plan_crawl(
+        self, publisher_domains: Iterable[str], started_at: float
+    ) -> CrawlPlan:
+        """The static crawl plan for ``publisher_domains``.
+
+        §4.1: the residential laptops only got through a fraction of
+        their group — but never zero of a non-empty group, and the
+        dropped count is carried on the plan so crawl stats report it.
+        The time step is :meth:`plan_time_step` of the plan's sessions.
+        """
+        institutional, residential = self.split_publisher_groups(publisher_domains)
+        fraction = self.config.residential_visit_fraction
+        cap = 0
+        if residential and fraction > 0:
+            cap = max(1, int(len(residential) * fraction))
+        kept = residential[:cap]
+        sessions = (len(institutional) + len(kept)) * len(self.config.profiles)
+        return self.layout(
+            institutional,
+            kept,
+            started_at,
+            self.plan_time_step(sessions),
+            residential_dropped=len(residential) - cap,
+        )
+
+    def plan_round(
+        self, domains: Iterable[str], started_at: float, time_step: float
+    ) -> CrawlPlan:
+        """One adaptive-crawl round: every listed domain, on a given grid.
+
+        No residential cap — the scheduler draws rounds from an already
+        capped universe — and no derived step: the rounds of one run all
+        share the grid of its whole session budget.
+        """
+        institutional, residential = self.split_publisher_groups(domains)
+        return self.layout(institutional, residential, started_at, time_step)
 
     def crawl(
         self,
@@ -322,37 +344,45 @@ class CrawlerFarm:
         self,
         publisher_domains: list[str],
         checkpoint: CrawlCheckpoint | None = None,
-        shard: tuple[int, int] | None = None,
-        started_at: float | None = None,
     ) -> Iterator[CrawlBatch]:
         """Crawl lazily, yielding one :class:`CrawlBatch` per finished domain.
 
-        The streaming entry point: the consumer sees each domain's
-        interactions as soon as its sessions finish, while the checkpoint
-        and dataset advance exactly as in :meth:`crawl` — abandoning the
-        iterator mid-crawl leaves :attr:`checkpoint` resumable and
-        ``dataset.finished_at`` unset.  Domains the checkpoint already
-        completed are skipped without being re-yielded.
-
-        ``shard=(index, count)`` restricts the crawl to the plan entries
-        :func:`shard_index` assigns to shard ``index`` — their plan
-        positions (and so their session clock values and laptop slots)
-        are unchanged, which is how worker processes each crawl a
-        disjoint slice of the identical canonical plan.
-
-        ``started_at`` overrides the plan's virtual start time (default:
-        the checkpoint dataset's start).  Round-based crawls pass each
-        round's grid position here while the dataset keeps the whole
-        run's start.
+        The static plan (:meth:`plan_crawl`, starting at the checkpoint
+        dataset's start) run by :meth:`run_plan`: the consumer sees each
+        domain's interactions as soon as its sessions finish, while the
+        checkpoint and dataset advance exactly as in :meth:`crawl`.
         """
-        world = self.world
         if checkpoint is None:
-            checkpoint = CrawlCheckpoint(dataset=CrawlDataset(started_at=world.clock.now()))
+            checkpoint = CrawlCheckpoint(
+                dataset=CrawlDataset(started_at=self.world.clock.now())
+            )
         self.checkpoint = checkpoint
-        if started_at is None:
-            started_at = checkpoint.dataset.started_at
-        plan = self.plan_crawl(publisher_domains, started_at)
+        plan = self.plan_crawl(publisher_domains, checkpoint.dataset.started_at)
         checkpoint.dataset.residential_dropped = plan.residential_dropped
+        return self.run_plan(plan, checkpoint)
+
+    def run_plan(
+        self,
+        plan: CrawlPlan,
+        checkpoint: CrawlCheckpoint,
+        shard: tuple[int, int] | None = None,
+    ) -> Iterator[CrawlBatch]:
+        """Run ``plan``, yielding one :class:`CrawlBatch` per finished domain.
+
+        Every session seeks the world clock to its plan-derived start
+        time before running, so the virtual-time line each domain sees is
+        identical whether the plan runs sequentially, is resumed, or is
+        split across shard workers.  Abandoning the iterator mid-crawl
+        leaves ``checkpoint`` resumable and ``dataset.finished_at`` unset;
+        domains the checkpoint already completed are skipped without
+        being re-yielded.
+
+        ``shard=(index, count)`` runs only the entries :func:`shard_index`
+        assigns to shard ``index`` — at their unchanged plan positions,
+        clock values and laptop slots — and leaves the end-of-crawl
+        bookkeeping to the merge step.
+        """
+        self.checkpoint = checkpoint
         entries = plan.entries
         if shard is not None:
             index, count = shard
@@ -361,23 +391,6 @@ class CrawlerFarm:
             entries = tuple(
                 entry for entry in entries if shard_index(entry.domain, count) == index
             )
-        return self._drive(entries, plan, checkpoint, partial=shard is not None)
-
-    def _drive(
-        self,
-        entries: tuple[PlanEntry, ...],
-        plan: CrawlPlan,
-        checkpoint: CrawlCheckpoint,
-        partial: bool = False,
-    ) -> Iterator[CrawlBatch]:
-        """The session loop behind :meth:`crawl_incremental`.
-
-        Every session seeks the world clock to its plan-derived start
-        time before running, so the virtual-time line each domain sees is
-        identical whether the plan runs sequentially, is resumed, or is
-        split across shard workers.  A ``partial`` drive (one shard)
-        leaves the end-of-crawl bookkeeping to the merge step.
-        """
         world = self.world
         telemetry = current_telemetry()
         for entry in entries:
@@ -400,7 +413,7 @@ class CrawlerFarm:
                 checkpoint, entry, batch, world.clock.now(), sessions_run,
                 plan_start=plan_start,
             )
-        if not partial:
+        if shard is None:
             world.clock.seek(plan.end_time)
             checkpoint.dataset.finished_at = plan.end_time
 
@@ -442,7 +455,7 @@ class CrawlerFarm:
 
         The merge half of sharded crawling: batches arrive in canonical
         plan order and mutate the parent checkpoint/dataset exactly as
-        :meth:`_drive` would have, so downstream consumers cannot tell a
+        :meth:`run_plan` would have, so downstream consumers cannot tell a
         merged crawl from a sequential one.
         """
         dataset = checkpoint.dataset
@@ -509,19 +522,14 @@ class CrawlerFarm:
             return []
 
     def plan_time_step(self, total_sessions: int) -> float:
-        """The virtual-time step a plan over ``total_sessions`` would use.
+        """The virtual-time step of a plan over ``total_sessions``.
 
-        Public so the adaptive scheduler can derive the one global grid
-        for a whole session budget and pin it via
-        :attr:`FarmConfig.plan_time_step` (the per-round plans must not
-        re-derive a step from their own, smaller session counts).
+        ``session_seconds / parallelism`` for a sized farm; otherwise the
+        sessions spread evenly over the world's crawl window.  The
+        adaptive scheduler derives its one global round grid from the
+        whole session budget with it.
         """
-        return self._time_step(total_sessions)
-
-    def _time_step(self, total_sessions: int) -> float:
         config = self.config
-        if config.plan_time_step is not None:
-            return config.plan_time_step
         session_seconds = config.crawler.session_seconds
         if config.parallelism is not None:
             return session_seconds / config.parallelism

@@ -29,7 +29,7 @@ run whose process died mid-crawl is continued by
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.chaos.points import crash_point
@@ -51,6 +51,7 @@ from repro.core.farm import (
     CrawlCheckpoint,
     CrawlDataset,
     CrawlerFarm,
+    CrawlPlan,
     FarmConfig,
 )
 from repro.core.milking import MilkingConfig, MilkingReport, MilkingTracker
@@ -428,23 +429,7 @@ class StreamingRun:
             stored = store.get_meta("sched_config")
             if stored is not None:
                 sched_config = SchedConfig.from_meta(stored)
-        self.sched: PolicyScheduler | None = None
-        if sched_config is not None and sched_config.is_adaptive:
-            self.sched = PolicyScheduler(
-                pipeline, store, self.result.publisher_domains, sched_config
-            )
-            # Round plans run on the scheduler's global time grid with
-            # the residential cap already applied to the universe.
-            self.farm = CrawlerFarm(
-                pipeline.world,
-                replace(
-                    pipeline.farm_config,
-                    plan_time_step=self.sched.time_step,
-                    apply_residential_cap=False,
-                ),
-            )
-        else:
-            self.farm = CrawlerFarm(pipeline.world, pipeline.farm_config)
+        self.farm = CrawlerFarm(pipeline.world, pipeline.farm_config)
         self.writer = StoreWriter(store)
         self.discovery_stage = IncrementalDiscovery(
             eps=pipeline.eps, min_pts=pipeline.min_pts, theta_c=pipeline.theta_c
@@ -456,9 +441,23 @@ class StreamingRun:
         self._buffer: list = []
         self._buffered_domains = 0
         self._finalized = False
-        self._checkpoint: CrawlCheckpoint | None = None
         if resume:
-            self._checkpoint = self._rebuild_checkpoint()
+            checkpoint = self._rebuild_checkpoint()
+        else:
+            checkpoint = CrawlCheckpoint(
+                dataset=CrawlDataset(started_at=pipeline.world.clock.now())
+            )
+        self.farm.checkpoint = checkpoint
+        #: The run's static crawl plan.  A static run crawls it; an
+        #: adaptive run draws its rounds from its entries.
+        self.plan = self.farm.plan_crawl(
+            self.result.publisher_domains, checkpoint.dataset.started_at
+        )
+        checkpoint.dataset.residential_dropped = self.plan.residential_dropped
+        self.sched: PolicyScheduler | None = None
+        if sched_config is not None and sched_config.is_adaptive:
+            self.sched = PolicyScheduler(self.farm, store, self.plan, sched_config)
+        if resume:
             if self.sched is not None:
                 self.sched.resume(self)
         else:
@@ -475,7 +474,7 @@ class StreamingRun:
             # clock at zero).
             store.begin_intent("run-init")
             store.put_meta("status", "running")
-            store.put_meta("started_at", pipeline.world.clock.now())
+            store.put_meta("started_at", checkpoint.dataset.started_at)
             store.put_meta(
                 "world_config", world_config_to_meta(pipeline.world.config)
             )
@@ -495,24 +494,16 @@ class StreamingRun:
     def crawl_batches(self) -> Iterator[CrawlBatch]:
         """Drive the crawl, persisting and analysing batch by batch.
 
-        Yields each :class:`CrawlBatch` after it has been stored and (at
-        ``batch_domains`` boundaries) ingested, so the consumer observes
-        live progress — e.g. ``self.discovery_stage.finalize()`` between
-        batches is the current campaign census.  Abandoning the iterator
-        leaves the store resumable.
+        Runs every plan of :meth:`_plans` in turn through the farm or the
+        sharded executor.  Yields each :class:`CrawlBatch` after it has
+        been stored and (at ``batch_domains`` boundaries) ingested, so the
+        consumer observes live progress — e.g.
+        ``self.discovery_stage.finalize()`` between batches is the current
+        campaign census.  Abandoning the iterator leaves the store
+        resumable.
         """
         telemetry = current_telemetry()
-        if self.sched is not None:
-            yield from self._policy_batches(telemetry)
-            return
-        if self.workers > 1:
-            batches = self._make_executor().run(
-                self.result.publisher_domains, self._checkpoint
-            )
-        else:
-            batches = self.farm.crawl_incremental(
-                self.result.publisher_domains, self._checkpoint
-            )
+        checkpoint = self.farm.checkpoint
         # NOTE: no ``workers`` attr here — the sim lane must be identical
         # across --workers counts; execution shape lives on the shard-lane
         # ``parallel.merge`` span instead.
@@ -520,71 +511,42 @@ class StreamingRun:
             "stage.crawl",
             attrs={"publishers": len(self.result.publisher_domains)},
         ):
-            for batch in batches:
-                self._persist_batch(batch, telemetry)
-                self._buffer.extend(batch.interactions)
-                self._buffered_domains += 1
-                if self._buffered_domains >= self.batch_domains:
-                    self._flush()
-                yield batch
-            self._flush()
-
-    def _policy_batches(self, telemetry) -> Iterator[CrawlBatch]:
-        """The adaptive crawl: policy-allocated rounds with yield feedback.
-
-        Each round is a complete mini-crawl over the scheduler's chosen
-        domains, run through the identical persistence path as the static
-        crawl (same intents, same progress markers, same canonical
-        spans), then flushed into the analysis stages so
-        :meth:`PolicyScheduler.complete_round` scores it from merged,
-        plan-ordered data.
-        """
-        sched = self.sched
-        world = self.pipeline.world
-        if self._checkpoint is not None:
-            # A resumed run may have nothing left to crawl; finalize still
-            # reads the rebuilt checkpoint through the farm.
-            self.farm.checkpoint = self._checkpoint
-        with telemetry.span(
-            "stage.crawl",
-            attrs={"publishers": len(self.result.publisher_domains)},
-        ):
-            while True:
-                plan = sched.begin_round(self)
-                if plan is None:
-                    break
-                for batch in self._round_batches(plan):
+            for plan in self._plans():
+                if self.workers > 1:
+                    batches = self._make_executor().run(plan, checkpoint)
+                else:
+                    batches = self.farm.run_plan(plan, checkpoint)
+                for batch in batches:
                     self._persist_batch(batch, telemetry)
                     self._buffer.extend(batch.interactions)
                     self._buffered_domains += 1
                     if self._buffered_domains >= self.batch_domains:
                         self._flush()
                     yield batch
-                self._checkpoint = self.farm.checkpoint
-                # Feedback reads the analysis stages, so the round's tail
-                # must be ingested even mid-``batch_domains`` group.  The
-                # flush boundary is plan-derived (a round boundary), hence
-                # identical across worker counts and resume.
-                self._flush()
-                sched.complete_round(self, plan)
-            checkpoint = self._checkpoint
-            dataset = checkpoint.dataset
-            # The per-round plans ran with the residential cap disabled;
-            # restore the run-level accounting the scheduler computed when
-            # it capped the eligible universe.
-            dataset.residential_dropped = sched.residential_dropped
-            dataset.finished_at = sched.finished_at()
-            world.clock.seek(dataset.finished_at)
+            self._flush()
+            if self.sched is not None:
+                # Also covers a resumed run with no round left to crawl.
+                checkpoint.dataset.finished_at = self.sched.finished_at()
+                self.pipeline.world.clock.seek(checkpoint.dataset.finished_at)
 
-    def _round_batches(self, plan) -> Iterator[CrawlBatch]:
-        """Crawl one round through the farm or the sharded executor."""
-        if self.workers > 1:
-            return self._make_executor().run(
-                list(plan.domains), self._checkpoint, started_at=plan.started_at
-            )
-        return self.farm.crawl_incremental(
-            list(plan.domains), self._checkpoint, started_at=plan.started_at
-        )
+    def _plans(self) -> Iterator[CrawlPlan]:
+        """The crawl plans of this run, in order.
+
+        A static run has one: :attr:`plan`.  An adaptive run has one per
+        policy round; after a round's batches are stored, its tail is
+        flushed into the analysis stages — a round boundary is
+        plan-derived, hence identical across worker counts and resume —
+        and :meth:`PolicyScheduler.complete_round` scores it from that
+        merged, plan-ordered data before the next round is allocated.
+        """
+        sched = self.sched
+        if sched is None:
+            yield self.plan
+            return
+        while (round_plan := sched.begin_round(self)) is not None:
+            yield round_plan.crawl
+            self._flush()
+            sched.complete_round(self, round_plan)
 
     def _persist_batch(self, batch: CrawlBatch, telemetry) -> None:
         """Store one finished domain: rows, hashes, progress — atomically.

@@ -1,6 +1,6 @@
 """The session kernel.
 
-:class:`SessionKernel` owns the inner loop of :meth:`CrawlerFarm._drive`:
+:class:`SessionKernel` owns the inner loop of :meth:`CrawlerFarm.run_plan`:
 it runs every still-pending (domain, profile) session of one plan entry
 and commits the results into the crawl checkpoint.  Session control flow
 (clicks, cloaking, RNG draws, virtual clock) runs session by session —

@@ -2,13 +2,14 @@
 
 Parallelism model (see ``DESIGN.md``, "Parallel crawl"):
 
-* the parent computes the canonical :class:`~repro.core.farm.CrawlPlan`
-  and assigns each plan entry to a shard with
+* the executor is handed a :class:`~repro.core.farm.CrawlPlan` (made by
+  the farm) and assigns each plan entry to a shard with
   :func:`~repro.core.farm.shard_index` (a stable hash of the publisher
   domain, independent of list order, process and platform);
 * each worker process rebuilds its own simulated world from the shared
-  :class:`~repro.ecosystem.world.WorldConfig`, crawls only its shard's
-  entries — at those entries' *plan* clock times and laptop slots — and
+  :class:`~repro.ecosystem.world.WorldConfig`, receives the same plan in
+  its :class:`ShardSpec`, runs only its shard's entries of it — at those
+  entries' *plan* clock times and laptop slots, never re-planning — and
   streams the finished batches into a JSONL segment file;
 * the parent tails the segments and re-emits the batches in canonical
   plan order, replaying each into its own farm bookkeeping
@@ -76,16 +77,16 @@ class ShardSpec:
     """Everything one worker process needs to crawl its shard.
 
     Fully picklable and self-contained: the worker rebuilds its world
-    from ``world_config`` alone, so the spec works under both ``fork``
-    and ``spawn`` start methods.
+    from ``world_config`` alone and runs its shard of ``plan`` as
+    given, so the spec works under both ``fork`` and ``spawn`` start
+    methods (``tests/test_parallel_crawl.py`` runs both).
     """
 
     world_config: WorldConfig
     farm_config: FarmConfig
     retries_enabled: bool
     retry_policy: RetryPolicy | None
-    publisher_domains: tuple[str, ...]
-    started_at: float
+    plan: CrawlPlan
     completed_domains: frozenset[str]
     shard: int
     shard_count: int
@@ -126,13 +127,11 @@ def run_shard(spec: ShardSpec) -> None:
             telemetry = Telemetry(world.clock) if spec.telemetry else None
             farm = CrawlerFarm(world, spec.farm_config)
             checkpoint = CrawlCheckpoint(
-                dataset=CrawlDataset(started_at=spec.started_at)
+                dataset=CrawlDataset(),
+                completed_domains=set(spec.completed_domains),
             )
-            checkpoint.completed_domains = set(spec.completed_domains)
-            batches = farm.crawl_incremental(
-                list(spec.publisher_domains),
-                checkpoint,
-                shard=(spec.shard, spec.shard_count),
+            batches = farm.run_plan(
+                spec.plan, checkpoint, shard=(spec.shard, spec.shard_count)
             )
             if telemetry is not None:
                 with use_telemetry(telemetry):
@@ -188,11 +187,10 @@ def run_shard(spec: ShardSpec) -> None:
 class ShardedCrawlExecutor:
     """Runs a farm crawl across worker processes, merged in plan order.
 
-    A drop-in replacement for
-    :meth:`~repro.core.farm.CrawlerFarm.crawl_incremental`: :meth:`run`
-    yields the same :class:`~repro.core.farm.CrawlBatch` sequence — same
-    order, same contents, same clock values — while the sessions actually
-    execute K-wide in child processes.
+    A drop-in replacement for :meth:`~repro.core.farm.CrawlerFarm.run_plan`:
+    :meth:`run` yields the same :class:`~repro.core.farm.CrawlBatch`
+    sequence — same order, same contents, same clock values — while the
+    sessions actually execute K-wide in child processes.
     """
 
     def __init__(
@@ -227,45 +225,27 @@ class ShardedCrawlExecutor:
         #: respawned worker's payload replaces its predecessor's.
         self._span_payloads: dict[int, dict] = {}
         self._respawns: dict[int, int] = {}
-        self._publisher_domains: tuple[str, ...] = ()
-        self._started_at: float = 0.0
+        #: The plan of the current :meth:`run`, handed to every (re)launch.
+        self._plan: CrawlPlan | None = None
 
     # ------------------------------------------------------------------ run
 
     def run(
-        self,
-        publisher_domains: list[str],
-        checkpoint: CrawlCheckpoint | None = None,
-        started_at: float | None = None,
+        self, plan: CrawlPlan, checkpoint: CrawlCheckpoint
     ) -> Iterator[CrawlBatch]:
-        """Crawl ``publisher_domains`` with worker processes.
+        """Run ``plan`` with worker processes.
 
-        Yields finished batches in canonical plan order as soon as each
-        becomes available, updating ``checkpoint`` (and the farm's
-        dataset) exactly as the sequential drive would.  ``started_at``
-        overrides the plan's virtual start time, mirroring
-        :meth:`~repro.core.farm.CrawlerFarm.crawl_incremental` — the
-        workers plan from the same override, so round-based crawls shard
-        exactly like a whole-run plan.
+        Yields finished batches in plan order as soon as each becomes
+        available, updating ``checkpoint`` (and the farm's dataset)
+        exactly as :meth:`~repro.core.farm.CrawlerFarm.run_plan` would.
         """
-        world = self.world
-        farm = self.farm
-        if checkpoint is None:
-            checkpoint = CrawlCheckpoint(
-                dataset=CrawlDataset(started_at=world.clock.now())
-            )
-        farm.checkpoint = checkpoint
-        if started_at is None:
-            started_at = checkpoint.dataset.started_at
-        self._started_at = started_at
-        plan = farm.plan_crawl(publisher_domains, started_at)
-        checkpoint.dataset.residential_dropped = plan.residential_dropped
+        self.farm.checkpoint = checkpoint
+        self._plan = plan
         pending = [
             entry
             for entry in plan.entries
             if entry.domain not in checkpoint.completed_domains
         ]
-        self._publisher_domains = tuple(publisher_domains)
         processes, readers = self._spawn()
         summaries: list[dict] = []
         self._span_payloads = {}
@@ -328,8 +308,7 @@ class ShardedCrawlExecutor:
             farm_config=self.farm.config,
             retries_enabled=self.retries_enabled,
             retry_policy=self.retry_policy,
-            publisher_domains=self._publisher_domains,
-            started_at=self._started_at,
+            plan=self._plan,
             completed_domains=frozenset(checkpoint.completed_domains),
             shard=shard,
             shard_count=self.workers,

@@ -8,10 +8,12 @@
    domains + round metadata are persisted to the ``policy`` stream
    *before* any crawling — so a crash mid-round resumes the identical
    round;
-2. the pipeline crawls the round's domains through the ordinary farm /
-   sharded-executor machinery on a stable virtual-time grid (one global
-   ``time_step`` derived from the whole session budget, so round k+1
-   starts exactly where round k ended);
+2. the round carries the farm's :class:`~repro.core.farm.CrawlPlan` for
+   its domains (:meth:`~repro.core.farm.CrawlerFarm.plan_round`) on one
+   global virtual-time grid — a ``time_step`` derived from the whole
+   session budget, so round k+1 starts exactly where round k ended — and
+   the pipeline runs that plan like any other, through the farm or the
+   sharded executor;
 3. :meth:`complete_round` measures the round's yield from the streaming
    stages — SE-campaign membership of the round's interactions, newly
    won SE clusters, network attributions — folds it into the cumulative
@@ -33,7 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.chaos.points import crash_point
-from repro.core.farm import CrawlerFarm
+from repro.core.farm import CrawlerFarm, CrawlPlan
 from repro.errors import ConfigError
 from repro.rng import rng_for
 from repro.sched.policy import ArmStats, SchedConfig, make_policy
@@ -41,7 +43,7 @@ from repro.store.base import POLICY, RunStore
 from repro.telemetry import current as current_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.pipeline import SeacmaPipeline, StreamingRun
+    from repro.core.pipeline import StreamingRun
 
 #: Default number of rounds the budget is spread over when
 #: ``SchedConfig.round_domains`` is not set.
@@ -61,20 +63,14 @@ class RoundPlan:
     """One scheduled crawl round, as persisted to the ``policy`` stream."""
 
     index: int
+    #: The round's domains in allocation order (the persisted order).
     domains: tuple[str, ...]
-    started_at: float
-    time_step: float
     #: ``interactions``-stream row count when the round began; the
     #: feedback pass scores exactly the rows this round appended.
     start_row: int
     allocation: dict[str, int]
-    profiles_per_domain: int
-
-    @property
-    def end_time(self) -> float:
-        """Virtual time when the round's plan is over."""
-        sessions = len(self.domains) * self.profiles_per_domain
-        return self.started_at + sessions * self.time_step
+    #: The farm's plan for ``domains`` on the scheduler's global grid.
+    crawl: CrawlPlan
 
 
 class PolicyScheduler:
@@ -82,35 +78,23 @@ class PolicyScheduler:
 
     def __init__(
         self,
-        pipeline: "SeacmaPipeline",
+        farm: CrawlerFarm,
         store: RunStore,
-        publisher_domains: list[str],
+        plan: CrawlPlan,
         config: SchedConfig,
     ) -> None:
-        self.pipeline = pipeline
+        self.farm = farm
         self.store = store
         self.config = config
         self.policy = make_policy(config)
-        world = pipeline.world
+        world = farm.world
         self.seed = world.config.seed
-        farm_config = pipeline.farm_config
-        self.profiles_per_domain = len(farm_config.profiles)
+        self.profiles_per_domain = plan.profiles_per_domain
 
-        # The eligible universe: the §4.1 residential visit cap is applied
-        # once, up front, over the whole run — the per-round plans run with
-        # the cap disabled so they never re-truncate an already-capped
-        # round.  The institutional-first order mirrors the static plan.
-        base_farm = CrawlerFarm(world, farm_config)
-        institutional, residential = base_farm.split_publisher_groups(
-            publisher_domains
-        )
-        cap = 0
-        if residential and farm_config.residential_visit_fraction > 0:
-            cap = max(
-                1, int(len(residential) * farm_config.residential_visit_fraction)
-            )
-        self.residential_dropped = len(residential) - cap
-        self.eligible: list[str] = list(institutional) + list(residential[:cap])
+        # The eligible universe is the run's static plan: the §4.1
+        # residential cap applied once over the whole run, institutional
+        # domains first.  Round plans never re-cap their slice of it.
+        self.eligible: list[str] = [entry.domain for entry in plan.entries]
         if not self.eligible:
             raise ConfigError(
                 "adaptive scheduling needs at least one eligible publisher"
@@ -139,7 +123,7 @@ class PolicyScheduler:
         #: One global virtual-time grid for the whole budget: rounds chain
         #: on it, so the time line is independent of how the budget is cut
         #: into rounds (and of worker counts, like the static plan).
-        self.time_step = base_farm.plan_time_step(
+        self.time_step = farm.plan_time_step(
             self.budget_domains * self.profiles_per_domain
         )
         arms = sorted(set(self.arm_of.values()))
@@ -196,17 +180,15 @@ class PolicyScheduler:
             domains = []
             for arm in sorted(allocation):
                 domains.extend(self.queues[arm][: allocation[arm]])
-        started_at = self.pipeline.world.clock.now()
+        started_at = self.farm.world.clock.now()
         if self.last_round_end is not None and self.last_round_end > started_at:
             started_at = self.last_round_end
         plan = RoundPlan(
             index=round_index,
             domains=tuple(domains),
-            started_at=started_at,
-            time_step=self.time_step,
             start_row=run.writer.rows_written,
             allocation=allocation,
-            profiles_per_domain=self.profiles_per_domain,
+            crawl=self.farm.plan_round(domains, started_at, self.time_step),
         )
         store = self.store
         store.begin_intent(f"policy-round:{round_index}")
@@ -215,7 +197,7 @@ class PolicyScheduler:
         self._consume(domains)
         self.budget_left -= len(domains)
         self.next_round = round_index + 1
-        self.last_round_end = plan.end_time
+        self.last_round_end = plan.crawl.end_time
         return plan
 
     def complete_round(self, run: "StreamingRun", plan: RoundPlan) -> None:
@@ -322,8 +304,8 @@ class PolicyScheduler:
         # worker counts.
         telemetry.complete_span(
             "sched.round",
-            sim_start=plan.started_at,
-            sim_end=plan.end_time,
+            sim_start=plan.crawl.started_at,
+            sim_end=plan.crawl.end_time,
             attrs={
                 "round": plan.index,
                 "policy": self.policy.name,
@@ -360,32 +342,30 @@ class PolicyScheduler:
                 arm: ArmStats(**payload)
                 for arm, payload in last_stats["arms"].items()
             }
-        consumed: list[str] = []
-        for index in sorted(rounds):
-            record = rounds[index]
-            consumed.extend(record["domains"])
-            end = record["started_at"] + (
-                len(record["domains"])
-                * self.profiles_per_domain
-                * record["time_step"]
-            )
-            self.last_round_end = end
+        consumed = [
+            domain for index in sorted(rounds) for domain in rounds[index]["domains"]
+        ]
         self._consume(consumed)
         self.budget_left = self.budget_domains - len(consumed)
-        self.next_round = (max(rounds) + 1) if rounds else 0
+        if not rounds:
+            return
+        # Rounds are recorded one at a time, each after the previous
+        # round's stats, so only the last recorded round can be in flight.
+        record = rounds[max(rounds)]
+        last = RoundPlan(
+            index=record["round"],
+            domains=tuple(record["domains"]),
+            start_row=record["start_row"],
+            allocation=dict(sorted(record["allocation"].items())),
+            crawl=self.farm.plan_round(
+                record["domains"], record["started_at"], record["time_step"]
+            ),
+        )
+        self.next_round = last.index + 1
+        self.last_round_end = last.crawl.end_time
         done = last_stats["round"] if last_stats is not None else -1
-        pending_index = done + 1
-        if pending_index in rounds:
-            record = rounds[pending_index]
-            self._pending = RoundPlan(
-                index=pending_index,
-                domains=tuple(record["domains"]),
-                started_at=record["started_at"],
-                time_step=record["time_step"],
-                start_row=record["start_row"],
-                allocation=dict(sorted(record["allocation"].items())),
-                profiles_per_domain=self.profiles_per_domain,
-            )
+        if last.index == done + 1:
+            self._pending = last
 
     # ------------------------------------------------------------ helpers
 
@@ -393,7 +373,7 @@ class PolicyScheduler:
         """Virtual end time of the crawl: the last round's grid end."""
         if self.last_round_end is not None:
             return self.last_round_end
-        return self.pipeline.world.clock.now()
+        return self.farm.world.clock.now()
 
     def _consume(self, domains: list[str]) -> None:
         taken = set(domains)
@@ -409,8 +389,8 @@ class PolicyScheduler:
             "round": plan.index,
             "policy": self.policy.name,
             "domains": list(plan.domains),
-            "started_at": plan.started_at,
-            "time_step": plan.time_step,
+            "started_at": plan.crawl.started_at,
+            "time_step": plan.crawl.time_step,
             "start_row": plan.start_row,
             "allocation": plan.allocation,
         }

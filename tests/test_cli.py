@@ -161,10 +161,24 @@ class TestWorkersFlag:
         assert code == 0
         assert "crawled" in capsys.readouterr().out
 
-    def test_zero_workers_rejected(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(["run"], "--workers", id="run-workers"),
+            pytest.param(["run"], "--batch-domains", id="run-batch-domains"),
+            pytest.param(
+                ["resume", "store"], "--batch-domains", id="resume-batch-domains"
+            ),
+        ],
+    )
+    def test_zero_workers_rejected(self, capsys, argv, flag):
+        # Rejected by the parser before any store is touched: one usage
+        # line, no traceback.
         with pytest.raises(SystemExit):
-            main(["run", "--workers", "0"])
-        assert "--workers must be at least 1" in capsys.readouterr().err
+            main([*argv, flag, "0"])
+        err = capsys.readouterr().err
+        assert f"{flag} must be at least 1" in err
+        assert "Traceback" not in err
 
     def test_streamed_run_with_workers(self, tmp_path, capsys):
         code = main(

@@ -1,5 +1,7 @@
 """Tests for the crawler farm (§3.2 operations / §4.1 setup)."""
 
+import pytest
+
 from repro.core.farm import CrawlerFarm, FarmConfig
 from repro.core.crawler import CrawlerConfig
 
@@ -201,17 +203,14 @@ class TestGroupSplitEdges:
 
 class TestResidentialCapEdges:
     def test_cap_disabled_keeps_every_residential_domain(self, fresh_world):
-        # The adaptive scheduler's mode: the universe is capped once up
-        # front, so per-round plans must not re-truncate their slice.
+        # A round plan: the scheduler caps the universe once up front,
+        # so per-round plans must not re-truncate their slice.
         farm = CrawlerFarm(
-            fresh_world,
-            FarmConfig(
-                residential_visit_fraction=0.25, apply_residential_cap=False
-            ),
+            fresh_world, FarmConfig(residential_visit_fraction=0.25)
         )
         domains = [site.domain for site in fresh_world.publishers]
         _, residential = farm.split_publisher_groups(domains)
-        plan = farm.plan_crawl(domains, started_at=0.0)
+        plan = farm.plan_round(domains, 0.0, 12.5)
         kept = [entry for entry in plan.entries if entry.residential]
         assert len(kept) == len(residential)
         assert plan.residential_dropped == 0
@@ -238,11 +237,14 @@ class TestResidentialCapEdges:
 
 class TestPlanTimeStep:
     def test_pinned_step_overrides_everything(self, tiny_world):
-        farm = CrawlerFarm(
-            tiny_world, FarmConfig(plan_time_step=12.5, parallelism=8)
-        )
-        assert farm.plan_time_step(1) == 12.5
-        assert farm.plan_time_step(100_000) == 12.5
+        # A round plan runs on the step it is given, whatever the farm
+        # would derive for it.
+        farm = CrawlerFarm(tiny_world, FarmConfig(parallelism=8))
+        domains = [site.domain for site in tiny_world.publishers]
+        for count in (1, len(domains)):
+            plan = farm.plan_round(domains[:count], 0.0, 12.5)
+            assert plan.time_step == 12.5
+            assert plan.end_time == plan.total_sessions * 12.5
 
     def test_parallelism_divides_session_seconds(self, tiny_world):
         config = FarmConfig(parallelism=4)
@@ -266,7 +268,12 @@ class TestPlanTimeStep:
         """One global step for a whole budget: cutting the budget into
         rounds must not change the grid the rounds run on."""
         farm = CrawlerFarm(tiny_world)
-        whole = farm.plan_time_step(120)
-        pinned = CrawlerFarm(tiny_world, FarmConfig(plan_time_step=whole))
-        for round_sessions in (4, 36, 120):
-            assert pinned.plan_time_step(round_sessions) == whole
+        domains = [site.domain for site in tiny_world.publishers][:30]
+        whole = farm.plan_time_step(len(domains) * len(farm.config.profiles))
+        started_at = 0.0
+        for size in (1, 9, 20):
+            plan = farm.plan_round(domains[:size], started_at, whole)
+            assert plan.time_step == whole
+            assert plan.session_time(0, 0) == started_at
+            started_at = plan.end_time
+        assert started_at == pytest.approx(30 * len(farm.config.profiles) * whole)

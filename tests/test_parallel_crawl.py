@@ -9,6 +9,7 @@ any K, any seed, with and without fault injection.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import shutil
 
 import pytest
@@ -17,7 +18,10 @@ from repro import SeacmaPipeline, WorldConfig, build_world
 from repro.core.farm import shard_index
 from repro.core.milking import MilkingConfig
 from repro.errors import ConfigError
+from repro.parallel import executor as executor_module
 from repro.store import JsonlStore
+
+from tests.golden import golden, run_key, streaming_digests
 
 MILKING = MilkingConfig(duration_days=0.5, post_lookup_days=0.5)
 
@@ -166,6 +170,16 @@ class TestStoreByteIdentity:
         pipeline.run_streaming(store=store, workers=2, with_milking=False)
         store.close()
         assert not (directory / "shards").exists()
+
+    def test_spawn_start_method_matches_golden(self, tmp_path, monkeypatch):
+        # A spawned worker shares no memory with the parent: everything
+        # it crawls comes from the pickled ShardSpec alone.
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            executor_module.multiprocessing, "get_context", lambda method: spawn
+        )
+        expected = golden()["streaming"][run_key(7, 2)]
+        assert streaming_digests(tmp_path / "store", 7, 2) == expected
 
 
 class TestParallelResume:

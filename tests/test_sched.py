@@ -10,7 +10,8 @@ The contracts under test (DESIGN.md, "Adaptive scheduling"):
   the run is byte-identical to a pipeline built without any
   ``sched_config`` at all;
 * static-with-budget and both adaptive policies are byte-identical
-  across worker counts and across repeat runs;
+  across worker counts and across repeat runs, and reproduce the
+  ``adaptive`` golden digests (``tests/golden.py``);
 * a crash inside the ``policy.update.pre/post`` bracket resumes to
   streams byte-identical to an uninterrupted run;
 * the persisted ``policy`` stream respects the session budget and
@@ -40,6 +41,15 @@ from repro.sched.evaluate import compare_policies, evaluate_policy
 from repro.store import JsonlStore, MemoryStore, POLICY
 from repro.store.base import STREAMS
 from repro.store.persist import load_world
+
+from tests.golden import (
+    ADAPTIVE_BUDGETS,
+    SEEDS,
+    WORKERS,
+    cached_streaming_digests,
+    golden,
+    run_key,
+)
 
 MILKING = MilkingConfig(duration_days=0.25, post_lookup_days=0.25)
 
@@ -261,6 +271,16 @@ class TestStaticByteIdentity:
 
 
 # ------------------------------------------------ adaptive determinism
+
+
+@pytest.mark.parametrize("policy", sorted(ADAPTIVE_BUDGETS))
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("workers", WORKERS)
+def test_adaptive_run_matches_golden(policy, seed, workers):
+    """Every stream, the trace, the metrics and the report of a
+    policy-scheduled run are pinned in ``tests/golden_digests.json``."""
+    expected = golden()["adaptive"][run_key(seed, workers, policy)]
+    assert cached_streaming_digests(seed, workers, policy) == expected
 
 
 class TestAdaptiveDeterminism:
