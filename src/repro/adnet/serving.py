@@ -16,7 +16,7 @@ from typing import Callable
 from repro.adnet.spec import AdNetworkSpec
 from repro.net.http import HttpRequest, HttpResponse, not_found, redirect
 from repro.net.server import FetchContext, VirtualServer
-from repro.rng import rng_for, weighted_choice
+from repro.rng import weighted_choice
 from repro.urlkit.domains import DomainGenerator
 from repro.urlkit.url import Url
 
@@ -47,13 +47,6 @@ class AdNetworkServer(VirtualServer):
     ) -> None:
         self.spec = spec
         self._seed = seed
-        # Ad decisions draw from one stream per crawl scope (the
-        # publisher domain driving the visit, "" outside the farm), so a
-        # unit's ad sequence depends only on its own impression order —
-        # never on how impressions from other units interleave.  That
-        # independence is what makes sharded crawls byte-identical to
-        # sequential ones.
-        self._scope_rngs: dict[str, random.Random] = {}
         generator = DomainGenerator(seed, f"adnet/{spec.key}")
         domain_count = spec.code_domain_count
         if max_code_domains is not None:
@@ -156,18 +149,16 @@ class AdNetworkServer(VirtualServer):
             self._banner_cache[cache_key] = page
         return html_response(page)
 
-    def serving_rng(self, scope: str) -> random.Random:
-        """The ad-decision stream for one crawl scope (created lazily)."""
-        rng = self._scope_rngs.get(scope)
-        if rng is None:
-            rng = rng_for(self._seed, "adnet", self.spec.key, "scope", scope)
-            self._scope_rngs[scope] = rng
-        return rng
-
     def _decide_ad(self, request: HttpRequest, context: FetchContext) -> HttpResponse:
         self.impressions += 1
         now = context.now
-        rng = self.serving_rng(context.scope)
+        # Ad decisions draw from the crawl scope's own stream (the
+        # publisher domain driving the visit, the root scope outside the
+        # farm), so a unit's ad sequence depends only on its own
+        # impression order — never on how impressions from other units
+        # interleave.  That independence is what makes sharded crawls
+        # byte-identical to sequential ones.
+        rng = context.scope.stream(self._seed, "adnet", self.spec.key)
         if self.spec.cloaks_nonresidential and not request.vantage.looks_residential:
             return redirect(self._benign_url_picker(rng, now))
         # Syndication: hand the impression to a partner exchange.  The

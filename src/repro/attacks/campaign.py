@@ -17,7 +17,7 @@ The :class:`CampaignServer` plays both roles on the simulated internet:
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.attacks.categories import AttackCategory, CategoryProfile, CATEGORY_PROFILES
 from repro.attacks.pages import build_attack_page
@@ -35,6 +35,9 @@ from repro.net.server import FetchContext, VirtualServer
 from repro.rng import rng_for
 from repro.urlkit.domains import DomainGenerator, ThrowawayDomainPool
 from repro.urlkit.url import Url, parse_url
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.network import CrawlScope
 
 #: Campaigns whose TDS went dark mid-study — keeps the milking tracker's
 #: failure handling honest (dead milking sources must be retired).
@@ -90,11 +93,6 @@ class Campaign:
             else None
         )
         self._seed = seed
-        # One download stream per crawl scope: whether the N-th download
-        # attempt from one crawl unit completes depends only on that
-        # unit's own attempt count, not on how other units' requests
-        # interleave (keeps sharded crawls identical to sequential).
-        self._download_rngs: dict[str, random.Random] = {}
         self._on_new_domain: NewDomainHook | None = None
         self._active_memo: tuple[float, str] | None = None
         self._page_cache: dict[str, object] = {}
@@ -171,14 +169,17 @@ class Campaign:
             self._page_cache[key] = page
         return page
 
-    def should_deliver_download(self, scope: str = "") -> bool:
-        """Sample whether one interaction produces a file download."""
+    def should_deliver_download(self, scope: "CrawlScope") -> bool:
+        """Sample whether one interaction in ``scope`` produces a download.
+
+        One download stream per crawl scope: whether the N-th download
+        attempt from one crawl unit completes depends only on that unit's
+        own attempt count, not on how other units' requests interleave
+        (keeps sharded crawls identical to sequential).
+        """
         if self.payload_factory is None:
             return False
-        rng = self._download_rngs.get(scope)
-        if rng is None:
-            rng = rng_for(self._seed, "campaign-downloads", self.key, "scope", scope)
-            self._download_rngs[scope] = rng
+        rng = scope.stream(self._seed, "campaign-downloads", self.key)
         return rng.random() < self.profile.download_prob
 
 

@@ -477,6 +477,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be at least 1")
     if getattr(args, "batch_domains", 1) < 1:
         parser.error("--batch-domains must be at least 1")
+    if not 0.0 <= getattr(args, "explore_floor", 0.0) <= 1.0:
+        parser.error("--explore-floor must be in [0, 1]")
     try:
         return _dispatch(args)
     except (StoreError, ConfigError) as error:

@@ -18,8 +18,8 @@ retries are enabled and failure is guaranteed when they are not.
 from __future__ import annotations
 
 import enum
-from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import (
     DnsTimeoutError,
@@ -29,6 +29,9 @@ from repro.errors import (
 )
 from repro.faults.stats import FaultStats
 from repro.rng import rng_for, weighted_choice
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.network import CrawlScope
 
 
 class FaultKind(enum.Enum):
@@ -122,6 +125,11 @@ class FaultPlan:
     Each decision draws from a child generator derived from the plan seed,
     the injection point and a per-point call counter, so decisions are
     independent of each other and reproducible for a fixed call order.
+    Fetch and tab-crash counters are kept per (crawl scope, host) in the
+    :class:`~repro.net.network.CrawlScope` of the request: that partitions
+    the fault schedule with the crawl plan, so a shard worker crawling
+    only its own domains replays exactly the faults the sequential run
+    injects there.
     """
 
     def __init__(
@@ -133,19 +141,11 @@ class FaultPlan:
         self.config = config if config is not None else FaultConfig()
         self.seed = seed
         self.stats = stats if stats is not None else FaultStats()
-        #: Crawl-unit label the next draws are charged to (set via
-        #: :meth:`repro.net.network.Internet.scoped`).  Keying the draw
-        #: counters by (scope, host) partitions the fault schedule with
-        #: the crawl plan: a shard worker crawling only its own domains
-        #: replays exactly the faults the sequential run injects there.
-        self.scope = ""
-        self._fetch_draws: Counter = Counter()
-        self._crash_draws: Counter = Counter()
 
     # --------------------------------------------------------- fetch layer
 
-    def fetch_fault(self, host: str) -> FaultEvent | None:
-        """Decide whether the next fetch attempt toward ``host`` faults.
+    def fetch_fault(self, host: str, scope: "CrawlScope") -> FaultEvent | None:
+        """Decide whether ``scope``'s next fetch attempt toward ``host`` faults.
 
         Returns the full event (kind, burst, delay) so the fetch layer can
         replay the burst locally without consulting the plan again.
@@ -153,11 +153,8 @@ class FaultPlan:
         config = self.config
         if config.rate <= 0.0:
             return None
-        key = (self.scope, host)
-        self._fetch_draws[key] += 1
-        rng = rng_for(
-            self.seed, "faults", "fetch", self.scope, host, self._fetch_draws[key]
-        )
+        draw = scope.next_draw("fetch", host)
+        rng = rng_for(self.seed, "faults", "fetch", scope.label, host, draw)
         if rng.random() >= config.rate:
             return None
         kinds = [kind for kind, _ in FETCH_KIND_WEIGHTS]
@@ -169,8 +166,8 @@ class FaultPlan:
 
     # ------------------------------------------------------- browser layer
 
-    def tab_crash(self, host: str) -> bool:
-        """Whether the tab process crashes launching a navigation to ``host``.
+    def tab_crash(self, host: str, scope: "CrawlScope") -> bool:
+        """Whether the tab process crashes launching ``scope``'s navigation to ``host``.
 
         A crash affects only the launch attempt: the relaunched tab (one
         retry later) proceeds normally.
@@ -178,11 +175,8 @@ class FaultPlan:
         config = self.config
         if config.tab_crash_rate <= 0.0:
             return False
-        key = (self.scope, host)
-        self._crash_draws[key] += 1
-        rng = rng_for(
-            self.seed, "faults", "tab-crash", self.scope, host, self._crash_draws[key]
-        )
+        draw = scope.next_draw("tab-crash", host)
+        rng = rng_for(self.seed, "faults", "tab-crash", scope.label, host, draw)
         if rng.random() >= config.tab_crash_rate:
             return False
         self.stats.injected[FaultKind.TAB_CRASH.value] += 1

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.clock import SimClock
 from repro.errors import ConfigError
 from repro.faults.stats import FaultStats
 from repro.rng import rng_for
 from repro.telemetry import current as current_telemetry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.network import CrawlScope
 
 
 @dataclass(frozen=True)
@@ -153,40 +157,35 @@ class CircuitBreaker:
 
 
 class BreakerRegistry:
-    """Lazily-created :class:`CircuitBreaker` per (crawl scope, host).
+    """Makes the :class:`CircuitBreaker` per (crawl scope, host), lazily.
 
     Each crawl unit (publisher domain) gets its own breaker per host: a
     real farm runs one container per session, so consecutive failures
     only accumulate within one unit's traffic.  Scoping also keeps the
     breaker state a pure function of that unit's request sequence, which
-    is what lets shard workers reproduce it independently.
+    is what lets shard workers reproduce it independently.  The breakers
+    live in the unit's :class:`~repro.net.network.CrawlScope` and are
+    dropped with it.
     """
 
     def __init__(self, failure_threshold: int = 3, cooldown: float = 300.0) -> None:
         self.failure_threshold = failure_threshold
         self.cooldown = cooldown
-        self._breakers: dict[tuple[str, str], CircuitBreaker] = {}
 
-    def __len__(self) -> int:
-        return len(self._breakers)
-
-    def for_host(self, host: str, scope: str = "") -> CircuitBreaker:
+    def for_host(self, host: str, scope: "CrawlScope") -> CircuitBreaker:
         """The breaker guarding ``host`` within ``scope`` (created lazily)."""
-        key = (scope, host)
-        breaker = self._breakers.get(key)
+        breaker = scope.breakers.get(host)
         if breaker is None:
             breaker = CircuitBreaker(host, self.failure_threshold, self.cooldown)
-            self._breakers[key] = breaker
+            scope.breakers[host] = breaker
         return breaker
 
-    def open_hosts(self) -> list[str]:
-        """Hosts with at least one open breaker (health reporting)."""
+    def open_hosts(self, scope: "CrawlScope") -> list[str]:
+        """Hosts whose breaker in ``scope`` is open (health reporting)."""
         return sorted(
-            {
-                breaker.host
-                for breaker in self._breakers.values()
-                if breaker.state is BreakerState.OPEN
-            }
+            host
+            for host, breaker in scope.breakers.items()
+            if breaker.state is BreakerState.OPEN
         )
 
 

@@ -12,6 +12,8 @@ Images are ``uint8`` numpy arrays of shape ``(height, width)`` (grayscale).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.dom.page import VisualSpec
@@ -28,9 +30,11 @@ def render_visual(
 ) -> np.ndarray:
     """Render the screenshot for a page's visual spec.
 
-    Deterministic in ``spec`` and not cached: the crawl and milking hash
-    a visual through :func:`repro.imaging.dhash.visual_dhash`, so only a
-    hash-memo miss or an image export renders.
+    Deterministic in ``spec``.  Only the template's base image is
+    cached: the crawl and milking hash a visual through
+    :func:`repro.imaging.dhash.visual_dhash`, so only a hash-memo miss
+    or an image export renders.  With ``noise_level <= 0`` the result is
+    the cached base itself, which is read-only.
     """
     base = _template_image(spec.template_key, height, width)
     if spec.noise_level <= 0:
@@ -38,8 +42,15 @@ def render_visual(
     return _perturb(base, spec, height, width)
 
 
+@lru_cache(maxsize=512)
 def _template_image(template_key: str, height: int, width: int) -> np.ndarray:
-    """Deterministic, visually distinctive base image for a template."""
+    """Deterministic, visually distinctive base image for a template.
+
+    Memoized: one render costs about three times a variant's perturbation
+    and many variants share a template.  Bounded, because the
+    ``benign/customer/{host}`` keys grow with the world; 512 default-size
+    images hold ~4.7 MB.  The cached array is read-only.
+    """
     rng = np.random.default_rng(derive(0, "template", template_key))
     image = np.empty((height, width), dtype=np.float64)
     # Smooth background gradient: distinct direction/levels per template.
@@ -59,7 +70,9 @@ def _template_image(template_key: str, height: int, width: int) -> np.ndarray:
     for _ in range(rng.integers(2, 5)):
         row = int(rng.integers(0, height))
         image[row, :] = float(rng.uniform(0, 255))
-    return np.clip(image, 0, 255).astype(np.uint8)
+    base = np.clip(image, 0, 255).astype(np.uint8)
+    base.setflags(write=False)
+    return base
 
 
 def _perturb(base: np.ndarray, spec: VisualSpec, height: int, width: int) -> np.ndarray:

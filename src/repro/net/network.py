@@ -9,6 +9,8 @@ JS navigation) are handled by :mod:`repro.browser`.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
@@ -19,11 +21,12 @@ from repro.faults.plan import FaultKind
 from repro.net.dns import DnsRegistry
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.server import FetchContext, VirtualServer
+from repro.rng import rng_for
 from repro.urlkit.url import Url
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
-    from repro.faults.retry import Resilience
+    from repro.faults.retry import CircuitBreaker, Resilience
     from repro.faults.stats import FaultStats
 
 MAX_REDIRECT_HOPS = 20
@@ -52,6 +55,52 @@ class FetchResult:
         return self.chain[-1]
 
 
+class CrawlScope:
+    """The state one crawl unit's traffic accumulates, and nothing else.
+
+    A crawl unit is one publisher domain of the crawl plan; the root
+    scope ``""`` serves milking and pilot visits.  Every request-order-
+    dependent stream is keyed by the unit driving the request, so one
+    unit's traffic cannot perturb another's (the property that makes a
+    shard worker replay exactly what the sequential crawl does):
+
+    * the ad networks' decision streams and the campaigns' download
+      streams (:meth:`stream`);
+    * the fault plan's per-host draw counters (:meth:`next_draw`);
+    * the per-host circuit breakers (:attr:`breakers`).
+
+    :meth:`Internet.scoped` creates a unit's scope on entry and drops it
+    on exit, so this state lives exactly as long as the unit reading it.
+    """
+
+    __slots__ = ("label", "breakers", "_streams", "_draws")
+
+    def __init__(self, label: str = "") -> None:
+        self.label = label
+        #: Circuit breakers by host, made by
+        #: :meth:`repro.faults.retry.BreakerRegistry.for_host`.
+        self.breakers: dict[str, "CircuitBreaker"] = {}
+        self._streams: dict[tuple, random.Random] = {}
+        self._draws: Counter = Counter()
+
+    def stream(self, seed: int, *labels: str) -> random.Random:
+        """This unit's random stream for ``labels`` (made on first use).
+
+        Seeded from ``(seed, *labels, "scope", label)``: the N-th draw
+        depends only on this unit's own request order.
+        """
+        key = (seed, *labels)
+        rng = self._streams.get(key)
+        if rng is None:
+            rng = self._streams[key] = rng_for(seed, *labels, "scope", self.label)
+        return rng
+
+    def next_draw(self, *point: str) -> int:
+        """Count one more draw at ``point``; the first draw is number 1."""
+        self._draws[point] += 1
+        return self._draws[point]
+
+
 class Internet:
     """Routes simulated HTTP requests to virtual servers.
 
@@ -67,25 +116,36 @@ class Internet:
         self.fault_plan = fault_plan
         self.resilience: "Resilience | None" = None
         self._fetch_count = 0
-        #: Label of the crawl unit driving the current requests ("" when
-        #: no crawl session is active).  Scope keys every request-order-
-        #: dependent stream (ad decisions, fault draws, breakers) so one
-        #: crawl unit's traffic cannot perturb another's.
-        self.scope = ""
+        #: The crawl unit driving the current requests: the root scope
+        #: ``""`` (alive as long as this internet) outside any crawl unit.
+        self.scope = CrawlScope("")
+        self._interrupted: dict[str, CrawlScope] = {}
 
     @contextmanager
     def scoped(self, label: str) -> Iterator[None]:
-        """Attribute all requests inside the block to crawl unit ``label``."""
-        previous = self.scope
-        self.scope = label
-        if self.fault_plan is not None:
-            self.fault_plan.scope = label
+        """Attribute all requests inside the block to crawl unit ``label``.
+
+        Entering makes the unit's fresh :class:`CrawlScope`; leaving
+        restores the outer scope and drops the finished one.  Nothing can
+        read a finished scope again: a domain is entered once per process
+        (one plan entry each; adaptive rounds consume each domain once;
+        resume rebuilds the world), and the labels of its streams still
+        include the domain, so every draw is the same as if it were kept.
+
+        A unit left by an exception is not finished: its scope is kept
+        and handed back when the unit is entered again, so an in-process
+        resume from a session checkpoint continues the unit's streams
+        where the crash stopped them.
+        """
+        outer = self.scope
+        self.scope = self._interrupted.pop(label, None) or CrawlScope(label)
         try:
             yield
+        except BaseException:
+            self._interrupted[label] = self.scope
+            raise
         finally:
-            self.scope = previous
-            if self.fault_plan is not None:
-                self.fault_plan.scope = previous
+            self.scope = outer
 
     @property
     def fault_stats(self) -> "FaultStats | None":
@@ -119,7 +179,7 @@ class Internet:
         the retry budget runs out the typed
         :class:`~repro.errors.TransientError` escapes to the caller.
         """
-        context = FetchContext(clock=self.clock, internet=self, scope=self.scope)
+        context = FetchContext(clock=self.clock, internet=self)
         chain: list[Url] = []
         retries = 0
         current = request
@@ -168,12 +228,11 @@ class Internet:
         response, faulty world or not.
         """
         host = request.url.host
+        scope = self.scope
         resilience = self.resilience
-        breaker = (
-            resilience.breakers.for_host(host, self.scope)
-            if resilience is not None
-            else None
-        )
+        breaker = None
+        if resilience is not None:
+            breaker = resilience.breakers.for_host(host, scope)
         if breaker is not None and not breaker.allow(self.clock.now()):
             # Fast-fail mirrors the outcome that tripped the breaker so
             # consumers see the same failure shape as a real attempt.
@@ -181,7 +240,9 @@ class Internet:
             if breaker.last_failure_kind == "dns":
                 return HttpResponse(status=502, body=None), True, 0
             return HttpResponse(status=503, body=None), False, 0
-        event = self.fault_plan.fetch_fault(host) if self.fault_plan is not None else None
+        event = None
+        if self.fault_plan is not None:
+            event = self.fault_plan.fetch_fault(host, scope)
         stats = self.fault_stats
         attempt = 0
         spent = 0.0

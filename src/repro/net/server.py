@@ -15,30 +15,33 @@ from repro.net.http import HttpRequest, HttpResponse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.clock import SimClock
-    from repro.net.network import Internet
+    from repro.net.network import CrawlScope, Internet
 
 
 @dataclass
 class FetchContext:
     """Per-request context handed to servers.
 
-    Carries the virtual clock (so servers can rotate content over time), a
-    back-reference to the internet (so redirectors can consult other
-    services when composing chains), and the crawl *scope* — the label of
-    the crawl unit (publisher domain) driving this request, or ``""``
-    outside the farm.  Servers key their per-visitor random streams by
-    scope so the decisions one crawl unit sees are independent of every
+    Carries the virtual clock (so servers can rotate content over time)
+    and a back-reference to the internet (so redirectors can consult
+    other services when composing chains).  :attr:`scope` is the crawl
+    unit driving the request; servers draw their per-visitor decisions
+    from its streams, so what one unit sees is independent of every
     other unit's request order (the property parallel sharding relies on).
     """
 
     clock: "SimClock"
     internet: "Internet"
-    scope: str = ""
 
     @property
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self.clock.now()
+
+    @property
+    def scope(self) -> "CrawlScope":
+        """The internet's current crawl scope (the root one outside the farm)."""
+        return self.internet.scope
 
 
 class VirtualServer(abc.ABC):

@@ -14,31 +14,28 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import lru_cache
 from typing import Sequence
 
 __all__ = ["derive", "rng_for", "weighted_choice", "stable_shuffle"]
 
 
-@lru_cache(maxsize=65536)
 def derive(seed: int, *labels: str | int) -> int:
     """Derive a child seed from ``seed`` and a path of labels.
 
-    The derivation is stable across processes and Python versions (it uses
-    SHA-256 rather than ``hash()``), and pure — so results are memoized
-    (page rebuilds in a lazy world re-derive the same labels repeatedly).
+    The seed is the first 8 bytes of the SHA-256 of the label path
+    ``str(seed)`` + (``"/"`` + ``str(label)``)*, utf-8 encoded, so it is
+    stable across processes and Python versions (no ``hash()``).  Nothing
+    is memoized: one hash of a short path costs about as much as a cache
+    lookup, and most paths (fault draws, per-scope streams) are asked for
+    exactly once, so a cache would only hold dead entries.
 
     >>> derive(7, "adnet", "popcash") == derive(7, "adnet", "popcash")
     True
     >>> derive(7, "adnet", "popcash") != derive(7, "adnet", "popads")
     True
     """
-    hasher = hashlib.sha256()
-    hasher.update(str(int(seed)).encode("ascii"))
-    for label in labels:
-        hasher.update(b"/")
-        hasher.update(str(label).encode("utf-8"))
-    return int.from_bytes(hasher.digest()[:8], "big")
+    path = "/".join([str(int(seed)), *map(str, labels)])
+    return int.from_bytes(hashlib.sha256(path.encode("utf-8")).digest()[:8], "big")
 
 
 def rng_for(seed: int, *labels: str | int) -> random.Random:

@@ -170,52 +170,57 @@ class TestServing:
         assert response.is_redirect
 
     def test_se_rate_respected(self):
+        ctx = context()
         server = make_server("popcash")  # 64.27% SE
         server.add_campaign(FakeCampaign())
         se = 0
         for _ in range(600):
-            response = server.handle(click_request(server), context())
+            response = server.handle(click_request(server), ctx)
             if "tds-camp.info" in str(response.location):
                 se += 1
         assert 0.55 < se / 600 < 0.75
 
     def test_cloaking_network_serves_benign_to_datacenter(self):
+        ctx = context()
         server = make_server("propeller")
         server.add_campaign(FakeCampaign())
         for _ in range(100):
-            response = server.handle(click_request(server, vantage=DATACENTER), context())
+            response = server.handle(click_request(server, vantage=DATACENTER), ctx)
             assert "benign-brand.com" in str(response.location)
 
     def test_cloaking_network_serves_se_to_residential(self):
+        ctx = context()
         server = make_server("propeller")
         server.add_campaign(FakeCampaign())
         seen_se = any(
-            "tds-camp.info" in str(server.handle(click_request(server), context()).location)
+            "tds-camp.info" in str(server.handle(click_request(server), ctx).location)
             for _ in range(200)
         )
         assert seen_se
 
     def test_platform_targeting(self):
+        ctx = context()
         server = make_server("popcash")
         server.add_campaign(FakeCampaign("mob", platforms=frozenset({"mobile"})))
         # Desktop UA never reaches the mobile-only campaign.
         for _ in range(100):
             response = server.handle(
-                click_request(server, ua=CHROME_MACOS.ua_string), context()
+                click_request(server, ua=CHROME_MACOS.ua_string), ctx
             )
             assert "tds-mob.info" not in str(response.location)
         # Mobile UA does.
         seen = any(
             "tds-mob.info"
-            in str(server.handle(click_request(server, ua=CHROME_ANDROID.ua_string), context()).location)
+            in str(server.handle(click_request(server, ua=CHROME_ANDROID.ua_string), ctx).location)
             for _ in range(200)
         )
         assert seen
 
     def test_no_inventory_serves_benign(self):
+        ctx = context()
         server = make_server("popcash")
         for _ in range(50):
-            response = server.handle(click_request(server), context())
+            response = server.handle(click_request(server), ctx)
             assert "benign-brand.com" in str(response.location)
 
     def test_invalid_campaign_weight_rejected(self):
@@ -244,9 +249,10 @@ class TestServing:
         assert response.content_type == "application/javascript"
 
     def test_impression_counters(self):
+        ctx = context()
         server = make_server("popcash")
         server.add_campaign(FakeCampaign())
         for _ in range(50):
-            server.handle(click_request(server), context())
+            server.handle(click_request(server), ctx)
         assert server.impressions == 50
         assert 0 < server.se_impressions <= 50

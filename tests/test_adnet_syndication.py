@@ -59,11 +59,12 @@ class TestSyndication:
         assert f"/{a.spec.invariant_token}/go" not in str(response.location)
 
     def test_zero_prob_never_syndicates(self):
+        ctx = context()
         seller = make_server("popcash")
         buyer = make_server("adcash")
         seller.add_syndication_partner(buyer, prob=0.0)
         for _ in range(50):
-            response = seller.handle(click(seller), context())
+            response = seller.handle(click(seller), ctx)
             assert f"/{buyer.spec.invariant_token}/go" not in str(response.location)
 
     def test_self_partnering_rejected(self):

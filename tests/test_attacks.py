@@ -257,8 +257,10 @@ class TestCampaignServer:
             vantage=VP,
             user_agent=IE_WINDOWS.ua_string,
         )
-        # Downloads are probabilistic; over many attempts both outcomes occur.
-        outcomes = {server.handle(request, context()).is_download for _ in range(100)}
+        # Downloads are probabilistic; over many attempts (one crawl
+        # scope's stream) both outcomes occur.
+        ctx = context()
+        outcomes = {server.handle(request, ctx).is_download for _ in range(100)}
         assert outcomes == {True, False}
 
     def test_download_404_for_non_payload_category(self):

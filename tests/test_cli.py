@@ -180,6 +180,28 @@ class TestWorkersFlag:
         assert f"{flag} must be at least 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["run", "--explore-floor", "2"], id="static-no-budget"),
+            pytest.param(["run", "--explore-floor", "-0.1"], id="negative"),
+            pytest.param(
+                ["run", "--policy", "ucb1", "--explore-floor", "1.5"], id="adaptive"
+            ),
+        ],
+    )
+    def test_explore_floor_out_of_range_rejected(self, capsys, argv):
+        # Checked on every run, not only when a scheduling config is
+        # built (a static run without a budget builds none).
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].endswith("error: --explore-floor must be in [0, 1]")
+        assert "Traceback" not in err
+
     def test_streamed_run_with_workers(self, tmp_path, capsys):
         code = main(
             [

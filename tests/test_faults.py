@@ -44,7 +44,7 @@ from repro.faults import (
 )
 from repro.net.http import HttpRequest, html_response
 from repro.net.ipspace import IpClass, VantagePoint
-from repro.net.network import Internet
+from repro.net.network import CrawlScope, Internet
 from repro.net.server import FunctionServer
 from repro.urlkit.url import parse_url
 
@@ -80,7 +80,7 @@ class _ForcedFaults(FaultPlan):
         super().__init__(FaultConfig(rate=0.0), seed=0)
         self.event = event
 
-    def fetch_fault(self, host):
+    def fetch_fault(self, host, scope):
         self.stats.injected[self.event.kind.value] += 1
         return self.event
 
@@ -91,7 +91,7 @@ class _AlwaysTabCrash(FaultPlan):
     def __init__(self) -> None:
         super().__init__(FaultConfig(rate=0.0), seed=0)
 
-    def tab_crash(self, host):
+    def tab_crash(self, host, scope):
         self.stats.injected[FaultKind.TAB_CRASH.value] += 1
         return True
 
@@ -212,11 +212,14 @@ class TestCircuitBreaker:
 
     def test_registry_caches_and_reports_open_hosts(self):
         registry = BreakerRegistry(failure_threshold=1)
-        breaker = registry.for_host("a.com")
-        assert registry.for_host("a.com") is breaker
+        scope, other = CrawlScope("pub.com"), CrawlScope("other.com")
+        breaker = registry.for_host("a.com", scope)
+        assert registry.for_host("a.com", scope) is breaker
+        assert registry.for_host("a.com", other) is not breaker
         breaker.record_failure("dns", 0.0)
-        registry.for_host("b.com")
-        assert registry.open_hosts() == ["a.com"]
+        registry.for_host("b.com", scope)
+        assert registry.open_hosts(scope) == ["a.com"]
+        assert registry.open_hosts(other) == []
 
 
 # ------------------------------------------------------------------ plan
@@ -225,8 +228,9 @@ class TestCircuitBreaker:
 class TestFaultPlan:
     def test_zero_rate_injects_nothing(self):
         plan = FaultPlan(FaultConfig(rate=0.0, tab_crash_rate=0.0, session_crash_rate=0.0))
-        assert all(plan.fetch_fault("a.com") is None for _ in range(50))
-        assert not plan.tab_crash("a.com")
+        scope = CrawlScope()
+        assert all(plan.fetch_fault("a.com", scope) is None for _ in range(50))
+        assert not plan.tab_crash("a.com", scope)
         plan.session_crash("a.com", "chrome-macos")  # no-op, must not raise
         assert plan.stats.faults_injected == 0
 
@@ -235,13 +239,15 @@ class TestFaultPlan:
         first = FaultPlan(config, seed=3)
         second = FaultPlan(config, seed=3)
         hosts = [f"host{i}.com" for i in range(30)]
-        assert [first.fetch_fault(h) for h in hosts] == [
-            second.fetch_fault(h) for h in hosts
+        first_scope, second_scope = CrawlScope(), CrawlScope()
+        assert [first.fetch_fault(h, first_scope) for h in hosts] == [
+            second.fetch_fault(h, second_scope) for h in hosts
         ]
 
     def test_bursts_bounded_and_counted(self):
         plan = FaultPlan(FaultConfig(rate=0.9, max_burst=2), seed=1)
-        events = [plan.fetch_fault(f"h{i}.com") for i in range(60)]
+        scope = CrawlScope()
+        events = [plan.fetch_fault(f"h{i}.com", scope) for i in range(60)]
         events = [event for event in events if event is not None]
         assert events
         for event in events:
@@ -363,7 +369,8 @@ class TestBreakerIntegration:
         internet.clock.advance(301.0)
         internet.fetch(request_for("http://ghost.club/"))  # half-open trial
         assert resilience.stats.breaker_trips == 2
-        assert resilience.breakers.for_host("ghost.club").state is BreakerState.OPEN
+        breaker = resilience.breakers.for_host("ghost.club", internet.scope)
+        assert breaker.state is BreakerState.OPEN
 
     def test_recovered_host_closes_breaker(self):
         internet = Internet(SimClock())
@@ -374,7 +381,8 @@ class TestBreakerIntegration:
         internet.clock.advance(301.0)
         result = internet.fetch(request_for("http://late.club/"))
         assert result.response.ok
-        assert resilience.breakers.for_host("late.club").state is BreakerState.CLOSED
+        breaker = resilience.breakers.for_host("late.club", internet.scope)
+        assert breaker.state is BreakerState.CLOSED
 
 
 # --------------------------------------------------------------- browser

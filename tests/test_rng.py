@@ -31,6 +31,20 @@ class TestDerive:
         value = derive(123, "y")
         assert 0 <= value < 2**64
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            pytest.param((7, "adnet", "popcash"), 3163705943645562952, id="str-labels"),
+            pytest.param((7,), 8719647946811673230, id="no-labels"),
+            pytest.param((7, "x", 3, "é", -1), 2459963092221207162, id="int-non-ascii"),
+            pytest.param((0, "template", "attack/a"), 4800330723934715271, id="template"),
+        ],
+    )
+    def test_pinned_outputs(self, args, expected):
+        # Every seed of every world hangs off these bytes: the label path
+        # str(seed) + ("/" + str(label))*, utf-8, SHA-256, first 8 bytes.
+        assert derive(*args) == expected
+
 
 class TestRngFor:
     def test_independent_streams(self):
