@@ -39,7 +39,7 @@ def test_feedback_loop(benchmark, bench_world, bench_run, save_artifact):
 
     # Re-attribute EVERYTHING with the enlarged pattern set.
     patterns = list(bench_run.patterns) + list(bench_run.new_patterns)
-    merged = bench_run.crawl.interactions + new_records
+    merged = list(bench_run.crawl.interactions) + new_records
     attribution = attribute_interactions(merged, patterns)
     first_unknown = len(bench_run.attribution.unknown)
     second_unknown = len(attribution.unknown)

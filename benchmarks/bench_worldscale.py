@@ -8,7 +8,11 @@ and the process-wide peak RSS for each, in
 ``live_rngs``: the :class:`random.Random` objects still alive (counted
 through :mod:`gc`) once the run is done and its world is still held.
 Per-domain streams die with their crawl scope, so the count is the
-world's own streams and must not grow with the population.
+world's own streams and must not grow with the population.  Likewise
+``live_interactions``: the :class:`~repro.core.crawler.AdInteraction`
+objects alive after the run, with its result still held.  The store is
+the dataset — no stage keeps a crawl record — so the count must not grow
+with the population either (it is zero).
 
 ``ru_maxrss`` is a per-process high-water mark that never goes down, so
 each population is measured in its own subprocess (this module re-execs
@@ -49,6 +53,7 @@ def _populations() -> tuple[int, ...]:
 def _child(n_publishers: int) -> dict:
     """One streamed run at the given population, self-measured."""
     from repro import SeacmaPipeline, WorldConfig, build_world
+    from repro.core.crawler import AdInteraction
     from repro.store import JsonlStore
 
     config = WorldConfig(
@@ -70,8 +75,12 @@ def _child(n_publishers: int) -> dict:
             batch_domains=25,
         )
         wall_seconds = time.perf_counter() - started
+        interactions = len(result.crawl.interactions)
     gc.collect()
-    live_rngs = sum(isinstance(obj, random.Random) for obj in gc.get_objects())
+    live = gc.get_objects()
+    live_rngs = sum(isinstance(obj, random.Random) for obj in live)
+    live_interactions = sum(isinstance(obj, AdInteraction) for obj in live)
+    del live
     stats = world.publisher_directory.stats
     population = n_publishers + config.resolved_new_publishers
     return {
@@ -82,8 +91,9 @@ def _child(n_publishers: int) -> dict:
         "ms_per_publisher": round(1000 * wall_seconds / population, 3),
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "live_rngs": live_rngs,
+        "live_interactions": live_interactions,
         "sessions": result.crawl.sessions,
-        "interactions": len(result.crawl.interactions),
+        "interactions": interactions,
         "se_campaigns": len(result.discovery.seacma_campaigns),
         "materialization": stats.as_dict(),
     }
@@ -136,6 +146,15 @@ def test_world_scale(save_artifact):
             f"{run['live_rngs']} random streams alive after "
             f"{run['population']} publishers, {first['live_rngs']} after "
             f"{first['population']}: per-domain state outlives its crawl scope"
+        )
+    # The store is the dataset: no stage keeps a crawl record alive, so
+    # no more interactions are alive at 10k publishers than at 150.  A
+    # stage that keeps its records adds one per triggered ad.
+    for run in runs:
+        assert run["live_interactions"] <= first["live_interactions"], (
+            f"{run['live_interactions']} interactions alive after "
+            f"{run['population']} publishers, {first['live_interactions']} "
+            f"after {first['population']}: a stage keeps crawl records"
         )
 
     largest = runs[-1]

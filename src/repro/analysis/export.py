@@ -9,9 +9,10 @@ without re-running the simulation.
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, TextIO
 
 from repro.attacks.categories import AttackCategory
 from repro.core.crawler import (
@@ -29,12 +30,29 @@ from repro.imaging.png import write_png
 # ------------------------------------------------------------- crawl data
 
 
-def export_crawl_dataset(interactions: list[AdInteraction]) -> str:
-    """Serialize a list of ad interactions to a JSON document."""
-    return json.dumps(
-        {"format": "seacma-crawl/1", "interactions": [interaction_to_dict(r) for r in interactions]},
-        indent=1,
-    )
+def export_crawl_dataset(interactions: Iterable[AdInteraction]) -> str:
+    """Serialize ad interactions to a JSON document."""
+    out = io.StringIO()
+    write_crawl_dataset(interactions, out)
+    return out.getvalue()
+
+
+def write_crawl_dataset(interactions: Iterable[AdInteraction], out: TextIO) -> None:
+    """Write :func:`export_crawl_dataset`'s document to ``out``, one
+    interaction at a time (a run store's view is never held whole).
+
+    The bytes equal ``json.dumps({"format": ..., "interactions": [...]},
+    indent=1)``: each record is dumped on its own and indented to its
+    depth — JSON strings escape newlines, so re-indenting is exact.
+    """
+    out.write('{\n "format": "seacma-crawl/1",\n "interactions": [')
+    first = True
+    for record in interactions:
+        out.write("\n  " if first else ",\n  ")
+        text = json.dumps(interaction_to_dict(record), indent=1)
+        out.write(text.replace("\n", "\n  "))
+        first = False
+    out.write("]\n}" if first else "\n ]\n}")
 
 
 def import_crawl_dataset(document: str) -> list[AdInteraction]:

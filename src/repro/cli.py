@@ -83,7 +83,7 @@ import sys
 
 from repro import SeacmaPipeline, WorldConfig, build_world
 from repro.errors import ConfigError, StoreError
-from repro.analysis.export import export_crawl_dataset, export_milking_report
+from repro.analysis.export import export_milking_report, write_crawl_dataset
 from repro.analysis.feeds import (
     build_domain_feed,
     build_gateway_feed,
@@ -705,9 +705,8 @@ def _dispatch(args) -> int:
             )
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / "crawl.json").write_text(
-                export_crawl_dataset(result.crawl.interactions)
-            )
+            with (args.out / "crawl.json").open("w") as handle:
+                write_crawl_dataset(result.crawl.interactions, handle)
             if result.milking is not None:
                 (args.out / "milking.json").write_text(
                     export_milking_report(result.milking)

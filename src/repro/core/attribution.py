@@ -14,64 +14,89 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.adnet.spec import ALL_NETWORK_SPECS
 from repro.core.crawler import AdInteraction
+from repro.core.rows import StoredInteractions, stored
 from repro.core.seeds import InvariantPattern
 from repro.ecosystem.publicwww import PublicWWW
+from repro.store.base import RunStore
 
 _TOKEN_FROM_PATH = re.compile(r"^http://[^/]+/([A-Za-z0-9_]+)(?:\.js$|/go\b)")
 
 
 @dataclass
 class AttributionResult:
-    """Interactions grouped by the ad network that served the ad."""
+    """Interactions grouped by the ad network that served the ad.
 
-    by_network: dict[str, list[AdInteraction]] = field(default_factory=dict)
-    unknown: list[AdInteraction] = field(default_factory=list)
+    Kept as one network key (or ``None``) per ``interactions``-stream
+    row; the per-network groups are views that read their records back
+    from ``store``.
+    """
+
+    #: Network key per row, in row order (``None``: unattributed).
+    keys: list[str | None] = field(default_factory=list)
+    #: The run store the rows index.
+    store: RunStore | None = field(default=None, repr=False, compare=False)
+
+    def rows_by_network(self) -> dict[str, list[int]]:
+        """Attributed rows per network key, networks in first-seen order."""
+        rows: dict[str, list[int]] = {}
+        for row, key in enumerate(self.keys):
+            if key is not None:
+                rows.setdefault(key, []).append(row)
+        return rows
+
+    @property
+    def by_network(self) -> dict[str, StoredInteractions]:
+        """The attributed interactions of each network."""
+        return {
+            key: StoredInteractions(self.store, rows)
+            for key, rows in self.rows_by_network().items()
+        }
+
+    def unknown_rows(self) -> list[int]:
+        """Rows no known network's pattern matched."""
+        return [row for row, key in enumerate(self.keys) if key is None]
+
+    @property
+    def unknown(self) -> StoredInteractions:
+        """The interactions no known network's pattern matched."""
+        return StoredInteractions(self.store, self.unknown_rows())
 
     def network_counts(self) -> Counter:
         """Interactions attributed per network key."""
-        return Counter(
-            {key: len(records) for key, records in self.by_network.items()}
-        )
+        return Counter(key for key in self.keys if key is not None)
 
     @property
     def attributed_count(self) -> int:
         """Total interactions attributed to some known network."""
-        return sum(len(records) for records in self.by_network.values())
+        return sum(1 for key in self.keys if key is not None)
 
 
 class IncrementalAttribution:
     """Stage ⑦ as an incremental consumer of crawl batches.
 
-    Maintains the per-network interaction lists (the attribution
-    counters) as batches arrive; matching each ad against the invariant
-    patterns is per-record work, so feeding the stage in any batch
-    schedule yields the same result as one batch pass in the same total
-    order.  ``keys[i]`` records the network key (or ``None``) of the
-    *i*-th ingested interaction — the streaming pipeline's append-only
-    attribution row.
+    Matching each ad against the invariant patterns is per-record work,
+    so feeding the stage in any batch schedule yields the same result as
+    one batch pass in the same total order.  ``keys[i]`` records the
+    network key (or ``None``) of the *i*-th ingested interaction — row
+    *i* of the run store, and the stage's whole state.
     """
 
     name = "attribution"
 
-    def __init__(self, patterns: list[InvariantPattern]) -> None:
+    def __init__(self, store: RunStore, patterns: list[InvariantPattern]) -> None:
         self.patterns = patterns
         #: Network key per ingested interaction, in ingest order.
         self.keys: list[str | None] = []
-        self._result = AttributionResult()
+        self._result = AttributionResult(keys=self.keys, store=store)
 
     def ingest(self, batch: Iterable[AdInteraction]) -> None:
         """Attribute one batch of interactions."""
         for record in batch:
-            network_key = _attribute_one(record, self.patterns)
-            self.keys.append(network_key)
-            if network_key is None:
-                self._result.unknown.append(record)
-            else:
-                self._result.by_network.setdefault(network_key, []).append(record)
+            self.keys.append(_attribute_one(record, self.patterns))
 
     def finalize(self) -> AttributionResult:
         """The attribution over everything ingested so far."""
@@ -79,7 +104,7 @@ class IncrementalAttribution:
 
 
 def attribute_interactions(
-    interactions: list[AdInteraction],
+    interactions: Sequence[AdInteraction],
     patterns: list[InvariantPattern],
 ) -> AttributionResult:
     """Match each ad's loading chain against known invariant patterns.
@@ -88,7 +113,7 @@ def attribute_interactions(
     script that opened the tab) are considered — publisher pages often
     stack several networks, so page-level matching would misattribute.
     """
-    stage = IncrementalAttribution(patterns)
+    stage = IncrementalAttribution(stored(interactions), patterns)
     stage.ingest(interactions)
     return stage.finalize()
 
@@ -114,7 +139,7 @@ def _chain_urls(record: AdInteraction):
 
 
 def discover_new_networks(
-    unknown: list[AdInteraction],
+    unknown: Sequence[AdInteraction],
     sample_size: int = 50,
     min_occurrences: int = 3,
 ) -> list[InvariantPattern]:

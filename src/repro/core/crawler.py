@@ -139,7 +139,9 @@ def interaction_to_dict(record: AdInteraction) -> dict[str, Any]:
             "n_offsite_anchors": record.page_features.n_offsite_anchors,
             "title": record.page_features.title,
         },
-        "labels": dict(record.labels),
+        # Key-sorted, as the store writes it: a record exported from the
+        # store and one exported from memory are the same bytes.
+        "labels": dict(sorted(record.labels.items())),
     }
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.browser.useragent import PROFILES, UserAgentProfile
 from repro.core.crawler import AdInteraction, CrawlerConfig, crawl_session
@@ -73,9 +73,14 @@ class FarmConfig:
 
 @dataclass
 class CrawlDataset:
-    """Everything a crawl produced."""
+    """Everything a crawl produced: counters and sets, not records.
 
-    interactions: list[AdInteraction] = field(default_factory=list)
+    The records themselves live in the run store.  A pipeline run's
+    ``interactions`` is a read-only view over the store's rows; only the
+    farm's batch :meth:`CrawlerFarm.crawl` collects them here as a list.
+    """
+
+    interactions: Sequence[AdInteraction] = ()
     sessions: int = 0
     publishers_visited: int = 0
     publishers_institutional: int = 0
@@ -89,42 +94,17 @@ class CrawlDataset:
     residential_dropped: int = 0
     started_at: float = 0.0
     finished_at: float = 0.0
-    #: Lazily-built index of publisher domains with recorded interactions
-    #: (``None`` until first queried).  Keeps the per-domain "did this
-    #: publisher trigger ads?" check O(1) instead of rescanning the whole
-    #: interaction list for every completed domain — the rescan is
-    #: quadratic in crawl size and dominates wall time past ~10k
-    #: publishers.
-    _interaction_domains: set[str] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def duration(self) -> float:
         """Virtual time the crawl spanned, in seconds."""
         return self.finished_at - self.started_at
 
-    def distinct_landing_hosts(self) -> set[str]:
-        """All third-party landing hosts observed."""
-        return {record.landing_host for record in self.interactions if record.landing_host}
-
-    def note_interactions(self, records: Iterable[AdInteraction]) -> None:
-        """Keep the interaction-domain index current after an extend.
-
-        Callers append ``records`` to :attr:`interactions` themselves;
-        this only maintains the index (and only once it has been built).
-        """
-        if self._interaction_domains is not None:
-            for record in records:
-                self._interaction_domains.add(record.publisher_domain)
-
-    def has_interactions_from(self, domain: str) -> bool:
-        """Whether any recorded interaction came from ``domain``."""
-        if self._interaction_domains is None:
-            self._interaction_domains = {
-                record.publisher_domain for record in self.interactions
-            }
-        return domain in self._interaction_domains
+    def count_landings(self, records: Iterable[AdInteraction]) -> None:
+        """Charge each record's click to its landing e2LD (§6 ethics)."""
+        for record in records:
+            if record.landing_e2ld:
+                self.landing_click_counts[record.landing_e2ld] += 1
 
 
 @dataclass
@@ -212,6 +192,17 @@ class CrawlCheckpoint:
     completed_sessions: set[tuple[str, str]] = field(default_factory=set)
     completed_domains: set[str] = field(default_factory=set)
     laptop_index: int = 0
+    #: ``(domain, interactions)`` of committed sessions whose domain has
+    #: not finished — a crash mid-domain leaves them here, and the resumed
+    #: entry's batch carries them, so no batch ever lacks a session.
+    in_flight: tuple[str, list[AdInteraction]] | None = None
+
+    def take_in_flight(self, domain: str) -> list[AdInteraction]:
+        """The committed interactions of ``domain``'s unfinished entry."""
+        in_flight, self.in_flight = self.in_flight, None
+        if in_flight is not None and in_flight[0] == domain:
+            return in_flight[1]
+        return []
 
 
 class CrawlerFarm:
@@ -324,21 +315,24 @@ class CrawlerFarm:
     ) -> CrawlDataset:
         """Crawl every listed publisher with every UA profile.
 
-        The batch entry point: drains :meth:`crawl_incremental` and
-        returns the drained checkpoint's dataset — *not* whatever
-        :attr:`checkpoint` currently aliases, so interleaved or nested
-        ``crawl()`` calls on one farm each get their own dataset back.
-        Progress is checkpointed after every completed session; pass a
-        previous crawl's checkpoint back in to skip the work it already
-        finished (crash recovery).
+        The batch entry point: drains :meth:`crawl_incremental`, collects
+        every batch's interactions into the dataset, and returns the
+        drained checkpoint's dataset — *not* whatever :attr:`checkpoint`
+        currently aliases, so interleaved or nested ``crawl()`` calls on
+        one farm each get their own dataset back.  Progress is
+        checkpointed after every completed session; pass a previous
+        crawl's checkpoint back in to skip the work it already finished
+        (crash recovery).
         """
         if checkpoint is None:
             checkpoint = CrawlCheckpoint(
                 dataset=CrawlDataset(started_at=self.world.clock.now())
             )
-        for _ in self.crawl_incremental(publisher_domains, checkpoint):
-            pass
-        return checkpoint.dataset
+        dataset = checkpoint.dataset
+        dataset.interactions = list(dataset.interactions)
+        for batch in self.crawl_incremental(publisher_domains, checkpoint):
+            dataset.interactions.extend(batch.interactions)
+        return dataset
 
     def crawl_incremental(
         self,
@@ -433,11 +427,12 @@ class CrawlerFarm:
             dataset.publishers_residential += 1
         else:
             dataset.publishers_institutional += 1
-        # Derived from the dataset (not a loop-local flag) so a domain
-        # resumed mid-way still counts its pre-crash interactions.
-        if dataset.has_interactions_from(entry.domain):
+        # The batch holds every session of the domain, including those a
+        # crash interrupted (see :attr:`CrawlCheckpoint.in_flight`).
+        if interactions:
             dataset.publishers_with_ads.add(entry.domain)
         checkpoint.completed_domains.add(entry.domain)
+        checkpoint.in_flight = None
         return CrawlBatch(
             domain=entry.domain,
             residential=entry.residential,
@@ -460,11 +455,7 @@ class CrawlerFarm:
         """
         dataset = checkpoint.dataset
         dataset.sessions += batch.sessions
-        dataset.interactions.extend(batch.interactions)
-        dataset.note_interactions(batch.interactions)
-        for record in batch.interactions:
-            if record.landing_e2ld:
-                dataset.landing_click_counts[record.landing_e2ld] += 1
+        dataset.count_landings(batch.interactions)
         for profile in self.config.profiles:
             checkpoint.completed_sessions.add((entry.domain, profile.name))
         if entry.residential:

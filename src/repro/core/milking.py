@@ -30,7 +30,8 @@ from repro.browser.devtools import DevToolsClient
 from repro.browser.useragent import UserAgentProfile, profile_by_name
 from repro.clock import DAY, EventScheduler, MINUTE
 from repro.core.backtrack import milkable_candidates
-from repro.core.discovery import DiscoveryResult
+from repro.core.discovery import DiscoveredCampaign, DiscoveryResult
+from repro.core.rows import StoredInteractions
 from repro.dom.render import clickable_candidates
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import VirusTotal, VtReport
@@ -245,11 +246,8 @@ class MilkingTracker:
     def _derive_into(
         self, discovery: DiscoveryResult, added: list[MilkingSource]
     ) -> None:
-        for cluster in discovery.seacma_campaigns:
-            candidates: dict[str, set[str]] = {}
-            for record in cluster.interactions:
-                for url in milkable_candidates(record):
-                    candidates.setdefault(url, set()).add(record.ua_name)
+        clusters = discovery.seacma_campaigns
+        for cluster, candidates in zip(clusters, _member_candidates(clusters)):
             known = set(cluster.hashes)
             for url in sorted(candidates):
                 for ua_name in sorted(candidates[url]):
@@ -522,3 +520,27 @@ class MilkingTracker:
             self.internet, profile, self.vantage, stealth=True, bypass_locking=True
         )
 
+
+def _member_candidates(
+    clusters: list[DiscoveredCampaign],
+) -> list[dict[str, set[str]]]:
+    """Per cluster, the milkable candidate URLs of its members and the
+    user agents that saw each — read in one pass over the run store.
+
+    Members are decoded one at a time, in row order; only the candidate
+    sets are kept.  Each cluster's result is a set map, so the order the
+    members are read in cannot matter.
+    """
+    found: list[dict[str, set[str]]] = [{} for _ in clusters]
+    owner: dict[int, int] = {}
+    for index, cluster in enumerate(clusters):
+        for row in cluster.rows:
+            owner[row] = index
+    if owner:
+        rows = sorted(owner)
+        members = StoredInteractions(clusters[0].store, rows)
+        for row, record in zip(rows, members):
+            candidates = found[owner[row]]
+            for url in milkable_candidates(record):
+                candidates.setdefault(url, set()).add(record.ua_name)
+    return found

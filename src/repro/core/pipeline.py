@@ -40,7 +40,6 @@ from repro.core.attribution import (
     discover_new_networks,
     expand_publisher_list,
 )
-from repro.core.crawler import interaction_from_dict
 from repro.core.discovery import (
     DiscoveryResult,
     IncrementalDiscovery,
@@ -55,6 +54,7 @@ from repro.core.farm import (
     FarmConfig,
 )
 from repro.core.milking import MilkingConfig, MilkingReport, MilkingTracker
+from repro.core.rows import StoredInteractions
 from repro.core.seeds import (
     InvariantPattern,
     derive_invariant_patterns,
@@ -94,6 +94,10 @@ from repro.store.records import (
 from repro.telemetry import SHARD_LANE, current as current_telemetry
 
 logger = logging.getLogger(__name__)
+
+#: Stored interactions decoded per ingest while a resumed run replays
+#: its store (any size gives the same stage results).
+_REPLAY_CHUNK = 512
 
 
 def record_world_stats(world: World) -> None:
@@ -430,13 +434,13 @@ class StreamingRun:
             if stored is not None:
                 sched_config = SchedConfig.from_meta(stored)
         self.farm = CrawlerFarm(pipeline.world, pipeline.farm_config)
-        self.writer = StoreWriter(store)
         self.discovery_stage = IncrementalDiscovery(
-            eps=pipeline.eps, min_pts=pipeline.min_pts, theta_c=pipeline.theta_c
+            store, eps=pipeline.eps, min_pts=pipeline.min_pts, theta_c=pipeline.theta_c
         )
-        self.attribution_stage = IncrementalAttribution(self.result.patterns)
+        self.attribution_stage = IncrementalAttribution(store, self.result.patterns)
         #: Stages fed per ``batch_domains`` group (the store writer runs
-        #: per domain, ahead of them).
+        #: per domain, ahead of them).  Each numbers the rows it ingests
+        #: itself; all of them see the store's one row order.
         self.analysis_stages = [self.discovery_stage, self.attribution_stage]
         self._buffer: list = []
         self._buffered_domains = 0
@@ -448,6 +452,9 @@ class StreamingRun:
                 dataset=CrawlDataset(started_at=pipeline.world.clock.now())
             )
         self.farm.checkpoint = checkpoint
+        #: The dataset's records are the store's rows, as they land.
+        checkpoint.dataset.interactions = StoredInteractions(store)
+        self.writer = StoreWriter(store)
         #: The run's static crawl plan.  A static run crawls it; an
         #: adaptive run draws its rounds from its entries.
         self.plan = self.farm.plan_crawl(
@@ -457,9 +464,11 @@ class StreamingRun:
         self.sched: PolicyScheduler | None = None
         if sched_config is not None and sched_config.is_adaptive:
             self.sched = PolicyScheduler(self.farm, store, self.plan, sched_config)
+            self.analysis_stages.append(self.sched)
         if resume:
             if self.sched is not None:
                 self.sched.resume(self)
+            self._replay()
         else:
             if store.count(INTERACTIONS) or store.count(PROGRESS):
                 raise StoreError(
@@ -653,17 +662,11 @@ class StreamingRun:
         store.put_meta("discovery_stats", discovery_stats_to_meta(result.discovery))
         store.extend(
             CAMPAIGNS,
-            (
-                campaign_to_record(campaign, self.writer.rows_of)
-                for campaign in result.discovery.campaigns
-            ),
+            (campaign_to_record(campaign) for campaign in result.discovery.campaigns),
         )
         with telemetry.span("stage.attribution"):
             result.attribution = self.attribution_stage.finalize()
-        store.extend(
-            ATTRIBUTION,
-            attribution_to_records(result.attribution, self.writer.rows_of),
-        )
+        store.extend(ATTRIBUTION, attribution_to_records(result.attribution))
         with telemetry.span("stage.expansion"):
             result.new_patterns = discover_new_networks(result.attribution.unknown)
             result.expanded_publishers = expand_publisher_list(
@@ -707,11 +710,11 @@ class StreamingRun:
     def _rebuild_checkpoint(self) -> CrawlCheckpoint:
         """Reconstruct farm progress from the store's surviving streams.
 
-        Replays every stored interaction into the analysis stages (the
-        store writer's row counter already continues past them) and
-        rebuilds the :class:`CrawlCheckpoint` the interrupted crawl would
+        Rebuilds the :class:`CrawlCheckpoint` the interrupted crawl would
         have held, at domain granularity: a domain whose progress marker
-        never made it to disk is re-crawled from scratch.
+        never made it to disk is re-crawled from scratch.  The stored
+        interactions themselves are replayed into the analysis stages by
+        :meth:`_replay` once every stage exists.
         """
         store = self.store
         status = store.get_meta("status")
@@ -726,18 +729,28 @@ class StreamingRun:
                 f"store {store.run_id!r} holds no run to resume; start one "
                 "with `repro run --store-dir DIR`"
             )
-        progress = store.read(PROGRESS)
-        raw = store.read(INTERACTIONS)
-        expected_rows = progress[-1]["interaction_rows"] if progress else 0
-        if len(raw) < expected_rows:
+        dataset = CrawlDataset(started_at=store.get_meta("started_at", 0.0))
+        checkpoint = CrawlCheckpoint(dataset=dataset)
+        last = None
+        for marker in store.scan(PROGRESS):
+            last = marker
+            checkpoint.completed_domains.add(marker["domain"])
+            dataset.publishers_visited += 1
+            if marker["residential"]:
+                dataset.publishers_residential += 1
+            else:
+                dataset.publishers_institutional += 1
+        expected_rows = last["interaction_rows"] if last is not None else 0
+        rows = store.count(INTERACTIONS)
+        if rows < expected_rows:
             raise StoreError(
                 f"store {store.run_id!r} is missing crawl records: the last "
                 f"progress marker covers {expected_rows} interaction rows "
-                f"but only {len(raw)} survive; the interactions stream was "
+                f"but only {rows} survive; the interactions stream was "
                 "damaged after being acknowledged, so the run cannot be "
                 "trusted — start a fresh run"
             )
-        if len(raw) > expected_rows:
+        if rows > expected_rows:
             # The run died between appending a domain's interactions and
             # writing its progress marker.  Those rows were never
             # acknowledged — trim them (and their clustering views) and
@@ -746,53 +759,50 @@ class StreamingRun:
                 "store %r holds %d interaction rows past the last progress "
                 "marker (torn crawl batch); trimming and re-crawling",
                 store.run_id,
-                len(raw) - expected_rows,
+                rows - expected_rows,
             )
             store.truncate(INTERACTIONS, expected_rows)
-            hashes = store.read(HASHES)
-            keep = sum(1 for record in hashes if record["row"] < expected_rows)
+            keep = sum(
+                1 for record in store.scan(HASHES) if record["row"] < expected_rows
+            )
             store.truncate(HASHES, keep)
-            raw = raw[:expected_rows]
-            # The writer counted the trimmed rows; rebuild it on the
-            # repaired store so row numbering restarts at the right place.
-            self.writer = StoreWriter(store)
-        interactions = [interaction_from_dict(record) for record in raw]
-        for row, record in enumerate(interactions):
-            self.writer.rows_of[id(record)] = row
-        with current_telemetry().span(
-            "resume.rebuild",
-            attrs={"rows": len(interactions), "domains": len(progress)},
-        ):
-            ingest_all(self.analysis_stages, interactions)
-        dataset = CrawlDataset(
-            interactions=list(interactions),
-            started_at=store.get_meta("started_at", 0.0),
-        )
-        for record in interactions:
-            if record.landing_e2ld:
-                dataset.landing_click_counts[record.landing_e2ld] += 1
-        completed_domains: set[str] = set()
-        for marker in progress:
-            completed_domains.add(marker["domain"])
-            dataset.publishers_visited += 1
-            if marker["residential"]:
-                dataset.publishers_residential += 1
-            else:
-                dataset.publishers_institutional += 1
-        for record in interactions:
-            if record.publisher_domain in completed_domains:
-                dataset.publishers_with_ads.add(record.publisher_domain)
-        checkpoint = CrawlCheckpoint(dataset=dataset)
-        checkpoint.completed_domains = completed_domains
         checkpoint.completed_sessions = {
             (domain, profile.name)
-            for domain in completed_domains
+            for domain in checkpoint.completed_domains
             for profile in self.farm.config.profiles
         }
-        if progress:
-            last = progress[-1]
+        if last is not None:
             checkpoint.laptop_index = last["laptop_index"]
             dataset.sessions = last["sessions"]
             # Pick the virtual-time line back up where the run stopped.
             self.pipeline.world.clock.advance_to(last["clock"])
         return checkpoint
+
+    def _replay(self) -> None:
+        """Feed every stored interaction through the analysis stages.
+
+        One :meth:`~repro.store.base.RunStore.scan` of the stream, in
+        chunks; the stages keep their compact per-row facts and nothing
+        else, so a resumed run holds no more than an uninterrupted one.
+        """
+        store = self.store
+        dataset = self.farm.checkpoint.dataset
+        chunk: list = []
+        with current_telemetry().span(
+            "resume.rebuild",
+            attrs={
+                "rows": store.count(INTERACTIONS),
+                "domains": dataset.publishers_visited,
+            },
+        ):
+            for record in StoredInteractions(store):
+                dataset.publishers_with_ads.add(record.publisher_domain)
+                chunk.append(record)
+                if len(chunk) >= _REPLAY_CHUNK:
+                    self._replay_chunk(chunk)
+                    chunk = []
+            self._replay_chunk(chunk)
+
+    def _replay_chunk(self, chunk: list) -> None:
+        self.farm.checkpoint.dataset.count_landings(chunk)
+        ingest_all(self.analysis_stages, chunk)

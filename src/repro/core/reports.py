@@ -134,15 +134,15 @@ def table3(
     A landing page counts as an SE attack page if its interaction belongs
     to a confirmed SEACMA cluster.
     """
-    se_ids = {id(record) for record in discovery.se_interactions()}
+    se_rows = set(discovery.se_rows())
+    by_network = attribution.rows_by_network()
     rows: list[Table3Row] = []
     keys = order if order is not None else sorted(
-        attribution.by_network,
-        key=lambda key: -len(attribution.by_network[key]),
+        by_network, key=lambda key: -len(by_network[key])
     )
     for key in keys:
-        records = attribution.by_network.get(key, [])
-        se_count = sum(1 for record in records if id(record) in se_ids)
+        records = by_network.get(key, [])
+        se_count = sum(1 for row in records if row in se_rows)
         server = networks.get(key)
         rows.append(
             Table3Row(
@@ -153,18 +153,15 @@ def table3(
                 se_pct=100.0 * se_count / len(records) if records else 0.0,
             )
         )
-    unknown_se = sum(
-        1 for record in attribution.unknown if id(record) in se_ids
-    )
+    unknown = attribution.unknown_rows()
+    unknown_se = sum(1 for row in unknown if row in se_rows)
     rows.append(
         Table3Row(
             network="Unknown",
             network_domains=0,
-            landing_pages=len(attribution.unknown),
+            landing_pages=len(unknown),
             se_attack_pages=unknown_se,
-            se_pct=100.0 * unknown_se / len(attribution.unknown)
-            if attribution.unknown
-            else 0.0,
+            se_pct=100.0 * unknown_se / len(unknown) if unknown else 0.0,
         )
     )
     return rows

@@ -59,11 +59,11 @@ class SessionKernel:
     """Runs one plan entry's sessions, then commits them.
 
     ``run_entry`` runs every pending session of ``entry`` and returns
-    ``(batch_interactions, sessions_run)``.  The commit phase — dataset
-    append, landing-click accounting, checkpoint marks — always runs,
-    even when a session dies on an unabsorbed exception, so the
-    checkpoint a crash leaves behind covers exactly the sessions that
-    finished.
+    ``(batch_interactions, sessions_run)``.  The commit phase — landing-
+    click accounting, checkpoint marks, the entry's in-flight records —
+    always runs, even when a session dies on an unabsorbed exception, so
+    the checkpoint a crash leaves behind covers exactly the sessions that
+    finished, and the resumed entry's batch still carries their records.
     """
 
     def run_entry(
@@ -79,7 +79,8 @@ class SessionKernel:
         n_laptops = len(world.vantages_residential) or 1
         telemetry = current_telemetry()
         feature_memo = FeatureMemo()
-        batch: list[AdInteraction] = []
+        # Sessions an earlier, crashed attempt at this entry committed.
+        batch = checkpoint.take_in_flight(entry.domain)
         sessions_run = 0
         #: (session key, profile index, that session's interactions).
         pending: list[tuple[tuple[str, str], int, list[AdInteraction]]] = []
@@ -124,16 +125,13 @@ class SessionKernel:
             ):
                 for key, profile_index, interactions in pending:
                     telemetry.inc("crawl.interactions", len(interactions))
-                    dataset.interactions.extend(interactions)
-                    dataset.note_interactions(interactions)
                     batch.extend(interactions)
-                    for record in interactions:
-                        if record.landing_e2ld:
-                            dataset.landing_click_counts[record.landing_e2ld] += 1
+                    dataset.count_landings(interactions)
                     checkpoint.completed_sessions.add(key)
                     if entry.residential:
                         checkpoint.laptop_index = (
                             entry.residential_base + profile_index + 1
                         )
+                checkpoint.in_flight = (entry.domain, batch)
             crash_point("farm.sessionbatch.post")
         return batch, sessions_run

@@ -56,7 +56,8 @@ class StoreWriter:
     interactions that reached a third-party landing page, the clustering
     view to ``hashes``.  Row numbering continues from whatever the store
     already holds, so a resumed run keeps appending where the interrupted
-    one stopped.
+    one stopped.  Every other stage numbers the same rows itself: they
+    all see one total order.
     """
 
     name = "store"
@@ -64,10 +65,6 @@ class StoreWriter:
     def __init__(self, store: RunStore) -> None:
         self.store = store
         self._row = store.count(INTERACTIONS)
-        #: ``id(interaction) -> interactions-stream row`` for every record
-        #: this writer has seen — the reference map the campaign and
-        #: attribution codecs store members by.
-        self.rows_of: dict[int, int] = {}
 
     @property
     def rows_written(self) -> int:
@@ -79,7 +76,6 @@ class StoreWriter:
             self.store.append(INTERACTIONS, interaction_to_dict(record))
             if record.landing_e2ld:
                 self.store.append(HASHES, hash_to_record(self._row, record))
-            self.rows_of[id(record)] = self._row
             self._row += 1
 
     def finalize(self) -> RunStore:

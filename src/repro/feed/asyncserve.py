@@ -21,8 +21,10 @@ exhaustively).
 
 Transport guards (see :class:`FeedProtocol`): idle connections are
 evicted, a client that never reads its responses is paused, oversized
-heads get a 431 and GETs with a body a 400; ``/v1/stats`` counts them
-as ``stalled_timeouts``, ``client_disconnects`` and ``bad_requests``.
+heads get a 431, and GETs with a body and ambiguous heads (bare-LF line
+ends, obs-fold lines, a repeated ``Content-Length`` or ``Host``) a 400
+and a close; ``/v1/stats`` counts them as ``stalled_timeouts``,
+``client_disconnects`` and ``bad_requests``.
 
 Scaling out: ``workers=N`` runs N replicas accepting on the same
 ``(host, port)`` via ``SO_REUSEPORT`` — replica 0 in-process, the rest
@@ -229,6 +231,9 @@ class _Wire:
         self.body_not_allowed = _compose(
             400, b'{"error":"GET requests carry no body"}\n', (("Connection", "close"),)
         )
+        self.ambiguous_head = _compose(
+            400, b'{"error":"ambiguous request head"}\n', (("Connection", "close"),)
+        )
         self.head_too_large = _compose(
             431,
             b'{"error":"request head too large"}\n',
@@ -422,6 +427,9 @@ class AsyncFeedServer:
                 return self._finish("error", wire.bad_method, started, False)
             headers = head[line_end + 2:] if line_end >= 0 else b""
             lowered = headers.lower()
+            if self._ambiguous(head, lowered):
+                self.bad_requests += 1
+                return self._finish("error", wire.ambiguous_head, started, True)
             if b"content-length" in lowered or b"transfer-encoding" in lowered:
                 # A GET body would be parsed as the next request: refuse
                 # any Transfer-Encoding and a Content-Length other than 0.
@@ -505,6 +513,25 @@ class AsyncFeedServer:
                     boundaries=LATENCY_BOUNDARIES_MS,
                 )
         return response, close
+
+    @staticmethod
+    def _ambiguous(head: bytes, lowered: bytes) -> bool:
+        """Whether another HTTP parser could read ``head`` differently.
+
+        Bare-LF line ends, obs-fold continuation lines and a repeated
+        ``Content-Length`` or ``Host`` all let a proxy in front of the
+        feed and this engine disagree on where a request ends or whom it
+        is for, so they are refused rather than guessed at (RFC 9112
+        §2.2, §5.2, §6.3).  ``lowered`` is the lowercased header block.
+        """
+        if head.count(b"\n") != head.count(b"\r\n"):
+            return True
+        if b"\n " in head or b"\n\t" in head:
+            return True
+        for name in (b"content-length:", b"host:"):
+            if lowered.startswith(name) + lowered.count(b"\n" + name) > 1:
+                return True
+        return False
 
     @staticmethod
     def _header(headers: bytes, lowered: bytes, name: bytes) -> bytes | None:

@@ -37,20 +37,15 @@ def network_of_clusters(
     Feed entries carry the ad network the campaign was attributed to
     (§3.6): each cluster takes the network serving the plurality of its
     member interactions, ties broken by network key for determinism.
+    Votes are counted from the attribution's per-row keys; no member
+    record is read.
     """
     if attribution is None:
         return {}
-    network_of_record: dict[int, str] = {}
-    for key, records in attribution.by_network.items():
-        for record in records:
-            network_of_record[id(record)] = key
+    keys = attribution.keys
     result: dict[int, str | None] = {}
     for cluster in discovery.seacma_campaigns:
-        votes: Counter = Counter()
-        for record in cluster.interactions:
-            key = network_of_record.get(id(record))
-            if key is not None:
-                votes[key] += 1
+        votes = Counter(keys[row] for row in cluster.rows if keys[row] is not None)
         if not votes:
             result[cluster.cluster_id] = None
             continue

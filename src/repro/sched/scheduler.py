@@ -20,6 +20,11 @@
    arm statistics, and persists those inside the ``policy.update.pre`` /
    ``policy.update.post`` crash-point bracket.
 
+The scheduler is itself an analysis stage: it ingests the same batches
+as discovery and attribution and keeps, per row, only the arm of the
+row's publisher, plus the clustering pair of each row of the current
+round — never the interactions.
+
 Every quantity feeding a decision is computed from merged, plan-ordered
 data (the store's row order), so the decisions — and therefore every
 byte of the ``policy`` stream — are identical across worker counts.  On
@@ -32,9 +37,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.chaos.points import crash_point
+from repro.core.crawler import AdInteraction
 from repro.core.farm import CrawlerFarm, CrawlPlan
 from repro.errors import ConfigError
 from repro.rng import rng_for
@@ -146,6 +152,32 @@ class PolicyScheduler:
         self.next_round = 0
         self.last_round_end: float | None = None
         self._pending: RoundPlan | None = None
+        #: The arm of every ingested row's publisher, in row order.
+        self.arm_rows: list[str] = []
+        #: First row of the round being crawled (``None`` between rounds)
+        #: and the ``(dhash, e2LD)`` pair of each of its rows so far.
+        self._round_start: int | None = None
+        self._round_pairs: list[tuple[int, str] | None] = []
+
+    # -------------------------------------------------------------- stage
+
+    name = "sched"
+
+    def ingest(self, batch: Iterable[AdInteraction]) -> None:
+        """Note each row's arm, and the pairs of the current round's rows."""
+        for record in batch:
+            row = len(self.arm_rows)
+            self.arm_rows.append(self.arm_of.get(record.publisher_domain, UNKNOWN_ARM))
+            if self._round_start is not None and row >= self._round_start:
+                self._round_pairs.append(
+                    (record.screenshot_hash, record.landing_e2ld)
+                    if record.landing_e2ld
+                    else None
+                )
+
+    def finalize(self) -> dict[str, ArmStats]:
+        """The cumulative arm statistics so far."""
+        return self.stats
 
     # ------------------------------------------------------------- rounds
 
@@ -198,6 +230,7 @@ class PolicyScheduler:
         self.budget_left -= len(domains)
         self.next_round = round_index + 1
         self.last_round_end = plan.crawl.end_time
+        self._round_start = plan.start_row
         return plan
 
     def complete_round(self, run: "StreamingRun", plan: RoundPlan) -> None:
@@ -208,10 +241,11 @@ class PolicyScheduler:
         keys, the SE-campaign census — is merged, plan-ordered data that
         is identical whichever workers produced it.
         """
-        dataset = run.farm.checkpoint.dataset
         end_row = run.writer.rows_written
-        records = dataset.interactions[plan.start_row : end_row]
+        arms = self.arm_rows[plan.start_row : end_row]
         keys = run.attribution_stage.keys[plan.start_row : end_row]
+        pairs, self._round_pairs = self._round_pairs, []
+        self._round_start = None
         discovery = run.discovery_stage.finalize()
         se_pairs = {
             pair
@@ -231,10 +265,8 @@ class PolicyScheduler:
         se_by_arm: Counter = Counter()
         candidates_by_arm: Counter = Counter()
         attributed_by_arm: Counter = Counter()
-        for record, key in zip(records, keys):
-            arm = self.arm_of.get(record.publisher_domain, UNKNOWN_ARM)
-            if record.landing_e2ld:
-                pair = (record.screenshot_hash, record.landing_e2ld)
+        for arm, pair, key in zip(arms, pairs, keys):
+            if pair is not None:
                 if pair in se_pairs:
                     se_by_arm[arm] += 1
                 elif pair in candidate_pairs:
@@ -246,10 +278,7 @@ class PolicyScheduler:
         # can move as clusters form, grow or merge.
         cluster_levels: Counter = Counter()
         for campaign in discovery.seacma_campaigns:
-            votes = Counter(
-                self.arm_of.get(record.publisher_domain, UNKNOWN_ARM)
-                for record in campaign.interactions
-            )
+            votes = Counter(self.arm_rows[row] for row in campaign.rows)
             winner = min(votes.items(), key=lambda item: (-item[1], item[0]))[0]
             cluster_levels[winner] += 1
 
@@ -366,6 +395,8 @@ class PolicyScheduler:
         done = last_stats["round"] if last_stats is not None else -1
         if last.index == done + 1:
             self._pending = last
+            # The replay that follows re-collects the round's stored rows.
+            self._round_start = last.start_row
 
     # ------------------------------------------------------------ helpers
 

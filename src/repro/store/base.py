@@ -17,7 +17,9 @@ offline).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Protocol, runtime_checkable
+from typing import Any, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+
+from repro.errors import StoreError
 
 #: Stream of raw crawl records (one per :class:`AdInteraction`, in crawl
 #: order — the total order every downstream stage consumes).
@@ -59,6 +61,13 @@ STREAMS = (
 )
 
 
+def row_past_end(stream: str, row: int, rows: int) -> StoreError:
+    """The error for a requested row a stream does not hold."""
+    return StoreError(
+        f"row {row} is past the end of stream {stream!r} ({rows} rows)"
+    )
+
+
 @runtime_checkable
 class RunStore(Protocol):
     """Append-only record streams for one measurement run."""
@@ -74,6 +83,18 @@ class RunStore(Protocol):
 
     def extend(self, stream: str, records: Iterable[Mapping[str, Any]]) -> None:
         """Append many records to ``stream`` in order."""
+        ...
+
+    def scan(
+        self, stream: str, rows: Iterable[int] | None = None
+    ) -> Iterator[dict[str, Any]]:
+        """Yield records of ``stream`` one at a time.
+
+        Every record in append order when ``rows`` is ``None``; otherwise
+        the records at those row numbers, in the order given, decoding
+        no other row.  A row past the end raises
+        :class:`~repro.errors.StoreError`.
+        """
         ...
 
     def read(self, stream: str) -> list[dict[str, Any]]:
@@ -120,9 +141,9 @@ class RunStore(Protocol):
 class StoreBase:
     """Shared behaviour for the concrete backends.
 
-    Subclasses implement :meth:`append`, :meth:`read`, :meth:`count` and
-    :meth:`streams`; this base supplies batching and the meta-stream
-    key/value convention on top.
+    Subclasses implement :meth:`append`, :meth:`scan`, :meth:`count` and
+    :meth:`streams`; this base supplies :meth:`read`, batching and the
+    meta-stream key/value convention on top.
     """
 
     run_id: str
@@ -134,8 +155,13 @@ class StoreBase:
     def append(self, stream: str, record: Mapping[str, Any]) -> None:
         raise NotImplementedError
 
-    def read(self, stream: str) -> list[dict[str, Any]]:
+    def scan(
+        self, stream: str, rows: Iterable[int] | None = None
+    ) -> Iterator[dict[str, Any]]:
         raise NotImplementedError
+
+    def read(self, stream: str) -> list[dict[str, Any]]:
+        return list(self.scan(stream))
 
     def count(self, stream: str) -> int:
         raise NotImplementedError
@@ -165,7 +191,7 @@ class StoreBase:
 
     def get_meta(self, key: str, default: Any = None) -> Any:
         value = default
-        for record in self.read(META):
+        for record in self.scan(META):
             if record.get("key") == key:
                 value = record.get("value")
         return value
@@ -173,6 +199,6 @@ class StoreBase:
     def meta(self) -> dict[str, Any]:
         """The resolved (last-write-wins) metadata mapping."""
         resolved: dict[str, Any] = {}
-        for record in self.read(META):
+        for record in self.scan(META):
             resolved[record["key"]] = record.get("value")
         return resolved

@@ -50,11 +50,11 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, IO, Mapping
+from typing import Any, IO, Iterable, Iterator, Mapping
 
 from repro.chaos.points import crash_point
 from repro.errors import StoreError
-from repro.store.base import META, StoreBase
+from repro.store.base import META, StoreBase, row_past_end
 from repro.telemetry import current as current_telemetry
 
 #: One reusable encoder for every store and shard-segment line.
@@ -72,6 +72,14 @@ _STREAM_NAME = re.compile(r"^[a-z][a-z0-9_-]*$")
 INTENT_LOG = "intent.log"
 
 logger = logging.getLogger(__name__)
+
+
+def _parses(raw: bytes) -> bool:
+    try:
+        json.loads(raw)
+    except json.JSONDecodeError:
+        return False
+    return True
 
 
 @dataclass
@@ -110,6 +118,12 @@ class JsonlStore(StoreBase):
         self._journal: IO[bytes] | None = None
         self.last_recovery = RecoveryReport()
         self._recover()
+        #: Streams on disk: one glob here, then every stream
+        #: :meth:`_handle` creates — :meth:`begin_intent` journals these
+        #: without listing the directory again.
+        self._known: set[str] = {
+            path.stem for path in self.directory.glob("*.jsonl")
+        }
         existing = self._stream_path(META).exists()
         stored_id = self.get_meta("run_id") if existing else None
         if stored_id is None:
@@ -184,6 +198,7 @@ class JsonlStore(StoreBase):
             self._repair_tail(path)
             handle = path.open("a", encoding="utf-8")
             self._handles[stream] = handle
+            self._known.add(stream)
         return handle
 
     def _repair_tail(self, path: Path) -> None:
@@ -195,19 +210,23 @@ class JsonlStore(StoreBase):
         """
         if not path.exists():
             return
-        data = path.read_bytes()
-        if not data:
-            return
-        end = data.rfind(b"\n")
-        keep = data[: end + 1] if end >= 0 else b""
-        tail = data[end + 1 :] if end >= 0 else data
+        size = path.stat().st_size
+        # Read back from the end only as far as the last newline.
+        chunk = 4096
+        with path.open("rb") as handle:
+            while True:
+                start = max(0, size - chunk)
+                handle.seek(start)
+                data = handle.read(size - start)
+                end = data.rfind(b"\n")
+                if end >= 0 or start == 0:
+                    break
+                chunk *= 2
+        keep = start + end + 1
+        tail = data[end + 1 :]
         if not tail.strip():
             return
-        try:
-            json.loads(tail)
-        except json.JSONDecodeError:
-            pass
-        else:
+        if _parses(tail):
             # A strict prefix of a serialized JSON object never parses,
             # so a parseable tail is a complete record that only lost its
             # terminator — the same line :meth:`read` already returns as
@@ -224,7 +243,7 @@ class JsonlStore(StoreBase):
             len(tail),
             path,
         )
-        self._cut(path, len(keep))
+        self._cut(path, keep)
         self.last_recovery.torn_tails[path.stem] = (
             self.last_recovery.torn_tails.get(path.stem, 0) + len(tail)
         )
@@ -254,8 +273,10 @@ class JsonlStore(StoreBase):
             telemetry.inc(f"store.appends.{stream}")
             telemetry.observe("store.record_bytes", len(line) + 1)
 
-    def read(self, stream: str) -> list[dict[str, Any]]:
-        """All records in ``stream``, tolerating a torn trailing record.
+    def scan(
+        self, stream: str, rows: Iterable[int] | None = None
+    ) -> Iterator[dict[str, Any]]:
+        """Records of ``stream``, one line at a time.
 
         A process killed mid-append leaves a partial final line; that is
         expected crash damage (the record was never acknowledged), so it
@@ -263,39 +284,87 @@ class JsonlStore(StoreBase):
         *before* the final line still raises — it cannot be explained by
         a crash and silently dropping acknowledged records would be worse
         than failing.
+
+        With ``rows``, only those rows are decoded, and the walk stops at
+        the last one.  Ascending rows stream as they are found; any other
+        order is gathered first (so only the requested records are held)
+        and yielded in the order given.
         """
+        if rows is None:
+            for _, record in self._decode(stream, None):
+                yield record
+            return
+        order = list(rows)
+        wanted = set(order)
+        if order == sorted(wanted):
+            for _, record in self._decode(stream, wanted):
+                yield record
+            return
+        found = dict(self._decode(stream, wanted))
+        for row in order:
+            yield found[row]
+
+    def _lines(self, stream: str) -> Iterator[tuple[int, bytes, bool]]:
+        """``(line number, stripped line, terminated?)`` of every
+        non-blank line of ``stream``."""
         path = self._stream_path(stream)
         if not path.exists():
-            return []
-        data = path.read_bytes()
-        lines = data.split(b"\n")
-        records: list[dict[str, Any]] = []
-        last_index = len(lines) - 1
-        for index, raw in enumerate(lines):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                records.append(json.loads(raw))
-            except json.JSONDecodeError as error:
-                if index == last_index:
+            return
+        with path.open("rb") as handle:
+            for number, line in enumerate(handle, 1):
+                raw = line.strip()
+                if raw:
+                    yield number, raw, line.endswith(b"\n")
+
+    def _decode(
+        self, stream: str, wanted: set[int] | None
+    ) -> Iterator[tuple[int, dict[str, Any]]]:
+        """``(row, record)`` for every row of ``stream`` in ``wanted``
+        (every row when ``None``), in stream order."""
+        remaining = None if wanted is None else len(wanted)
+        if remaining == 0:
+            return
+        if wanted is not None and min(wanted) < 0:
+            raise row_past_end(stream, min(wanted), self.count(stream))
+        row = 0
+        for number, raw, terminated in self._lines(stream):
+            if wanted is None or row in wanted:
+                try:
+                    record = json.loads(raw)
+                except json.JSONDecodeError as error:
+                    if terminated:
+                        raise StoreError(
+                            f"corrupt record in stream {stream!r} at "
+                            f"{self._stream_path(stream)}:{number}: {error}"
+                        ) from error
                     # No trailing newline: the final append was torn.
                     logger.warning(
-                        "skipping torn trailing record (%d bytes) at %s:%d",
+                        "skipping torn trailing record (%d bytes) in stream "
+                        "%r at line %d",
                         len(raw),
-                        path,
-                        index + 1,
+                        stream,
+                        number,
                     )
-                    continue
-                raise StoreError(
-                    f"corrupt record at {path}:{index + 1}: {error}"
-                ) from error
-        return records
+                    break
+                yield row, record
+                if remaining is not None:
+                    remaining -= 1
+                    if not remaining:
+                        return
+            row += 1
+        if remaining:
+            raise row_past_end(stream, min(r for r in wanted if r >= row), row)
 
     def count(self, stream: str) -> int:
+        """Records in ``stream``: lines are counted, not decoded (only an
+        unterminated final line is parsed, to tell a record that lost its
+        newline from a torn one)."""
         cached = self._counts.get(stream)
         if cached is None:
-            cached = len(self.read(stream))
+            cached = 0
+            for _, raw, terminated in self._lines(stream):
+                if terminated or _parses(raw):
+                    cached += 1
             self._counts[stream] = cached
         return cached
 
@@ -319,15 +388,15 @@ class JsonlStore(StoreBase):
         path = self._stream_path(stream)
         if not path.exists():
             return
-        data = path.read_bytes()
         offset = kept = 0
-        while kept < keep:
-            end = data.find(b"\n", offset)
-            if end < 0:
-                return
-            kept += bool(data[offset:end].strip())
-            offset = end + 1
-        if offset < len(data):
+        with path.open("rb") as handle:
+            while kept < keep:
+                line = handle.readline()
+                if not line.endswith(b"\n"):
+                    return
+                kept += bool(line.strip())
+                offset += len(line)
+        if offset < path.stat().st_size:
             self._cut(path, offset)
             self._counts[stream] = keep
 
@@ -367,11 +436,11 @@ class JsonlStore(StoreBase):
         if self._intent_active:
             raise StoreError(f"intent {label!r} begun inside an open intent")
         sizes = {}
-        for path in self.directory.glob("*.jsonl"):
+        for stream in sorted(self._known):
             # Opening the append handle repairs a torn tail, so every
             # journaled size ends on a line boundary.
-            handle = self._handle(path.stem)
-            sizes[path.stem] = os.fstat(handle.fileno()).st_size
+            handle = self._handle(stream)
+            sizes[stream] = os.fstat(handle.fileno()).st_size
         journal = self._journal_handle()
         record = {"op": "begin", "label": label, "sizes": sizes}
         journal.write(encode_record(record).encode() + b"\n")
@@ -476,9 +545,8 @@ class JsonlStore(StoreBase):
         counts: dict[str, int] = {}
         for stream in self.streams():
             self._repair_tail(self._stream_path(stream))
-            records = self.read(stream)
-            counts[stream] = len(records)
-            self._counts[stream] = len(records)
+            counts[stream] = sum(1 for _ in self.scan(stream))
+            self._counts[stream] = counts[stream]
         return counts
 
     # ------------------------------------------------------------ lifecycle

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
-from repro.store.base import StoreBase
+from repro.store.base import StoreBase, row_past_end
 
 
 class MemoryStore(StoreBase):
@@ -22,8 +22,16 @@ class MemoryStore(StoreBase):
     def append(self, stream: str, record: Mapping[str, Any]) -> None:
         self._streams.setdefault(stream, []).append(dict(record))
 
-    def read(self, stream: str) -> list[dict[str, Any]]:
-        return list(self._streams.get(stream, ()))
+    def scan(
+        self, stream: str, rows: Iterable[int] | None = None
+    ) -> Iterator[dict[str, Any]]:
+        records = self._streams.get(stream, [])
+        if rows is None:
+            rows = range(len(records))
+        for row in rows:
+            if not 0 <= row < len(records):
+                raise row_past_end(stream, row, len(records))
+            yield records[row]
 
     def count(self, stream: str) -> int:
         return len(self._streams.get(stream, ()))

@@ -20,7 +20,6 @@ reports are byte-identical to the ones the live run printed (covered by
 
 from __future__ import annotations
 
-from repro.core.crawler import interaction_from_dict
 from repro.core.pipeline import PipelineResult
 from repro.ecosystem.world import World, build_world
 from repro.errors import StoreError
@@ -29,7 +28,6 @@ from repro.store.base import (
     ATTRIBUTION,
     CAMPAIGNS,
     FEED,
-    INTERACTIONS,
     MILKING,
     PROGRESS,
     RunStore,
@@ -63,8 +61,9 @@ def load_world(store: RunStore) -> World:
     world = build_world(world_config_from_meta(data))
     target = store.get_meta("finished_at")
     if target is None:
-        progress = store.read(PROGRESS)
-        target = progress[-1]["clock"] if progress else 0.0
+        target = 0.0
+        for marker in store.scan(PROGRESS):
+            target = marker["clock"]
     world.clock.advance_to(target)
     # Domain rotation is time-driven: asking each campaign for its active
     # domain catches up every intermediate rotation, firing the GSB hooks
@@ -79,7 +78,9 @@ def load_result(store: RunStore) -> PipelineResult:
 
     Every field is read back from the store; nothing is recomputed, so
     the result reflects the run as it happened even if the analysis code
-    has since changed.  ``fault_stats`` is not persisted and stays
+    has since changed.  Crawl records stay in the store: the dataset,
+    the campaigns and the attribution groups are views that read their
+    rows back on access.  ``fault_stats`` is not persisted and stays
     ``None``.  Works on interrupted runs too — fields whose stage never
     finished stay at their defaults.
     """
@@ -88,20 +89,16 @@ def load_result(store: RunStore) -> PipelineResult:
         pattern_from_record(record) for record in store.get_meta("patterns", [])
     ]
     result.publisher_domains = store.get_meta("publisher_domains", [])
-    interactions = [
-        interaction_from_dict(record) for record in store.read(INTERACTIONS)
-    ]
     crawl_summary = store.get_meta("crawl_summary")
     if crawl_summary is not None:
-        result.crawl = crawl_summary_from_meta(crawl_summary, interactions)
+        result.crawl = crawl_summary_from_meta(crawl_summary, store)
     discovery_stats = store.get_meta("discovery_stats")
     if discovery_stats is not None:
         result.discovery = discovery_from_store(
-            discovery_stats, store.read(CAMPAIGNS), interactions
+            discovery_stats, store.scan(CAMPAIGNS), store
         )
-    attribution_rows = store.read(ATTRIBUTION)
-    if attribution_rows or store.get_meta("status") == "finished":
-        result.attribution = attribution_from_records(attribution_rows, interactions)
+    if store.count(ATTRIBUTION) or store.get_meta("status") == "finished":
+        result.attribution = attribution_from_records(store.scan(ATTRIBUTION), store)
     result.new_patterns = [
         pattern_from_record(record) for record in store.get_meta("new_patterns", [])
     ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.attacks.categories import AttackCategory
 from repro.core.attribution import AttributionResult
@@ -23,10 +23,12 @@ from repro.core.crawler import AdInteraction
 from repro.core.discovery import DiscoveredCampaign, DiscoveryResult
 from repro.core.farm import CrawlDataset
 from repro.core.milking import MilkedDomain, MilkedFile, MilkingReport
+from repro.core.rows import StoredInteractions
 from repro.core.seeds import InvariantPattern
 from repro.ecosystem.virustotal import VtReport
 from repro.ecosystem.world import WorldConfig
 from repro.errors import StoreError
+from repro.store.base import RunStore
 
 # ---------------------------------------------------------- interactions
 
@@ -43,33 +45,26 @@ def hash_to_record(row: int, record: AdInteraction) -> dict[str, Any]:
 # ------------------------------------------------------------- campaigns
 
 
-def campaign_to_record(
-    campaign: DiscoveredCampaign, rows_of: dict[int, int]
-) -> dict[str, Any]:
-    """One ``campaigns`` stream record.
-
-    ``rows_of`` maps ``id(interaction) -> interactions-stream row`` so
-    members are stored by reference.
-    """
+def campaign_to_record(campaign: DiscoveredCampaign) -> dict[str, Any]:
+    """One ``campaigns`` stream record; members are stored by row."""
     return {
         "cluster_id": campaign.cluster_id,
         "label": campaign.label,
         "category": campaign.category.value if campaign.category else None,
         "pairs": [[f"{value:032x}", e2ld] for value, e2ld in campaign.pairs],
-        "interaction_rows": [rows_of[id(record)] for record in campaign.interactions],
+        "interaction_rows": list(campaign.rows),
     }
 
 
-def campaign_from_record(
-    data: dict[str, Any], interactions: list[AdInteraction]
-) -> DiscoveredCampaign:
-    """Inverse of :func:`campaign_to_record` given the loaded crawl rows."""
+def campaign_from_record(data: dict[str, Any], store: RunStore) -> DiscoveredCampaign:
+    """Inverse of :func:`campaign_to_record`; members read from ``store``."""
     return DiscoveredCampaign(
         cluster_id=data["cluster_id"],
         pairs=[(int(value, 16), e2ld) for value, e2ld in data["pairs"]],
-        interactions=[interactions[row] for row in data["interaction_rows"]],
+        rows=list(data["interaction_rows"]),
         label=data["label"],
         category=AttackCategory(data["category"]) if data["category"] else None,
+        store=store,
     )
 
 
@@ -86,8 +81,8 @@ def discovery_stats_to_meta(discovery: DiscoveryResult) -> dict[str, Any]:
 
 def discovery_from_store(
     stats: dict[str, Any],
-    campaign_records: list[dict[str, Any]],
-    interactions: list[AdInteraction],
+    campaign_records: Iterable[dict[str, Any]],
+    store: RunStore,
 ) -> DiscoveryResult:
     """Rebuild a :class:`DiscoveryResult` from its persisted halves."""
     result = DiscoveryResult(
@@ -98,49 +93,34 @@ def discovery_from_store(
         noise_points=stats["noise_points"],
     )
     for record in campaign_records:
-        result.campaigns.append(campaign_from_record(record, interactions))
+        result.campaigns.append(campaign_from_record(record, store))
     return result
 
 
 # ------------------------------------------------------------ attribution
 
 
-def attribution_to_records(
-    attribution: AttributionResult, rows_of: dict[int, int]
-) -> list[dict[str, Any]]:
+def attribution_to_records(attribution: AttributionResult) -> Iterator[dict[str, Any]]:
     """``attribution`` stream rows: ``(interaction row, network key|None)``,
     in crawl order."""
-    network_of: dict[int, str] = {}
-    for key, records in attribution.by_network.items():
-        for record in records:
-            network_of[id(record)] = key
-    rows = [
-        {"row": rows_of[id(record)], "network": network_of.get(id(record))}
-        for records in attribution.by_network.values()
-        for record in records
-    ]
-    rows.extend(
-        {"row": rows_of[id(record)], "network": None}
-        for record in attribution.unknown
-    )
-    rows.sort(key=lambda item: item["row"])
-    return rows
+    for row, key in enumerate(attribution.keys):
+        yield {"row": row, "network": key}
 
 
 def attribution_from_records(
-    rows: list[dict[str, Any]], interactions: list[AdInteraction]
+    rows: Iterable[dict[str, Any]], store: RunStore
 ) -> AttributionResult:
     """Rebuild an :class:`AttributionResult`; rows replay in crawl order,
     so per-network insertion order matches the original run."""
-    result = AttributionResult()
+    keys: list[str | None] = []
     for item in rows:
-        record = interactions[item["row"]]
-        key = item["network"]
-        if key is None:
-            result.unknown.append(record)
-        else:
-            result.by_network.setdefault(key, []).append(record)
-    return result
+        if item["row"] != len(keys):
+            raise StoreError(
+                f"attribution row {item['row']} out of order (expected "
+                f"{len(keys)})"
+            )
+        keys.append(item["network"])
+    return AttributionResult(keys=keys, store=store)
 
 
 # ---------------------------------------------------------------- milking
@@ -307,12 +287,11 @@ def crawl_summary_to_meta(dataset: CrawlDataset) -> dict[str, Any]:
     }
 
 
-def crawl_summary_from_meta(
-    data: dict[str, Any], interactions: list[AdInteraction]
-) -> CrawlDataset:
-    """Rebuild a :class:`CrawlDataset` from its summary + the crawl rows."""
+def crawl_summary_from_meta(data: dict[str, Any], store: RunStore) -> CrawlDataset:
+    """Rebuild a :class:`CrawlDataset` from its summary; its interactions
+    are a view over ``store``'s rows."""
     return CrawlDataset(
-        interactions=interactions,
+        interactions=StoredInteractions(store),
         sessions=data["sessions"],
         publishers_visited=data["publishers_visited"],
         publishers_institutional=data["publishers_institutional"],

@@ -9,6 +9,7 @@ from repro.analysis.export import (
     export_milking_report,
     import_crawl_dataset,
     import_milking_domains,
+    interaction_to_dict,
 )
 
 
@@ -33,6 +34,21 @@ class TestCrawlExport:
         assert data["format"] == "seacma-crawl/1"
         record = data["interactions"][0]
         assert len(record["screenshot_hash"]) == 32  # hex dhash
+
+    @pytest.mark.parametrize("count", [0, 1, 7])
+    def test_streamed_document_is_the_one_shot_dump(self, pipeline_run, count):
+        # `run --out` streams the store through write_crawl_dataset; the
+        # bytes must be those of one json.dumps over every record.
+        _, _, result = pipeline_run
+        sample = result.crawl.interactions[:count]
+        one_shot = json.dumps(
+            {
+                "format": "seacma-crawl/1",
+                "interactions": [interaction_to_dict(r) for r in sample],
+            },
+            indent=1,
+        )
+        assert export_crawl_dataset(sample) == one_shot
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -495,6 +495,38 @@ class TestAsyncOnlySurface:
         assert b"Connection: close\r\n" in blob
         assert stats["bad_requests"] == 1
 
+    @pytest.mark.parametrize(
+        "head",
+        [
+            # Two lengths: the 5 body bytes would frame the next request.
+            b"GET /healthz HTTP/1.1\r\nHost: a\r\nContent-Length: 0\r\n"
+            b"Content-Length: 5",
+            b"GET /healthz HTTP/1.1\r\nHost: a\r\nhost: b",
+            # obs-fold: a continuation line glued to the previous header.
+            b"GET /healthz HTTP/1.1\r\nHost: a\r\nX-Note: one\r\n two",
+            # Bare LF inside a CRLF-terminated head.
+            b"GET /healthz HTTP/1.1\r\nHost: a\nContent-Length: 5",
+        ],
+        ids=["duplicate-content-length", "duplicate-host", "obs-fold", "bare-lf"],
+    )
+    def test_ambiguous_head_is_400_and_closes(self, history, head):
+        follow_up = b"GET /healthz HTTP/1.1\r\nHost: a\r\n\r\n"
+        engine = AsyncFeedServer(make_server(history))
+        protocol, transport, _ = connected(engine)
+        protocol.data_received(head + b"\r\n\r\n" + follow_up)
+        assert transport.written.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert transport.written.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close\r\n" in transport.written
+        assert transport.closed
+        assert engine.bad_requests == 1
+
+        with AsyncFeedHTTPServer(make_server(history)) as server:
+            blob = exchange(server.port, [head + b"\r\n\r\n" + follow_up])
+            stats = json.loads(fetch(server.port, "/v1/stats")[1])
+        assert blob.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert blob.count(b"HTTP/1.1 ") == 1
+        assert stats["bad_requests"] == 1
+
     def test_zero_length_body_is_served(self, history):
         head = b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n"
         with AsyncFeedHTTPServer(make_server(history)) as server:

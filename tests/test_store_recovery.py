@@ -61,6 +61,46 @@ class TestTornTailRead:
         assert [r["n"] for r in store.read("events")] == [0, 1, 2]
 
 
+class TestScan:
+    """``scan``: the one streaming read both backends implement."""
+
+    def test_skips_torn_tail(self, tmp_path):
+        directory = make_store(tmp_path)
+        path = directory / "events.jsonl"
+        path.write_bytes(path.read_bytes()[:-7])  # tear the last record
+        store = JsonlStore.open(directory)
+        assert [r["n"] for r in store.scan("events")] == [0, 1]
+        assert [r["n"] for r in store.scan("events", [1, 0])] == [1, 0]
+        with pytest.raises(StoreError, match="row 2 is past the end"):
+            list(store.scan("events", [2]))
+
+    def test_mid_stream_corruption_names_stream_and_line(self, tmp_path):
+        directory = make_store(tmp_path)
+        path = directory / "events.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b'{"broken": \n'
+        path.write_bytes(b"".join(lines))
+        store = JsonlStore.open(directory)
+        with pytest.raises(StoreError, match=r"stream 'events' at .*events\.jsonl:2"):
+            list(store.scan("events"))
+        # Only the rows asked for are decoded.
+        assert [r["n"] for r in store.scan("events", [0, 2])] == [0, 2]
+
+    @pytest.mark.parametrize("backend", ["jsonl", "memory"])
+    def test_rejects_row_past_the_end(self, tmp_path, backend):
+        if backend == "jsonl":
+            store = JsonlStore.open(make_store(tmp_path))
+        else:
+            store = MemoryStore()
+            store.extend("events", ({"n": n} for n in range(3)))
+        assert [r["n"] for r in store.scan("events", [2, 0, 1])] == [2, 0, 1]
+        assert [r["n"] for r in store.scan("events", range(1, 3))] == [1, 2]
+        with pytest.raises(StoreError, match="past the end of stream 'events'"):
+            list(store.scan("events", [0, 3]))
+        assert list(store.scan("missing", [])) == []
+        assert store.read("events") == list(store.scan("events"))
+
+
 class TestTornTailAppend:
     def test_append_repairs_torn_tail_first(self, tmp_path):
         directory = make_store(tmp_path)
@@ -270,6 +310,31 @@ class TestIntentJournal:
         store.begin_intent("outer")
         with pytest.raises(StoreError, match="inside an open intent"):
             store.begin_intent("inner")
+
+    def test_stream_born_after_open_rolls_back(self, tmp_path, monkeypatch):
+        # The store learns its streams at open and from its own appends;
+        # a stream first created later, inside an intent, is still
+        # removed when that intent rolls back — and no batch globs.
+        directory = make_store(tmp_path)
+        store = JsonlStore.open(directory)
+
+        def no_glob(self, pattern):
+            raise AssertionError(f"globbed {pattern!r} after open")
+
+        monkeypatch.setattr(type(directory), "glob", no_glob)
+        store.append("feed", {"v": 1})  # born after open, committed
+        store.begin_intent("grp")
+        store.append("feed", {"v": 2})
+        store.append("policy", {"round": 0})  # born inside the intent
+        store.close()  # crash: the intent is never committed
+        monkeypatch.undo()
+        store = JsonlStore.open(directory)
+        recovery = store.last_recovery
+        assert recovery.intent_rolled_back == "grp"
+        assert recovery.records_rolled_back == {"feed": 1}
+        assert recovery.streams_removed == ["policy"]
+        assert store.read("feed") == [{"v": 1}]
+        assert not (directory / "policy.jsonl").exists()
 
     def test_torn_begin_record_is_ignored(self, tmp_path):
         # A begin line that never finished writing means begin_intent never

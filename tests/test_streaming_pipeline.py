@@ -14,7 +14,9 @@ The contract under test (DESIGN.md, "Streaming architecture"):
 
 from __future__ import annotations
 
+import gc
 import json
+from collections import deque
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.analysis.export import (
     interaction_to_dict,
 )
 from repro.analysis.reportgen import generate_report
+from repro.core.crawler import AdInteraction, ChainNode
 from repro.core.milking import MilkingConfig, MilkingSource
 from repro.core.pipeline import PipelineResult
 from repro.core.reports import regenerate_report
@@ -246,6 +249,75 @@ class TestResume:
         _, pipeline = make_pipeline(3)
         with pytest.raises(StoreError, match="no run to resume"):
             pipeline.resume_streaming(store)
+
+
+# ------------------------------------------------ the store is the dataset
+
+
+class TestStoreIsTheDataset:
+    """No stage keeps a crawl record alive: the store holds them, and
+    every consumer reads its rows back (DESIGN.md, "The store is the
+    dataset")."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_live_records_after_finalize(self, tmp_path, workers):
+        def live_records():
+            return [
+                obj
+                for obj in gc.get_objects()
+                if isinstance(obj, (AdInteraction, ChainNode))
+            ]
+
+        gc.collect()
+        # Held, so no id below can be reused by a record of this run.
+        before = live_records()
+        known = {id(obj) for obj in before}
+        world, pipeline = make_pipeline(5)
+        with JsonlStore(tmp_path / "run", run_id="tiny-5") as store:
+            # The run is held too: its stages, farm and checkpoint live on.
+            run = pipeline.start_streaming(store, workers=workers)
+            deque(run.crawl_batches(), maxlen=0)  # binds no batch
+            result = run.finalize()
+        gc.collect()
+        leaked = [obj for obj in live_records() if id(obj) not in known]
+        assert leaked == []
+        # The held result still reads every record back from the store.
+        assert len(result.crawl.interactions) == store.count("interactions") > 0
+        campaign = result.discovery.seacma_campaigns[0]
+        members = list(campaign.interactions)
+        assert len(members) == campaign.attack_count
+        assert {(r.screenshot_hash, r.landing_e2ld) for r in members} == set(
+            campaign.pairs
+        )
+        assert run.result is result
+
+    def test_resumed_stages_equal_uninterrupted(self, tmp_path):
+        _, pipeline = make_pipeline(11)
+        straight = pipeline.run_streaming(
+            JsonlStore(tmp_path / "straight", run_id="tiny-11"), with_milking=False
+        )
+        _, pipeline = make_pipeline(11)
+        store = JsonlStore(tmp_path / "cut", run_id="tiny-11")
+        batches = pipeline.start_streaming(store=store, with_milking=False).crawl_batches()
+        for index, _ in enumerate(batches):
+            if index == 8:
+                break
+        batches.close()
+        store.close()
+        reopened = JsonlStore.open(tmp_path / "cut")
+        resumed = SeacmaPipeline(
+            load_world(reopened), milking_config=MILKING
+        ).resume_streaming(reopened, with_milking=False)
+        assert resumed.discovery == straight.discovery
+        assert resumed.attribution.keys == straight.attribution.keys
+        for name in (
+            "sessions",
+            "publishers_visited",
+            "publishers_with_ads",
+            "landing_click_counts",
+        ):
+            assert getattr(resumed.crawl, name) == getattr(straight.crawl, name)
+        assert list(resumed.crawl.interactions) == list(straight.crawl.interactions)
 
 
 # ------------------------------------------------------- configuration
