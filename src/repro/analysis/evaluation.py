@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.core.discovery import DiscoveryResult
 from repro.core.milking import MilkingReport
+from repro.core.rows import cluster_members
 from repro.ecosystem.world import World
 
 
@@ -52,23 +53,25 @@ class DiscoveryEvaluation:
 
 
 def evaluate_discovery(world: World, discovery: DiscoveryResult) -> DiscoveryEvaluation:
-    """Score a discovery result against the world's true campaigns."""
+    """Score a discovery result against the world's true campaigns.
+
+    Every SE cluster's members are read in one pass over the store.
+    """
     true_keys = {campaign.key for campaign in world.campaigns}
-    cluster_owner: dict[int, set[str]] = {}
-    for cluster in discovery.seacma_campaigns:
-        keys = {
-            record.labels.get("campaign")
-            for record in cluster.interactions
-            if record.labels.get("campaign")
-        }
-        cluster_owner[cluster.cluster_id] = keys
+    clusters = discovery.seacma_campaigns
+    owners: list[set[str]] = [set() for _ in clusters]
+    for index, record in cluster_members(clusters):
+        key = record.labels.get("campaign")
+        if key:
+            owners[index].add(key)
 
     recovered: set[str] = set()
     campaign_clusters: dict[str, int] = {}
     impure = 0
     split = 0
     correct = 0
-    for cluster_id, keys in cluster_owner.items():
+    for cluster, keys in zip(clusters, owners):
+        cluster_id = cluster.cluster_id
         real = keys & true_keys
         if len(keys) > 1:
             impure += 1
@@ -83,7 +86,7 @@ def evaluate_discovery(world: World, discovery: DiscoveryResult) -> DiscoveryEva
     return DiscoveryEvaluation(
         true_campaigns=len(true_keys),
         recovered_campaigns=len(recovered),
-        se_clusters=len(discovery.seacma_campaigns),
+        se_clusters=len(clusters),
         correct_se_clusters=correct,
         impure_clusters=impure,
         split_campaigns=split,

@@ -13,9 +13,11 @@ low-effort domain names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.crawler import AdInteraction, PageFeatures
 from repro.core.discovery import DiscoveredCampaign, DiscoveryResult
+from repro.core.rows import cluster_members
 
 _SALE_MARKERS = ("for sale", "is for sale", "parked", "buy this domain")
 
@@ -58,13 +60,28 @@ class ParkedPageDetector:
         self, cluster: DiscoveredCampaign, majority: float = 0.6
     ) -> bool:
         """Whether a cluster is (majority-)parked."""
-        loaded = [r for r in cluster.interactions if not r.load_failed]
-        if not loaded:
-            return False
-        parked = sum(
-            1 for record in loaded if self.classify(record.page_features).parked
-        )
-        return parked / len(loaded) >= majority
+        members = ((0, record) for record in cluster.interactions)
+        return self.majority_parked(members, 1, majority)[0]
+
+    def majority_parked(
+        self,
+        members: Iterable[tuple[int, AdInteraction]],
+        clusters: int,
+        majority: float = 0.6,
+    ) -> list[bool]:
+        """Per cluster index, whether its loaded members are (majority-)parked.
+
+        ``members`` yields ``(cluster index, record)``; only the counts
+        are kept, so the records can stream from the store.
+        """
+        loaded = [0] * clusters
+        parked = [0] * clusters
+        for index, record in members:
+            if record.load_failed:
+                continue
+            loaded[index] += 1
+            parked[index] += self.classify(record.page_features).parked
+        return [n > 0 and hits / n >= majority for n, hits in zip(loaded, parked)]
 
 
 def autotriage_clusters(
@@ -76,12 +93,14 @@ def autotriage_clusters(
     detector fires on, and mutates the clusters' labels accordingly.
     Ground-truth labels are NOT consulted — this is the automated filter
     the paper's future work asks for, so it must run from page structure
-    alone.
+    alone.  Every cluster's members are read in one pass over the store.
     """
     detector = detector if detector is not None else ParkedPageDetector()
+    clusters = discovery.campaigns
+    verdicts = detector.majority_parked(cluster_members(clusters), len(clusters))
     relabelled: dict[int, str] = {}
-    for cluster in discovery.campaigns:
-        if detector.cluster_is_parked(cluster):
+    for cluster, parked in zip(clusters, verdicts):
+        if parked:
             cluster.label = "parked-auto"
             cluster.category = None
             relabelled[cluster.cluster_id] = "parked-auto"

@@ -137,7 +137,7 @@ class Browser:
         if tab is None:
             tab = self.new_tab()
         plan = self.internet.fault_plan
-        if plan is not None and plan.tab_crash(target.host, self.internet.scope):
+        if plan is not None and plan.tab_crash(self.internet.scope):
             resilience = self.internet.resilience
             if resilience is not None and resilience.retry.should_retry(0):
                 # Relaunch the crashed tab process after one backoff; the

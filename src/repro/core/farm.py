@@ -182,10 +182,13 @@ class CrawlPlan:
 class CrawlCheckpoint:
     """Durable progress of one farm crawl.
 
-    Captures the dataset accumulated so far plus which (domain, profile)
-    sessions finished, so a crawl interrupted mid-flight resumes where it
-    stopped and loses at most the one in-flight session.  ``laptop_index``
-    preserves the residential-laptop rotation across the restart.
+    Captures the dataset accumulated so far plus which domains finished
+    and which (domain, profile) sessions of the in-flight domain did, so a
+    crawl interrupted mid-flight resumes where it stopped and loses at
+    most the one in-flight session.  A finished domain's session marks
+    are dropped with it: :attr:`completed_domains` already skips it.
+    ``laptop_index`` preserves the residential-laptop rotation across the
+    restart.
     """
 
     dataset: CrawlDataset
@@ -432,6 +435,8 @@ class CrawlerFarm:
         if interactions:
             dataset.publishers_with_ads.add(entry.domain)
         checkpoint.completed_domains.add(entry.domain)
+        for profile in self.config.profiles:
+            checkpoint.completed_sessions.discard((entry.domain, profile.name))
         checkpoint.in_flight = None
         return CrawlBatch(
             domain=entry.domain,
@@ -456,8 +461,6 @@ class CrawlerFarm:
         dataset = checkpoint.dataset
         dataset.sessions += batch.sessions
         dataset.count_landings(batch.interactions)
-        for profile in self.config.profiles:
-            checkpoint.completed_sessions.add((entry.domain, profile.name))
         if entry.residential:
             checkpoint.laptop_index = (
                 entry.residential_base + len(self.config.profiles)

@@ -31,7 +31,7 @@ from repro.browser.useragent import UserAgentProfile, profile_by_name
 from repro.clock import DAY, EventScheduler, MINUTE
 from repro.core.backtrack import milkable_candidates
 from repro.core.discovery import DiscoveredCampaign, DiscoveryResult
-from repro.core.rows import StoredInteractions
+from repro.core.rows import cluster_members
 from repro.dom.render import clickable_candidates
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import VirusTotal, VtReport
@@ -527,20 +527,12 @@ def _member_candidates(
     """Per cluster, the milkable candidate URLs of its members and the
     user agents that saw each — read in one pass over the run store.
 
-    Members are decoded one at a time, in row order; only the candidate
-    sets are kept.  Each cluster's result is a set map, so the order the
-    members are read in cannot matter.
+    Each cluster's result is a set map, so the order the members are read
+    in cannot matter.
     """
     found: list[dict[str, set[str]]] = [{} for _ in clusters]
-    owner: dict[int, int] = {}
-    for index, cluster in enumerate(clusters):
-        for row in cluster.rows:
-            owner[row] = index
-    if owner:
-        rows = sorted(owner)
-        members = StoredInteractions(clusters[0].store, rows)
-        for row, record in zip(rows, members):
-            candidates = found[owner[row]]
-            for url in milkable_candidates(record):
-                candidates.setdefault(url, set()).add(record.ua_name)
+    for index, record in cluster_members(clusters):
+        candidates = found[index]
+        for url in milkable_candidates(record):
+            candidates.setdefault(url, set()).add(record.ua_name)
     return found

@@ -766,11 +766,6 @@ class StreamingRun:
                 1 for record in store.scan(HASHES) if record["row"] < expected_rows
             )
             store.truncate(HASHES, keep)
-        checkpoint.completed_sessions = {
-            (domain, profile.name)
-            for domain in checkpoint.completed_domains
-            for profile in self.farm.config.profiles
-        }
         if last is not None:
             checkpoint.laptop_index = last["laptop_index"]
             dataset.sessions = last["sessions"]

@@ -10,11 +10,14 @@ The view decodes its rows on each access and holds none of them.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.core.crawler import AdInteraction, interaction_from_dict, interaction_to_dict
 from repro.store.base import INTERACTIONS, RunStore
 from repro.store.memory import MemoryStore
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.discovery import DiscoveredCampaign
 
 
 class StoredInteractions:
@@ -74,3 +77,24 @@ def stored(interactions: Iterable[AdInteraction]) -> RunStore:
     store = MemoryStore(run_id="batch")
     store.extend(INTERACTIONS, (interaction_to_dict(record) for record in interactions))
     return store
+
+
+def cluster_members(
+    clusters: Sequence["DiscoveredCampaign"],
+) -> Iterator[tuple[int, AdInteraction]]:
+    """``(cluster index, record)`` for every member of ``clusters``, in row order.
+
+    One :meth:`~repro.store.base.RunStore.scan` of the store the clusters
+    index, however many clusters there are; records are decoded one at a
+    time and none is kept.  Discovery's clusters are disjoint, so each
+    row has one owner.
+    """
+    owner: dict[int, int] = {}
+    for index, cluster in enumerate(clusters):
+        for row in cluster.rows:
+            owner[row] = index
+    if not owner:
+        return
+    rows = sorted(owner)
+    for row, record in zip(rows, StoredInteractions(clusters[0].store, rows)):
+        yield owner[row], record

@@ -54,6 +54,8 @@ FETCH_KIND_WEIGHTS: tuple[tuple[FaultKind, float], ...] = (
     (FaultKind.SLOW_RESPONSE, 2.0),
     (FaultKind.TRUNCATED_BODY, 1.0),
 )
+_FETCH_KINDS = [kind for kind, _ in FETCH_KIND_WEIGHTS]
+_FETCH_WEIGHTS = [weight for _, weight in FETCH_KIND_WEIGHTS]
 
 
 @dataclass(frozen=True)
@@ -122,14 +124,15 @@ class FaultConfig:
 class FaultPlan:
     """Deterministic fault decisions for one simulated world.
 
-    Each decision draws from a child generator derived from the plan seed,
-    the injection point and a per-point call counter, so decisions are
-    independent of each other and reproducible for a fixed call order.
-    Fetch and tab-crash counters are kept per (crawl scope, host) in the
-    :class:`~repro.net.network.CrawlScope` of the request: that partitions
-    the fault schedule with the crawl plan, so a shard worker crawling
-    only its own domains replays exactly the faults the sequential run
-    injects there.
+    Fetch and tab-crash decisions draw from the
+    :class:`~repro.net.network.CrawlScope` of the request: one stream per
+    scope and injection point, seeded from the plan seed and the scope
+    label, made on first use and dropped with the scope.  The schedule is
+    therefore a pure function of the seed, the scope and that scope's own
+    request order, which partitions it with the crawl plan: a shard
+    worker crawling only its own domains replays exactly the faults the
+    sequential run injects there.  Session crashes stay stateless in
+    ``(domain, UA)`` so a resumed crawl sees the same crash schedule.
     """
 
     def __init__(
@@ -144,8 +147,8 @@ class FaultPlan:
 
     # --------------------------------------------------------- fetch layer
 
-    def fetch_fault(self, host: str, scope: "CrawlScope") -> FaultEvent | None:
-        """Decide whether ``scope``'s next fetch attempt toward ``host`` faults.
+    def fetch_fault(self, scope: "CrawlScope") -> FaultEvent | None:
+        """Decide whether ``scope``'s next fetch attempt faults.
 
         Returns the full event (kind, burst, delay) so the fetch layer can
         replay the burst locally without consulting the plan again.
@@ -153,21 +156,18 @@ class FaultPlan:
         config = self.config
         if config.rate <= 0.0:
             return None
-        draw = scope.next_draw("fetch", host)
-        rng = rng_for(self.seed, "faults", "fetch", scope.label, host, draw)
+        rng = scope.stream(self.seed, "faults", "fetch")
         if rng.random() >= config.rate:
             return None
-        kinds = [kind for kind, _ in FETCH_KIND_WEIGHTS]
-        weights = [weight for _, weight in FETCH_KIND_WEIGHTS]
-        kind = weighted_choice(rng, kinds, weights)
+        kind = weighted_choice(rng, _FETCH_KINDS, _FETCH_WEIGHTS)
         burst = 1 if kind is FaultKind.SLOW_RESPONSE else rng.randint(1, config.max_burst)
         self.stats.injected[kind.value] += 1
         return FaultEvent(kind=kind, burst=burst, delay=config.delay_for(kind))
 
     # ------------------------------------------------------- browser layer
 
-    def tab_crash(self, host: str, scope: "CrawlScope") -> bool:
-        """Whether the tab process crashes launching ``scope``'s navigation to ``host``.
+    def tab_crash(self, scope: "CrawlScope") -> bool:
+        """Whether the tab process crashes launching ``scope``'s next navigation.
 
         A crash affects only the launch attempt: the relaunched tab (one
         retry later) proceeds normally.
@@ -175,9 +175,7 @@ class FaultPlan:
         config = self.config
         if config.tab_crash_rate <= 0.0:
             return False
-        draw = scope.next_draw("tab-crash", host)
-        rng = rng_for(self.seed, "faults", "tab-crash", scope.label, host, draw)
-        if rng.random() >= config.tab_crash_rate:
+        if scope.stream(self.seed, "faults", "tab-crash").random() >= config.tab_crash_rate:
             return False
         self.stats.injected[FaultKind.TAB_CRASH.value] += 1
         return True

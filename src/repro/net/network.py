@@ -10,7 +10,6 @@ JS navigation) are handled by :mod:`repro.browser`.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
@@ -66,14 +65,16 @@ class CrawlScope:
 
     * the ad networks' decision streams and the campaigns' download
       streams (:meth:`stream`);
-    * the fault plan's per-host draw counters (:meth:`next_draw`);
+    * the fault plan's fetch and tab-crash decision streams (also
+      :meth:`stream`: one generator per scope and injection point, never
+      one per decision);
     * the per-host circuit breakers (:attr:`breakers`).
 
     :meth:`Internet.scoped` creates a unit's scope on entry and drops it
     on exit, so this state lives exactly as long as the unit reading it.
     """
 
-    __slots__ = ("label", "breakers", "_streams", "_draws")
+    __slots__ = ("label", "breakers", "_streams")
 
     def __init__(self, label: str = "") -> None:
         self.label = label
@@ -81,7 +82,6 @@ class CrawlScope:
         #: :meth:`repro.faults.retry.BreakerRegistry.for_host`.
         self.breakers: dict[str, "CircuitBreaker"] = {}
         self._streams: dict[tuple, random.Random] = {}
-        self._draws: Counter = Counter()
 
     def stream(self, seed: int, *labels: str) -> random.Random:
         """This unit's random stream for ``labels`` (made on first use).
@@ -94,11 +94,6 @@ class CrawlScope:
         if rng is None:
             rng = self._streams[key] = rng_for(seed, *labels, "scope", self.label)
         return rng
-
-    def next_draw(self, *point: str) -> int:
-        """Count one more draw at ``point``; the first draw is number 1."""
-        self._draws[point] += 1
-        return self._draws[point]
 
 
 class Internet:
@@ -242,7 +237,7 @@ class Internet:
             return HttpResponse(status=503, body=None), False, 0
         event = None
         if self.fault_plan is not None:
-            event = self.fault_plan.fetch_fault(host, scope)
+            event = self.fault_plan.fetch_fault(scope)
         stats = self.fault_stats
         attempt = 0
         spent = 0.0

@@ -33,6 +33,38 @@ class TestEvaluateDiscovery:
         assert evaluation.se_clusters == 0
 
 
+    def test_one_member_scan_equals_per_cluster_reads(self, pipeline_run, monkeypatch):
+        from repro.store.base import INTERACTIONS
+
+        world, _, result = pipeline_run
+        true_keys = {campaign.key for campaign in world.campaigns}
+        # Each SE cluster's campaign keys, one store view per cluster.
+        per_cluster = [
+            {r.labels["campaign"] for r in cluster.interactions if r.labels.get("campaign")}
+            for cluster in result.discovery.seacma_campaigns
+        ]
+        assert per_cluster
+        store = result.discovery.campaigns[0].store
+        real_scan = store.scan
+        scans = []
+
+        def counting_scan(stream, rows=None):
+            scans.append(stream)
+            return real_scan(stream, rows)
+
+        monkeypatch.setattr(store, "scan", counting_scan)
+        evaluation = evaluate_discovery(world, result.discovery)
+        assert scans == [INTERACTIONS]
+        recovered = set().union(*per_cluster) & true_keys
+        assert evaluation.se_clusters == len(per_cluster)
+        assert evaluation.recovered_campaigns == len(recovered)
+        assert evaluation.correct_se_clusters == sum(
+            1 for keys in per_cluster if keys & true_keys
+        )
+        assert evaluation.impure_clusters == sum(1 for keys in per_cluster if len(keys) > 1)
+        assert evaluation.missed_campaign_keys == sorted(true_keys - recovered)
+
+
 class TestEvaluateMilking:
     def test_coverage_of_tracked_campaigns(self, pipeline_run):
         world, _, result = pipeline_run

@@ -97,3 +97,31 @@ class TestOnRealCrawl:
             if cluster.interactions
             and cluster.interactions[0].labels.get("kind") == "se-attack"
         )
+
+    def test_autotriage_reads_members_in_one_scan(self, fresh_world, monkeypatch):
+        from repro import SeacmaPipeline
+        from repro.store.base import INTERACTIONS
+
+        result = SeacmaPipeline(fresh_world).run(with_milking=False)
+        clusters = result.discovery.campaigns
+        # The per-cluster verdict, one store view per cluster.
+        expected = {}
+        for cluster in clusters:
+            loaded = [r for r in cluster.interactions if not r.load_failed]
+            parked = sum(
+                ParkedPageDetector().classify(r.page_features).parked for r in loaded
+            )
+            if loaded and parked / len(loaded) >= 0.6:
+                expected[cluster.cluster_id] = "parked-auto"
+        assert expected
+        store = clusters[0].store
+        real_scan = store.scan
+        scans = []
+
+        def counting_scan(stream, rows=None):
+            scans.append(stream)
+            return real_scan(stream, rows)
+
+        monkeypatch.setattr(store, "scan", counting_scan)
+        assert autotriage_clusters(result.discovery) == expected
+        assert scans == [INTERACTIONS]

@@ -1,7 +1,7 @@
 """Crawl-scope lifetime (:class:`repro.net.network.CrawlScope`).
 
-Per-domain state — ad-decision and download streams, fault-draw
-counters, circuit breakers — lives in the scope :meth:`Internet.scoped`
+Per-domain state — ad-decision, download and fault-decision streams,
+circuit breakers — lives in the scope :meth:`Internet.scoped`
 makes for one crawl unit, and dies when the unit finishes.  The root
 scope ``""`` (milking, pilot visits) lives as long as the internet.
 """
@@ -27,6 +27,12 @@ def live_scopes(labels):
     ]
 
 
+def fresh_draws(label, count):
+    """The first ``count`` draws of a new fault-fetch stream of ``label``."""
+    rng = rng_for(1, "faults", "fetch", "scope", label)
+    return [rng.random() for _ in range(count)]
+
+
 class TestScoped:
     def test_nested_scope_restores_outer_state(self):
         internet = Internet(SimClock())
@@ -35,34 +41,44 @@ class TestScoped:
         with internet.scoped("outer.com"):
             outer = internet.scope
             assert outer is not root and outer.label == "outer.com"
-            assert outer.next_draw("fetch", "h.com") == 1
+            outer_stream = outer.stream(1, "faults", "fetch")
+            first = outer_stream.random()
             with internet.scoped("inner.com"):
                 assert internet.scope.label == "inner.com"
-                assert internet.scope.next_draw("fetch", "h.com") == 1
+                inner_stream = internet.scope.stream(1, "faults", "fetch")
+                assert inner_stream is not outer_stream
+                assert inner_stream.random() == fresh_draws("inner.com", 1)[0]
             assert internet.scope is outer
-            assert outer.next_draw("fetch", "h.com") == 2
+            assert outer.stream(1, "faults", "fetch") is outer_stream
+            # The outer stream continues where it stopped.
+            assert [first, outer_stream.random()] == fresh_draws("outer.com", 2)
         assert internet.scope is root
         assert root.stream(1, "probe") is root_stream
 
     def test_finished_unit_is_dropped(self):
         internet = Internet(SimClock())
         with internet.scoped("done.com"):
-            internet.scope.next_draw("fetch", "h.com")
+            finished = internet.scope.stream(1, "faults", "fetch")
+            finished.random()
         assert live_scopes({"done.com"}) == []
         with internet.scoped("done.com"):
-            assert internet.scope.next_draw("fetch", "h.com") == 1
+            again = internet.scope.stream(1, "faults", "fetch")
+            assert again is not finished
+            assert again.random() == fresh_draws("done.com", 1)[0]
 
     def test_interrupted_unit_resumes_its_state(self):
         internet = Internet(SimClock())
         with pytest.raises(RuntimeError):
             with internet.scoped("crashed.com"):
                 crashed = internet.scope
-                crashed.next_draw("fetch", "h.com")
+                stream = crashed.stream(1, "faults", "fetch")
+                first = stream.random()
                 raise RuntimeError("container host rebooted")
         assert internet.scope.label == ""
         with internet.scoped("crashed.com"):
             assert internet.scope is crashed
-            assert crashed.next_draw("fetch", "h.com") == 2
+            assert crashed.stream(1, "faults", "fetch") is stream
+            assert [first, stream.random()] == fresh_draws("crashed.com", 2)
         with internet.scoped("crashed.com"):
             assert internet.scope is not crashed
 
@@ -81,24 +97,27 @@ class TestCrawlDropsFinishedUnits:
         config = dataclasses.replace(WorldConfig.tiny(seed=29), fault_rate=0.05)
         world = build_world(config)
         root = world.internet.scope
-        root.next_draw("probe", "root.com")
+        probe = root.stream(1, "probe")
+        first = probe.random()
         result = SeacmaPipeline(world).run(with_milking=False)
-        return world, root, result
+        return world, root, (probe, first), result
 
     def test_faults_exercised_the_scoped_state(self, crawled):
-        world, _, result = crawled
+        world, _, _, result = crawled
         stats = world.internet.fault_stats
         assert stats.faults_injected > 0
         assert stats.retries > 0
         assert result.crawl.interactions
 
     def test_no_finished_domain_state_is_reachable(self, crawled):
-        _, _, result = crawled
+        _, _, _, result = crawled
         domains = {record.publisher_domain for record in result.crawl.interactions}
         assert domains
         assert live_scopes(domains) == []
 
     def test_root_scope_survives_the_crawl(self, crawled):
-        world, root, _ = crawled
+        world, root, (probe, first), _ = crawled
         assert world.internet.scope is root
-        assert root.next_draw("probe", "root.com") == 2
+        assert root.stream(1, "probe") is probe
+        expected = rng_for(1, "probe", "scope", "")
+        assert [first, probe.random()] == [expected.random(), expected.random()]

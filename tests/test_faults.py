@@ -80,7 +80,7 @@ class _ForcedFaults(FaultPlan):
         super().__init__(FaultConfig(rate=0.0), seed=0)
         self.event = event
 
-    def fetch_fault(self, host, scope):
+    def fetch_fault(self, scope):
         self.stats.injected[self.event.kind.value] += 1
         return self.event
 
@@ -91,7 +91,7 @@ class _AlwaysTabCrash(FaultPlan):
     def __init__(self) -> None:
         super().__init__(FaultConfig(rate=0.0), seed=0)
 
-    def tab_crash(self, host, scope):
+    def tab_crash(self, scope):
         self.stats.injected[FaultKind.TAB_CRASH.value] += 1
         return True
 
@@ -229,8 +229,8 @@ class TestFaultPlan:
     def test_zero_rate_injects_nothing(self):
         plan = FaultPlan(FaultConfig(rate=0.0, tab_crash_rate=0.0, session_crash_rate=0.0))
         scope = CrawlScope()
-        assert all(plan.fetch_fault("a.com", scope) is None for _ in range(50))
-        assert not plan.tab_crash("a.com", scope)
+        assert all(plan.fetch_fault(scope) is None for _ in range(50))
+        assert not plan.tab_crash(scope)
         plan.session_crash("a.com", "chrome-macos")  # no-op, must not raise
         assert plan.stats.faults_injected == 0
 
@@ -238,16 +238,60 @@ class TestFaultPlan:
         config = FaultConfig(rate=0.5)
         first = FaultPlan(config, seed=3)
         second = FaultPlan(config, seed=3)
-        hosts = [f"host{i}.com" for i in range(30)]
         first_scope, second_scope = CrawlScope(), CrawlScope()
-        assert [first.fetch_fault(h, first_scope) for h in hosts] == [
-            second.fetch_fault(h, second_scope) for h in hosts
+        assert [first.fetch_fault(first_scope) for _ in range(30)] == [
+            second.fetch_fault(second_scope) for _ in range(30)
         ]
+
+    def test_scope_schedule_ignores_other_scopes(self):
+        # The shard-partition property: a scope's decisions depend only on
+        # its own request order, not on what other scopes drew meanwhile.
+        config = FaultConfig(rate=0.3, tab_crash_rate=0.3)
+
+        def decisions(plan, scope, interleave=None):
+            out = []
+            for _ in range(40):
+                if interleave is not None:
+                    plan.fetch_fault(interleave)
+                    plan.tab_crash(interleave)
+                out.append((plan.fetch_fault(scope), plan.tab_crash(scope)))
+            return out
+
+        alone = decisions(FaultPlan(config, seed=5), CrawlScope("pub.com"))
+        shared = decisions(
+            FaultPlan(config, seed=5), CrawlScope("pub.com"), CrawlScope("other.com")
+        )
+        assert alone == shared
+        assert any(event is not None for event, _ in alone)
+        assert any(crashed for _, crashed in alone)
+
+    def test_one_generator_per_scope_and_kind(self, monkeypatch):
+        import repro.net.network as network_mod
+
+        made = []
+        real = network_mod.rng_for
+
+        def counting(*labels):
+            made.append(labels)
+            return real(*labels)
+
+        monkeypatch.setattr(network_mod, "rng_for", counting)
+        plan = FaultPlan(FaultConfig(rate=0.05), seed=4)
+        internet = Internet(SimClock(), fault_plan=plan)
+        hosts = [f"h{i}.com" for i in range(50)]
+        for host in hosts:
+            internet.register(host, page_server(host))
+        attach_resilience(internet)
+        with internet.scoped("pub.com"):
+            for index in range(1000):
+                internet.fetch(request_for(f"http://{hosts[index % 50]}/"))
+        assert plan.stats.faults_injected > 0
+        assert made == [(4, "faults", "fetch", "scope", "pub.com")]
 
     def test_bursts_bounded_and_counted(self):
         plan = FaultPlan(FaultConfig(rate=0.9, max_burst=2), seed=1)
         scope = CrawlScope()
-        events = [plan.fetch_fault(f"h{i}.com", scope) for i in range(60)]
+        events = [plan.fetch_fault(scope) for _ in range(60)]
         events = [event for event in events if event is not None]
         assert events
         for event in events:
@@ -489,6 +533,18 @@ class TestFarmCheckpoint:
         again = farm.crawl(list(domains), checkpoint=farm.checkpoint)
         assert again.sessions == sessions
         assert again is dataset
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finished_run_keeps_no_session_marks(self, workers):
+        # Session marks exist for the in-flight domain only; a finished
+        # domain is skipped through ``completed_domains``.
+        pipeline = SeacmaPipeline(build_world(WorldConfig.tiny(seed=13)))
+        run = pipeline.start_streaming(with_milking=False, workers=workers)
+        for _ in run.crawl_batches():
+            pass
+        checkpoint = run.farm.checkpoint
+        assert checkpoint.completed_domains
+        assert checkpoint.completed_sessions == set()
 
     def test_checkpoint_type_defaults(self):
         from repro.core.farm import CrawlDataset
