@@ -9,7 +9,6 @@ attack content.
 from repro.browser.devtools import DevToolsClient
 from repro.browser.useragent import CHROME_MACOS
 from repro.core.crawler import crawl_session
-from repro.dom.render import clickable_candidates, full_page_overlays
 
 
 def find_overlay_publisher(world):
@@ -19,7 +18,7 @@ def find_overlay_publisher(world):
     )
     for site in world.publishers:
         tab = client.navigate(site.url)
-        if tab.page is not None and full_page_overlays(tab.page.document):
+        if tab.load is not None and tab.load.overlays():
             return site
     raise AssertionError("no transparent-ad publisher in the world")
 
@@ -53,6 +52,6 @@ def test_fig1_transparent_ad(benchmark, bench_world, save_artifact):
         bench_world.internet, CHROME_MACOS, bench_world.vantages_residential[0]
     )
     tab = client.navigate(site.url)
-    candidates = clickable_candidates(tab.page.document)
+    candidates = tab.load.candidates()
     outcome = client.click(tab, candidates[0])
     assert outcome.triggered_ad

@@ -75,7 +75,6 @@ def main() -> None:
 
     print("\n=== Part 3: Selenium-style vs stealth DevTools automation ===")
     from repro.browser.devtools import DevToolsClient, SeleniumLikeDriver
-    from repro.dom.render import clickable_candidates
 
     antibot_sites = [site for site in world.publishers if site.uses_network("popads")][:10]
     print(f"crawling {len(antibot_sites)} PopAds publishers (anti-bot JS) with both drivers")
@@ -87,9 +86,9 @@ def main() -> None:
         for site in antibot_sites:
             client = factory()
             tab = client.navigate(site.url)
-            if tab.page is None:
+            if tab.load is None:
                 continue
-            candidates = clickable_candidates(tab.page.document)
+            candidates = tab.load.candidates()
             if candidates and client.click(tab, candidates[0]).triggered_ad:
                 triggered += 1
         print(f"  {name:<17}: ads triggered on {triggered}/{len(antibot_sites)} sites")

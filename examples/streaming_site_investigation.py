@@ -38,14 +38,11 @@ def main() -> None:
         world.internet, CHROME_MACOS, world.vantages_residential[0], stealth=True
     )
     tab = client.navigate(site.url)
-    page = tab.page
-    assert page is not None
-    from repro.dom.render import clickable_candidates, full_page_overlays
-
-    overlays = full_page_overlays(page.document)
-    if overlays:
+    load = tab.load
+    assert load is not None
+    if load.overlays():
         print("A transparent full-page overlay is armed: ANY click will be hijacked.")
-    candidates = clickable_candidates(page.document)
+    candidates = load.candidates()
     print(f"{len(candidates)} clickable elements; clicking the largest ...")
     outcome = client.click(tab, candidates[0])
     for new_tab in outcome.new_tabs:

@@ -57,6 +57,9 @@ class AdNetworkServer(VirtualServer):
         self._benign_url_picker = benign_url_picker
         # (campaign, weight) inventory, filled by the world builder.
         self._inventory: list[tuple[CampaignLike, float]] = []
+        #: Per platform, the eligible (campaigns, weights) of the
+        #: inventory; rebuilt after the inventory changes.
+        self._eligible: dict[str, tuple[list[CampaignLike], list[float]]] = {}
         self._banner_cache: dict[str, object] = {}
         # Syndication partners (§3.5 "ad exchange networks and ad
         # syndication"): other networks this one resells traffic to.
@@ -73,6 +76,7 @@ class AdNetworkServer(VirtualServer):
         if weight <= 0:
             raise ValueError("campaign weight must be positive")
         self._inventory.append((campaign, weight))
+        self._eligible.clear()
 
     def campaigns(self) -> list[CampaignLike]:
         """The campaigns currently in inventory."""
@@ -178,16 +182,24 @@ class AdNetworkServer(VirtualServer):
                 f"?pid={publisher_id}&syn=1"
             )
             return redirect(target)
-        platform = platform_of_ua(request.user_agent)
-        eligible = [
-            (campaign, weight)
-            for campaign, weight in self._inventory
-            if platform in campaign.platforms  # type: ignore[attr-defined]
-        ]
-        if eligible and rng.random() < self.spec.se_rate:
+        campaigns, weights = self._eligible_for(platform_of_ua(request.user_agent))
+        if campaigns and rng.random() < self.spec.se_rate:
             self.se_impressions += 1
-            campaigns = [campaign for campaign, _ in eligible]
-            weights = [weight for _, weight in eligible]
             campaign = weighted_choice(rng, campaigns, weights)
             return redirect(campaign.entry_url(now))  # type: ignore[attr-defined]
         return redirect(self._benign_url_picker(rng, now))
+
+    def _eligible_for(self, platform: str) -> tuple[list[CampaignLike], list[float]]:
+        """The inventory's campaigns targeting ``platform``, with weights."""
+        eligible = self._eligible.get(platform)
+        if eligible is None:
+            pairs = [
+                (campaign, weight)
+                for campaign, weight in self._inventory
+                if platform in campaign.platforms  # type: ignore[attr-defined]
+            ]
+            eligible = self._eligible[platform] = (
+                [campaign for campaign, _ in pairs],
+                [weight for _, weight in pairs],
+            )
+        return eligible

@@ -37,9 +37,9 @@ from repro.browser.logging import (
 )
 from repro.browser.screenshot import Screenshot, capture
 from repro.browser.useragent import UserAgentProfile
-from repro.dom.events import EventListener, collect_click_handlers
+from repro.dom.events import EventListener
 from repro.dom.nodes import Element, div
-from repro.dom.page import PageContent
+from repro.dom.page import PageContent, PageLoad
 from repro.errors import (
     BrowserError,
     NoSuchElementError,
@@ -65,7 +65,8 @@ class Tab:
     tab_id: int
     opener_id: int | None = None
     current_url: Url | None = None
-    page: PageContent | None = None
+    #: This tab's load of the page it displays (None: no live page).
+    load: PageLoad | None = None
     history: list[Url] = field(default_factory=list)
     load_epoch: int = 0
     unload_nag: str | None = None
@@ -76,9 +77,15 @@ class Tab:
     failure: str | None = None
 
     @property
+    def page(self) -> PageContent | None:
+        """The served page the tab displays (shared with every other load)."""
+        load = self.load
+        return load.page if load is not None else None
+
+    @property
     def loaded(self) -> bool:
         """Whether the tab currently displays a live page."""
-        return self.page is not None
+        return self.load is not None
 
 
 @dataclass
@@ -155,7 +162,7 @@ class Browser:
                 tab.load_epoch += 1
                 tab.history.append(target)
                 tab.current_url = target
-                tab.page = None
+                tab.load = None
                 tab.failure = "tab-crash"
                 return tab
         self._load(tab, target, cause="initial", source_url=None, referrer=None, depth=0)
@@ -163,26 +170,26 @@ class Browser:
 
     def click(self, tab: Tab, element: Element) -> ClickOutcome:
         """Dispatch a click (or tap) on ``element`` and report the effects."""
-        page = tab.page
-        if not tab.loaded or page is None:
+        load = tab.load
+        if load is None:
             raise BrowserError("cannot click in a tab with no page")
         # A transparent full-page overlay (Figure 1) sits on top of
         # everything: a click aimed at any element actually hits it.
-        from repro.dom.render import full_page_overlays
-
-        overlays = full_page_overlays(page.document)
+        overlays = load.overlays()
         if overlays and element not in overlays:
             element = overlays[0]
         mark = self.log.mark()
-        tabs_before = {existing.tab_id for existing in self.tabs}
+        # Tabs are only ever appended: the ones past this count are new.
+        tabs = self.tabs
+        tabs_before = len(tabs)
         epoch_before = tab.load_epoch
         # A click on an iframe lands inside its sub-document first (the
         # banner ad's own handlers), then bubbles to the outer page.
         handlers: list[EventListener] = []
-        if element.tag == "iframe" and element.sub_page is not None:
-            sub_root = element.sub_page.document
-            handlers.extend(collect_click_handlers(sub_root, sub_root))
-        handlers.extend(collect_click_handlers(element, page.document))
+        frame = load.frames.get(element)
+        if frame is not None:
+            handlers.extend(frame.click_handlers(frame.document))
+        handlers.extend(load.click_handlers(element))
         fired = 0
         for listener in handlers:
             if tab.load_epoch != epoch_before:
@@ -192,26 +199,28 @@ class Browser:
             fired += 1
             # One ad per user gesture: once a handler produced a popup or
             # replaced the page, remaining handlers wait for the next click.
-            opened = any(t.tab_id not in tabs_before for t in self.tabs)
-            if opened or tab.load_epoch != epoch_before:
+            if len(tabs) != tabs_before or tab.load_epoch != epoch_before:
                 break
-        outcome = ClickOutcome(handlers_fired=fired)
-        outcome.new_tabs = [t for t in self.tabs if t.tab_id not in tabs_before]
-        outcome.navigated_away = tab.load_epoch != epoch_before
+        downloads: list[DownloadEntry] = []
+        dialogs = 0
         for entry in self.log.since(mark):
             if isinstance(entry, DownloadEntry):
-                outcome.downloads.append(entry)
+                downloads.append(entry)
             elif isinstance(entry, DialogEntry):
-                outcome.dialogs += 1
-        return outcome
+                dialogs += 1
+        return ClickOutcome(
+            handlers_fired=fired,
+            new_tabs=tabs[tabs_before:],
+            navigated_away=tab.load_epoch != epoch_before,
+            downloads=downloads,
+            dialogs=dialogs,
+        )
 
     def click_first_candidate(self, tab: Tab) -> ClickOutcome:
         """Click the largest image/iframe on the page (crawler shortcut)."""
-        from repro.dom.render import clickable_candidates
-
-        if not tab.loaded or tab.page is None:
+        if tab.load is None:
             raise BrowserError("tab has no page")
-        candidates = clickable_candidates(tab.page.document)
+        candidates = tab.load.candidates()
         if not candidates:
             raise NoSuchElementError("no clickable candidates on page")
         return self.click(tab, candidates[0])
@@ -257,7 +266,7 @@ class Browser:
             tab.load_epoch += 1
             tab.history.append(url)
             tab.current_url = url
-            tab.page = None
+            tab.load = None
             tab.failure = "redirect-loop"
             return
         except TransientError as error:
@@ -274,7 +283,7 @@ class Browser:
             tab.load_epoch += 1
             tab.history.append(url)
             tab.current_url = url
-            tab.page = None
+            tab.load = None
             tab.failure = "transient"
             return
         now = self.internet.clock.now()
@@ -302,7 +311,7 @@ class Browser:
             if result.dns_failure:
                 self.log.append(DnsFailureEntry(timestamp=now, tab_id=tab.tab_id, url=str(final_url)))
             tab.current_url = final_url
-            tab.page = None
+            tab.load = None
             tab.failure = "dns" if result.dns_failure else "http"
             return
         if result.response.is_download:
@@ -311,11 +320,11 @@ class Browser:
         page = result.response.body
         if not isinstance(page, PageContent):
             tab.current_url = final_url
-            tab.page = None
+            tab.load = None
             return
         tab.current_url = final_url
-        # Each load gets its own DOM instance; served content is shared.
-        tab.page = page.instantiate()
+        # Served content is shared; what this load adds lives in its PageLoad.
+        tab.load = page.instantiate()
         self._run_page_scripts(tab, page, depth)
         self._load_iframes(tab, depth)
         self._settle(tab, depth)
@@ -339,6 +348,7 @@ class Browser:
 
     def _run_page_scripts(self, tab: Tab, page: PageContent, depth: int) -> None:
         epoch = tab.load_epoch
+        engine = JsEngine(_TabHost(self, tab, depth))
         for script in page.scripts:
             if tab.load_epoch != epoch:
                 break  # a script navigated; remaining scripts never run
@@ -351,8 +361,7 @@ class Browser:
                         script_url=script.url,
                     )
                 )
-            host = _TabHost(self, tab, depth)
-            JsEngine(host).run_script(script)
+            engine.run_script(script)
 
     def _load_iframes(self, tab: Tab, depth: int) -> None:
         """Fetch and attach iframe sub-documents (one nesting level).
@@ -361,12 +370,12 @@ class Browser:
         whose document is served by the ad network and carries its own
         click handlers.
         """
-        page = tab.page
-        if page is None or depth > MAX_NAVIGATION_DEPTH:
+        load = tab.load
+        if load is None or depth > MAX_NAVIGATION_DEPTH:
             return
-        for frame in page.document.find_all("iframe"):
+        for frame in load.find_all("iframe"):
             source = frame.attrs.get("src", "")
-            if frame.sub_page is not None or "://" not in source:
+            if frame in load.frames or "://" not in source:
                 continue
             try:
                 frame_url = parse_url(source)
@@ -393,12 +402,12 @@ class Browser:
             body = result.response.body
             if not result.response.ok or not isinstance(body, PageContent):
                 continue
-            sub = body.instantiate()
-            frame.sub_page = sub
+            sub = load.frames[frame] = body.instantiate()
             # Run the frame's scripts against the frame's document, with
             # tab-level effects (popups, navigations) applying to the tab.
             epoch = tab.load_epoch
-            for script in sub.scripts:
+            engine = JsEngine(_TabHost(self, tab, depth, load=sub))
+            for script in body.scripts:
                 if tab.load_epoch != epoch:
                     return
                 if script.url:
@@ -410,19 +419,18 @@ class Browser:
                             script_url=script.url,
                         )
                     )
-                host = _TabHost(self, tab, depth, page=sub)
-                JsEngine(host).run_script(script)
+                engine.run_script(script)
 
     def _settle(self, tab: Tab, depth: int) -> None:
         """Run due timers and the page's meta refresh, as a real browser
         would while the crawler waits out its per-page budget."""
         epoch = tab.load_epoch
         budget = SETTLE_BUDGET_MS
+        engine = JsEngine(_TabHost(self, tab, depth))
         for delay_ms, ops, script_url in sorted(tab.timers, key=lambda item: item[0]):
             if tab.load_epoch != epoch or delay_ms > budget:
                 break
-            host = _TabHost(self, tab, depth)
-            JsEngine(host).run(ops, script_url)
+            engine.run(ops, script_url)
         if tab.load_epoch != epoch:
             return
         page = tab.page
@@ -464,19 +472,19 @@ class Browser:
 class _TabHost:
     """The :class:`~repro.js.engine.JsHost` bound to one tab.
 
-    ``page`` overrides the document scripts operate on (used for iframe
+    ``load`` overrides the document scripts operate on (used for iframe
     sub-documents); tab-level effects always apply to the owning tab.
     """
 
-    def __init__(self, browser: Browser, tab: Tab, depth: int, page: PageContent | None = None) -> None:
+    def __init__(self, browser: Browser, tab: Tab, depth: int, load: PageLoad | None = None) -> None:
         self._browser = browser
         self._tab = tab
         self._depth = depth
-        self._page = page
+        self._load = load
 
     @property
-    def _document_page(self) -> PageContent | None:
-        return self._page if self._page is not None else self._tab.page
+    def _document_load(self) -> PageLoad | None:
+        return self._load if self._load is not None else self._tab.load
 
     # -- engine surface -------------------------------------------------
 
@@ -485,47 +493,48 @@ class _TabHost:
 
     def log_api(self, api: str, args: tuple, script_url: str | None) -> None:
         self._browser.log.js.record(
-            timestamp=self.now(),
-            api=api,
-            args=args,
-            script_url=script_url,
-            page_url=str(self._tab.current_url) if self._tab.current_url else "",
+            self.now(), api, args, script_url, self._tab.current_url
         )
 
     def attach_listener(
         self, selector: str, event: str, handler: Ops, once: bool, script_url: str | None
     ) -> None:
-        page = self._document_page
-        if page is None:
+        load = self._document_load
+        if load is None:
             return
-        listener_args = dict(event_type=event, handler=handler, source_url=script_url or "", once=once)
-        for element in self._resolve(selector, page):
-            element.listeners.append(EventListener(**listener_args))
+        source_url = script_url or ""
+        for element in self._resolve(selector, load):
+            load.add_listener(
+                element,
+                EventListener(event_type=event, handler=handler, source_url=source_url, once=once),
+            )
 
     def inject_overlay(self, handler: Ops, once: bool, z_index: int, script_url: str | None) -> None:
-        page = self._document_page
-        if page is None:
+        load = self._document_load
+        if load is None:
             return
-        root = page.document
-        overlay = div(
-            attrs={"id": "ad-overlay"},
-            width=root.width,
-            height=root.height,
-            z_index=z_index,
-            opacity=0.0,
+        root = load.document
+        overlay = load.inject(
+            div(
+                attrs={"id": "ad-overlay"},
+                width=root.width,
+                height=root.height,
+                z_index=z_index,
+                opacity=0.0,
+            )
         )
-        overlay.listeners.append(
-            EventListener(event_type="click", handler=handler, source_url=script_url or "", once=once)
+        load.add_listener(
+            overlay,
+            EventListener(event_type="click", handler=handler, source_url=script_url or "", once=once),
         )
-        root.append(overlay)
 
     def inject_iframe(self, src: str, width: int, height: int, script_url: str | None) -> None:
-        page = self._document_page
-        if page is None:
+        load = self._document_load
+        if load is None:
             return
         from repro.dom.nodes import iframe as iframe_node
 
-        page.document.append(iframe_node(src, width, height))
+        load.inject(iframe_node(src, width, height))
         # The browser loads (newly injected) frames after scripts finish.
         self._browser._load_iframes(self._tab, self._depth + 1)
 
@@ -675,15 +684,14 @@ class _TabHost:
 
     # -- helpers ---------------------------------------------------------
 
-    def _resolve(self, selector: str, page: PageContent) -> list[Element]:
-        document = page.document
+    def _resolve(self, selector: str, load: PageLoad) -> list[Element]:
         if selector == "document":
-            return [document]
+            return [load.document]
         if selector == "img:all":
-            return document.find_all("img")
+            return load.find_all("img")
         if selector == "iframe:all":
-            return document.find_all("iframe")
+            return load.find_all("iframe")
         if selector.startswith("#"):
-            found = document.find_by_id(selector[1:])
+            found = load.find_by_id(selector[1:])
             return [found] if found is not None else []
         return []

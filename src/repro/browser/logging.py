@@ -134,10 +134,12 @@ E = TypeVar("E", bound=LogEntry)
 
 
 class BrowserLog:
-    """Append-only, queryable session log."""
+    """Append-only, queryable session log, indexed by entry type."""
 
     def __init__(self) -> None:
         self._entries: list[LogEntry] = []
+        #: Entries per entry class (and each of its LogEntry bases), in order.
+        self._by_type: dict[type, list[LogEntry]] = {LogEntry: self._entries}
         self.js = InstrumentationLog()
 
     def __len__(self) -> int:
@@ -149,10 +151,19 @@ class BrowserLog:
     def append(self, entry: LogEntry) -> None:
         """Record one entry."""
         self._entries.append(entry)
+        by_type = self._by_type
+        for cls in type(entry).__mro__:
+            if cls is LogEntry:
+                break
+            found = by_type.get(cls)
+            if found is None:
+                by_type[cls] = [entry]
+            else:
+                found.append(entry)
 
     def entries_of(self, entry_type: Type[E]) -> list[E]:
-        """All entries of one type, in order."""
-        return [entry for entry in self._entries if isinstance(entry, entry_type)]
+        """All entries of one type (subclasses included), in order."""
+        return list(self._by_type.get(entry_type, ()))
 
     def navigations(self, tab_id: int | None = None) -> list[NavigationEntry]:
         """Navigation entries, optionally filtered to one tab."""

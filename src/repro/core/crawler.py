@@ -28,7 +28,7 @@ from repro.browser.logging import (
     TabOpenEntry,
 )
 from repro.browser.useragent import UserAgentProfile
-from repro.dom.render import clickable_candidates
+from repro.dom.page import PageFeatures
 from repro.net.ipspace import VantagePoint
 from repro.net.network import Internet
 from repro.urlkit.psl import e2ld
@@ -42,40 +42,6 @@ class ChainNode:
     url: str
     cause: str
     source_url: str | None = None
-
-
-@dataclass(frozen=True)
-class PageFeatures:
-    """Lightweight structural features of a landing page.
-
-    Captured by the crawler for every landing page (the real system's
-    logs contain the full DOM, so these are derivable offline); consumed
-    by automated triage helpers like the parked-domain detector
-    (:mod:`repro.analysis.parking`).
-    """
-
-    n_scripts: int = 0
-    n_images: int = 0
-    n_anchors: int = 0
-    n_offsite_anchors: int = 0
-    title: str = ""
-
-    @classmethod
-    def from_page(cls, page, host: str) -> "PageFeatures":
-        """Extract features from a loaded page."""
-        anchors = page.document.find_all("a")
-        offsite = 0
-        for node in anchors:
-            href = node.attrs.get("href", "")
-            if "://" in href and f"://{host}" not in href:
-                offsite += 1
-        return cls(
-            n_scripts=len(page.scripts),
-            n_images=len(page.document.find_all("img")),
-            n_anchors=len(anchors),
-            n_offsite_anchors=offsite,
-            title=page.title,
-        )
 
 
 @dataclass(frozen=True)
@@ -216,15 +182,12 @@ def crawl_session(
     profile: UserAgentProfile,
     vantage: VantagePoint,
     config: CrawlerConfig | None = None,
-    feature_memo=None,
 ) -> list[AdInteraction]:
     """Run one crawling session and return the recorded ad interactions.
 
-    ``feature_memo`` (a :class:`repro.core.sessionbatch.FeatureMemo`)
-    shares landing-page feature extraction across the sessions of one
-    domain; ``None`` extracts features afresh for every interaction.
-    Screenshot hashes are memoized per visual either way
-    (:func:`repro.imaging.dhash.visual_dhash`).
+    Landing-page features are extracted once per served page and host
+    (:meth:`repro.dom.page.PageContent.features`) and screenshot hashes
+    once per visual (:func:`repro.imaging.dhash.visual_dhash`).
     """
     config = config if config is not None else CrawlerConfig()
     client = DevToolsClient(internet, profile, vantage, stealth=True, bypass_locking=True)
@@ -236,7 +199,7 @@ def crawl_session(
     if not tab.loaded:
         return interactions
     publisher_domain = tab.current_url.host if tab.current_url else ""
-    candidates = clickable_candidates(tab.page.document)
+    candidates = tab.load.candidates()
     clicks = 0
     candidate_index = 0
     while (
@@ -256,24 +219,18 @@ def crawl_session(
             internet.clock.advance(2.0)  # think time between clicks
             for new_tab in outcome.new_tabs:
                 interactions.append(
-                    _record_interaction(
-                        browser, tab, new_tab, profile, vantage,
-                        feature_memo=feature_memo,
-                    )
+                    _record_interaction(browser, tab, new_tab, profile, vantage)
                 )
             if outcome.navigated_away:
                 interactions.append(
-                    _record_interaction(
-                        browser, tab, tab, profile, vantage,
-                        stolen=True, feature_memo=feature_memo,
-                    )
+                    _record_interaction(browser, tab, tab, profile, vantage, stolen=True)
                 )
                 # Re-open the browser tab on the publisher, §3.2.  The
-                # reload gets a fresh DOM, so re-rank its elements.
+                # reload is a fresh load, so re-rank its elements.
                 tab = _visit_publisher(browser, internet, publisher_url)
                 if not tab.loaded:
                     return interactions
-                candidates = clickable_candidates(tab.page.document)
+                candidates = tab.load.candidates()
                 break
             if not outcome.triggered_ad and outcome.handlers_fired == 0:
                 break  # nothing armed on this element; move on
@@ -288,7 +245,6 @@ def _record_interaction(
     profile: UserAgentProfile,
     vantage: VantagePoint,
     stolen: bool = False,
-    feature_memo=None,
 ) -> AdInteraction:
     """Snapshot one triggered ad from the session log."""
     log = browser.log
@@ -297,9 +253,10 @@ def _record_interaction(
     landing_host = landing_tab.current_url.host if landing_tab.current_url else ""
     chain: list[ChainNode] = []
     tab_open = None
-    for entry in log.entries_of(TabOpenEntry):
+    for entry in reversed(log.entries_of(TabOpenEntry)):
         if entry.tab_id == landing_tab.tab_id:
             tab_open = entry
+            break
     navigations = log.navigations(landing_tab.tab_id)
     if tab_open is not None and not (
         navigations and navigations[0].url == tab_open.url
@@ -323,12 +280,7 @@ def _record_interaction(
                 push_endpoint = entry.push_endpoint
     page = landing_tab.page
     labels = dict(page.labels) if page is not None else {}
-    if page is None:
-        features = PageFeatures()
-    elif feature_memo is not None:
-        features = feature_memo.page_features(page, landing_host)
-    else:
-        features = PageFeatures.from_page(page, landing_host)
+    features = page.features(landing_host) if page is not None else PageFeatures()
     return AdInteraction(
         publisher_domain=publisher_tab.history[0].host if publisher_tab.history else "",
         publisher_url=str(publisher_tab.history[0]) if publisher_tab.history else "",

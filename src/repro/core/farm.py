@@ -471,7 +471,7 @@ class CrawlerFarm:
         )
 
     def _run_session(
-        self, domain: str, profile: UserAgentProfile, vantage, feature_memo=None
+        self, domain: str, profile: UserAgentProfile, vantage
     ) -> list[AdInteraction]:
         """Run one crawl session, surviving injected container crashes."""
         world = self.world
@@ -505,7 +505,6 @@ class CrawlerFarm:
                 profile,
                 vantage,
                 self.config.crawler,
-                feature_memo=feature_memo,
             )
         except TransientError:
             # Safety net: an unabsorbed fault killed the container

@@ -32,7 +32,6 @@ from repro.clock import DAY, EventScheduler, MINUTE
 from repro.core.backtrack import milkable_candidates
 from repro.core.discovery import DiscoveredCampaign, DiscoveryResult
 from repro.core.rows import cluster_members
-from repro.dom.render import clickable_candidates
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import VirusTotal, VtReport
 from repro.errors import MilkingError
@@ -479,16 +478,16 @@ class MilkingTracker:
     def _interact(self, client, tab, source: MilkingSource, report: MilkingReport) -> None:
         """Simple page interaction: click the dominant element, collect
         downloads, phone numbers and forward gateways."""
-        page = tab.page
-        if page is None:
+        load = tab.load
+        if load is None:
             return
         # Scam phone numbers live in the page source (data attributes).
-        for element in page.document.walk():
+        for element in load.nodes:
             phone = element.attrs.get("data-phone")
             if phone:
                 report.phones.add(phone)
-        candidates = clickable_candidates(page.document)
-        target = candidates[0] if candidates else page.document
+        candidates = load.candidates()
+        target = candidates[0] if candidates else load.document
         outcome = client.click(tab, target)
         for entry in outcome.downloads:
             payload = entry.payload

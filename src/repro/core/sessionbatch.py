@@ -8,8 +8,9 @@ the ad servers are stateful within a domain scope, so sessions cannot be
 reordered.  The pure per-interaction work is memoized instead of
 recomputed: a screenshot's hash is a pure function of its page's visual
 spec, so each visual is hashed once per process
-(:func:`~repro.imaging.dhash.visual_dhash`), and landing-page features
-are extracted once per rendered page of the entry (:class:`FeatureMemo`).
+(:func:`~repro.imaging.dhash.visual_dhash`), and a served page extracts
+its landing-page features once per host
+(:meth:`~repro.dom.page.PageContent.features`).
 
 Neither memo can change a byte: the session control flow never reads a
 hash or a feature back, and a memo hit returns exactly the value a fresh
@@ -19,10 +20,10 @@ runs).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.chaos.points import crash_point
-from repro.core.crawler import AdInteraction, PageFeatures
+from repro.core.crawler import AdInteraction
 from repro.telemetry import SHARD_LANE, current as current_telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,27 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: :attr:`~repro.core.crawler.CrawlerConfig.max_ads` (default 3), so the
 #: buckets resolve the whole useful range exactly.
 SCREEN_BOUNDARIES = (0.0, 1.0, 2.0, 3.0, 5.0, 8.0)
-
-
-class FeatureMemo:
-    """Landing-page features of one plan entry, extracted once per page.
-
-    Handed to :func:`~repro.core.crawler.crawl_session` by the kernel;
-    the sessions of one domain land on the same rendered pages again and
-    again.
-    """
-
-    def __init__(self) -> None:
-        #: Strong page references keep ``id(page)`` keys valid.
-        self._features: dict[tuple[int, str], tuple[Any, PageFeatures]] = {}
-
-    def page_features(self, page: Any, host: str) -> PageFeatures:
-        key = (id(page), host)
-        hit = self._features.get(key)
-        if hit is None:
-            hit = (page, PageFeatures.from_page(page, host))
-            self._features[key] = hit
-        return hit[1]
 
 
 class SessionKernel:
@@ -78,7 +58,6 @@ class SessionKernel:
         dataset = checkpoint.dataset
         n_laptops = len(world.vantages_residential) or 1
         telemetry = current_telemetry()
-        feature_memo = FeatureMemo()
         # Sessions an earlier, crashed attempt at this entry committed.
         batch = checkpoint.take_in_flight(entry.domain)
         sessions_run = 0
@@ -96,9 +75,7 @@ class SessionKernel:
                     ]
                 else:
                     vantage = world.vantage_institution
-                interactions = farm._run_session(
-                    entry.domain, profile, vantage, feature_memo=feature_memo
-                )
+                interactions = farm._run_session(entry.domain, profile, vantage)
                 dataset.sessions += 1
                 sessions_run += 1
                 telemetry.inc("crawl.sessions")

@@ -7,7 +7,7 @@ from repro.dom.render import (
     full_page_overlays,
     viewport_area,
 )
-from repro.dom.page import PageContent, VisualSpec
+from repro.dom.page import PageContent, PageFeatures, PageLoad, VisualSpec
 
 __all__ = [
     "Element",
@@ -22,5 +22,7 @@ __all__ = [
     "full_page_overlays",
     "viewport_area",
     "PageContent",
+    "PageFeatures",
+    "PageLoad",
     "VisualSpec",
 ]

@@ -12,7 +12,7 @@ and why the crawler repeats clicks at the same spot, §3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.dom.nodes import Element
 
@@ -44,11 +44,17 @@ class EventListener:
         self.fired_count += 1
 
 
-def collect_click_handlers(target: Element, document: Element) -> list[EventListener]:
+def collect_click_handlers(
+    target: Element,
+    document: Element,
+    listeners: Mapping[Element, list[EventListener]],
+) -> list[EventListener]:
     """Return live listeners a click on ``target`` would fire, in order.
 
-    Order is bubbling order: target's own listeners, then each ancestor's,
-    then listeners on the document root (unless the root is already in the
+    ``listeners`` maps each node to the listeners one page load attached
+    to it (a :class:`~repro.dom.page.PageLoad`'s ``listeners``).  Order
+    is bubbling order: target's own listeners, then each ancestor's, then
+    listeners on the document root (unless the root is already in the
     chain).  Spent ``once`` listeners are skipped; consumption is the
     caller's job (via :meth:`EventListener.mark_fired`) because a handler
     whose popup never materialized should stay armed.
@@ -58,7 +64,7 @@ def collect_click_handlers(target: Element, document: Element) -> list[EventList
         chain.append(document)
     live: list[EventListener] = []
     for element in chain:
-        for listener in element.listeners:
+        for listener in listeners.get(element, ()):
             if listener.event_type != "click":
                 continue
             if not listener.spent:

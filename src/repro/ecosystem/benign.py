@@ -49,6 +49,8 @@ _KIND_WEIGHTS = {
     BenignKind.SHORTENER: 0.10,
     BenignKind.DEAD: 0.03,
 }
+_KINDS = tuple(_KIND_WEIGHTS)
+_WEIGHTS = tuple(_KIND_WEIGHTS.values())
 
 
 @dataclass
@@ -79,9 +81,10 @@ class BenignWeb(VirtualServer):
         self._rng: random.Random = rng_for(seed, "benign")
         generator = DomainGenerator(seed, "benign")
         self._families: list[_TemplateFamily] = []
+        #: The families of each kind, in creation order (``pick_url``'s pools).
+        self._families_by_kind: dict[BenignKind, list[_TemplateFamily]] = {}
         self._host_to_family: dict[str, _TemplateFamily] = {}
         self._page_cache: dict[str, PageContent] = {}
-        self._dead_hosts: set[str] = set()
 
         # Stable advertisers: one domain, one template each.
         for index in range(n_advertisers):
@@ -127,11 +130,13 @@ class BenignWeb(VirtualServer):
                 )
         # Dead destinations: domains that never resolve.
         self._dead_hosts = {generator.dga(tld="top") for _ in range(n_dead_domains)}
+        self._dead_hosts_sorted = sorted(self._dead_hosts)
 
     # --------------------------------------------------------------- build
 
     def _add_family(self, family: _TemplateFamily) -> None:
         self._families.append(family)
+        self._families_by_kind.setdefault(family.kind, []).append(family)
         for domain in family.domains:
             self._host_to_family[domain] = family
 
@@ -157,7 +162,7 @@ class BenignWeb(VirtualServer):
 
     def dead_hosts(self) -> list[str]:
         """Hosts benign ads may point at that never resolve."""
-        return sorted(self._dead_hosts)
+        return list(self._dead_hosts_sorted)
 
     def kind_of_host(self, host: str) -> BenignKind | None:
         """Ground-truth class of ``host`` (None if not part of BenignWeb)."""
@@ -174,12 +179,11 @@ class BenignWeb(VirtualServer):
 
     def pick_url(self, rng: random.Random, now: float) -> Url:
         """An ad-click destination, sampled by traffic weights."""
-        kind = weighted_choice(rng, list(_KIND_WEIGHTS), list(_KIND_WEIGHTS.values()))
+        kind = weighted_choice(rng, _KINDS, _WEIGHTS)
         if kind is BenignKind.DEAD:
-            host = rng.choice(sorted(self._dead_hosts))
+            host = rng.choice(self._dead_hosts_sorted)
             return parse_url(f"http://{host}/offer")
-        members = [family for family in self._families if family.kind is kind]
-        family = rng.choice(members)
+        family = rng.choice(self._families_by_kind.get(kind, ()))
         domain = rng.choice(family.domains)
         path = rng.choice(family.paths)
         return parse_url(f"http://{domain}{path}")

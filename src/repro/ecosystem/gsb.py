@@ -45,6 +45,9 @@ class GoogleSafeBrowsing:
         self._seed = seed
         self._decisions: dict[str, _Decision] = {}
         self._campaign_of_domain: dict[str, Campaign] = {}
+        #: Whether each campaign (by key) is on GSB's radar: one draw per
+        #: campaign, made when its first domain is judged.
+        self._on_radar: dict[str, bool] = {}
         self.lookup_count = 0
 
     # ------------------------------------------------------------ learning
@@ -66,8 +69,7 @@ class GoogleSafeBrowsing:
         if domain_rng.random() < profile.gsb_prelisted_rate:
             self._decisions[domain] = _Decision(will_list=True, listed_at=activated_at)
             return
-        campaign_rng = rng_for(self._seed, "gsb-campaign", campaign.key)
-        campaign_on_radar = campaign_rng.random() < profile.gsb_campaign_rate
+        campaign_on_radar = self._campaign_on_radar(campaign)
         domain_caught = campaign_on_radar and domain_rng.random() < profile.gsb_domain_rate
         if domain_caught:
             lag = domain_rng.lognormvariate(_LAG_MU, _LAG_SIGMA)
@@ -75,6 +77,14 @@ class GoogleSafeBrowsing:
         else:
             decision = _Decision(will_list=False, listed_at=math.inf)
         self._decisions[domain] = decision
+
+    def _campaign_on_radar(self, campaign: Campaign) -> bool:
+        on_radar = self._on_radar.get(campaign.key)
+        if on_radar is None:
+            campaign_rng = rng_for(self._seed, "gsb-campaign", campaign.key)
+            on_radar = campaign_rng.random() < campaign.profile.gsb_campaign_rate
+            self._on_radar[campaign.key] = on_radar
+        return on_radar
 
     # ------------------------------------------------------------- queries
 

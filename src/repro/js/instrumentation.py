@@ -10,7 +10,10 @@ ad-loading-process reconstruction (§3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from repro.urlkit.url import Url
 
 
 @dataclass(frozen=True)
@@ -25,16 +28,29 @@ class JsCallRecord:
 
 
 class InstrumentationLog:
-    """Append-only log of JS API calls."""
+    """Append-only log of JS API calls.
+
+    Every executed op is logged, but the crawl itself never reads the
+    log back, so a call is stored as the raw tuple it arrived as (the
+    page URL unrendered); :class:`JsCallRecord` objects are built only
+    when the log is read.
+    """
 
     def __init__(self) -> None:
-        self._records: list[JsCallRecord] = []
+        self._calls: list[tuple] = []
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._calls)
 
     def __iter__(self) -> Iterator[JsCallRecord]:
-        return iter(self._records)
+        for timestamp, api, args, script_url, page_url in self._calls:
+            yield JsCallRecord(
+                timestamp=timestamp,
+                api=api,
+                args=args,
+                script_url=script_url,
+                page_url=str(page_url) if page_url else "",
+            )
 
     def record(
         self,
@@ -42,27 +58,20 @@ class InstrumentationLog:
         api: str,
         args: tuple,
         script_url: str | None,
-        page_url: str,
+        page_url: "str | Url | None",
     ) -> None:
-        """Append one call record."""
-        self._records.append(
-            JsCallRecord(
-                timestamp=timestamp,
-                api=api,
-                args=args,
-                script_url=script_url,
-                page_url=page_url,
-            )
-        )
+        """Append one call record; a :class:`~repro.urlkit.url.Url` is
+        rendered on read, and None reads as ``""``."""
+        self._calls.append((timestamp, api, args, script_url, page_url))
 
     def calls_to(self, api: str) -> list[JsCallRecord]:
         """All records for one API name."""
-        return [record for record in self._records if record.api == api]
+        return [record for record in self if record.api == api]
 
     def apis_used(self) -> set[str]:
         """The distinct API names seen."""
-        return {record.api for record in self._records}
+        return {call[1] for call in self._calls}
 
     def by_script(self, script_url: str | None) -> list[JsCallRecord]:
         """All records attributed to one script."""
-        return [record for record in self._records if record.script_url == script_url]
+        return [record for record in self if record.script_url == script_url]

@@ -216,6 +216,20 @@ class TestServing:
         )
         assert seen
 
+    def test_campaign_added_after_serving_becomes_eligible(self):
+        # The per-platform eligible lists are rebuilt when inventory grows.
+        ctx = context()
+        server = make_server("popcash")
+        for _ in range(20):
+            response = server.handle(click_request(server), ctx)
+            assert "benign-brand.com" in str(response.location)
+        server.add_campaign(FakeCampaign("late"))
+        seen = any(
+            "tds-late.info" in str(server.handle(click_request(server), ctx).location)
+            for _ in range(100)
+        )
+        assert seen
+
     def test_no_inventory_serves_benign(self):
         ctx = context()
         server = make_server("popcash")

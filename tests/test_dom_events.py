@@ -13,58 +13,55 @@ class TestCollectClickHandlers:
         root = div()
         mid = root.append(div())
         leaf = mid.append(img("x", 10, 10))
-        leaf.listeners.append(listener("leaf"))
-        mid.listeners.append(listener("mid"))
-        root.listeners.append(listener("root"))
-        fired = collect_click_handlers(leaf, root)
+        listeners = {
+            leaf: [listener("leaf")],
+            mid: [listener("mid")],
+            root: [listener("root")],
+        }
+        fired = collect_click_handlers(leaf, root, listeners)
         assert [f.source_url for f in fired] == ["leaf", "mid", "root"]
 
     def test_document_included_when_detached(self):
         root = div()
         orphan = img("x", 10, 10)  # not attached under root
-        root.listeners.append(listener("doc"))
-        fired = collect_click_handlers(orphan, root)
+        fired = collect_click_handlers(orphan, root, {root: [listener("doc")]})
         assert [f.source_url for f in fired] == ["doc"]
 
     def test_document_not_duplicated(self):
         root = div()
         leaf = root.append(img("x", 10, 10))
-        root.listeners.append(listener("doc"))
-        fired = collect_click_handlers(leaf, root)
+        fired = collect_click_handlers(leaf, root, {root: [listener("doc")]})
         assert len(fired) == 1
 
     def test_non_click_listeners_ignored(self):
         root = div()
-        root.listeners.append(
-            EventListener(event_type="scroll", handler=(), source_url="s")
-        )
-        assert collect_click_handlers(root, root) == []
+        listeners = {root: [EventListener(event_type="scroll", handler=(), source_url="s")]}
+        assert collect_click_handlers(root, root, listeners) == []
 
     def test_spent_once_listeners_skipped(self):
         root = div()
         once = listener("once", once=True)
-        root.listeners.append(once)
-        first = collect_click_handlers(root, root)
+        listeners = {root: [once]}
+        first = collect_click_handlers(root, root, listeners)
         assert first == [once]
         once.mark_fired()
-        assert collect_click_handlers(root, root) == []
+        assert collect_click_handlers(root, root, listeners) == []
 
     def test_repeating_listener_stays_live(self):
         root = div()
         repeat = listener("repeat", once=False)
-        root.listeners.append(repeat)
         repeat.mark_fired()
         repeat.mark_fired()
-        assert collect_click_handlers(root, root) == [repeat]
+        assert collect_click_handlers(root, root, {root: [repeat]}) == [repeat]
 
     def test_unfired_once_listener_stays_armed(self):
         # A listener that was collected but never ran (popup blocked)
         # must remain available: consumption is explicit.
         root = div()
         once = listener("once", once=True)
-        root.listeners.append(once)
-        collect_click_handlers(root, root)
-        assert collect_click_handlers(root, root) == [once]
+        listeners = {root: [once]}
+        collect_click_handlers(root, root, listeners)
+        assert collect_click_handlers(root, root, listeners) == [once]
 
 
 class TestEventListener:

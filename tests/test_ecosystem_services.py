@@ -51,6 +51,25 @@ class TestBenignWeb:
         assert BenignKind.ADVERTISER in kinds
         assert len(kinds) >= 3
 
+    def test_pick_url_draws_like_per_call_filtering(self, benign):
+        # The kept per-kind pools draw exactly what filtering the family
+        # list and sorting the dead hosts on every call drew.
+        from repro.ecosystem.benign import _KIND_WEIGHTS
+        from repro.rng import weighted_choice
+
+        def reference(rng):
+            kind = weighted_choice(rng, list(_KIND_WEIGHTS), list(_KIND_WEIGHTS.values()))
+            if kind is BenignKind.DEAD:
+                return parse_url(f"http://{rng.choice(sorted(benign.dead_hosts()))}/offer")
+            members = [f for f in benign._families if f.kind is kind]
+            family = rng.choice(members)
+            domain = rng.choice(family.domains)
+            return parse_url(f"http://{domain}{rng.choice(family.paths)}")
+
+        fast, slow = random.Random(5), random.Random(5)
+        for _ in range(500):
+            assert benign.pick_url(fast, 0.0) == reference(slow)
+
     def test_unknown_host_is_none(self, benign):
         assert benign.kind_of_host("not-a-real-host.com") is None
 
@@ -155,6 +174,27 @@ class TestGsb:
         first = gsb.listed_time("same.club")
         gsb.observe_attack_domain(campaign, "same.club", 99.0)
         assert gsb.listed_time("same.club") == first
+
+    def test_one_campaign_generator_per_campaign(self, monkeypatch):
+        # The radar draw depends only on the campaign: however many of its
+        # domains are judged, at most one "gsb-campaign" generator each.
+        from repro.ecosystem import gsb as gsb_module
+
+        labels = []
+        real_rng_for = gsb_module.rng_for
+
+        def counting_rng_for(seed, *parts):
+            labels.append(parts[0])
+            return real_rng_for(seed, *parts)
+
+        monkeypatch.setattr(gsb_module, "rng_for", counting_rng_for)
+        campaigns = [self.make_campaign(key=f"radar-{i}") for i in range(5)]
+        gsb = GoogleSafeBrowsing(seed=7)
+        for campaign in campaigns:
+            for j in range(30):
+                gsb.observe_attack_domain(campaign, f"r{j}.{campaign.key}.club", 0.0)
+        assert labels.count("gsb-domain") == 150
+        assert 0 < labels.count("gsb-campaign") <= len(campaigns)
 
     def test_unknown_domain_not_listed(self):
         gsb = GoogleSafeBrowsing(seed=7)

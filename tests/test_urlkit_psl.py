@@ -60,3 +60,12 @@ class TestE2ld:
         # Attack domains from the paper's example all have distinct e2LDs.
         hosts = ["live6nmld10.club", "relsta60.club", "99cret1040.club"]
         assert len({e2ld(host) for host in hosts}) == 3
+
+    def test_memo_is_bounded_and_keeps_rejecting(self):
+        # A 93k-publisher run cannot grow the memo without limit, and a
+        # bad host raises every time (errors are never memoized).
+        assert e2ld.cache_info().maxsize == 16384
+        assert e2ld("a.b.example.co.uk") == e2ld("a.b.example.co.uk") == "example.co.uk"
+        for _ in range(2):
+            with pytest.raises(UrlError):
+                e2ld("a..b")
