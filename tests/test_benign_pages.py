@@ -38,7 +38,7 @@ class TestPageStructures:
     def test_parked_pages_are_scriptless_link_farms(self, benign):
         host = hosts_of_kind(benign, BenignKind.PARKED)[0]
         page = fetch_page(benign, host)
-        anchors = page.document.find_all("a")
+        anchors = page.find_all("a")
         assert len(anchors) >= 3
         assert all("parkingzone" in a.attrs["href"] for a in anchors)
         assert page.scripts == []
@@ -47,21 +47,21 @@ class TestPageStructures:
     def test_advertiser_pages_have_analytics_and_imagery(self, benign):
         host = hosts_of_kind(benign, BenignKind.ADVERTISER)[0]
         page = fetch_page(benign, host)
-        assert len(page.document.find_all("img")) >= 2
+        assert len(page.find_all("img")) >= 2
         assert page.scripts, "legitimate advertisers run analytics"
-        assert page.document.find_all("a") == []
+        assert page.find_all("a") == []
 
     def test_stock_pages_are_image_galleries(self, benign):
         host = hosts_of_kind(benign, BenignKind.STOCK_ADULT)[0]
         page = fetch_page(benign, host)
-        assert len(page.document.find_all("img")) >= 3
+        assert len(page.find_all("img")) >= 3
         assert page.scripts == []
 
     def test_shortener_pages_have_countdown_and_skip_link(self, benign):
         host = hosts_of_kind(benign, BenignKind.SHORTENER)[0]
         page = fetch_page(benign, host)
         assert "skip ad" in page.title
-        assert page.document.find_all("a")
+        assert page.find_all("a")
         assert any("countdown" in script.source_text for script in page.scripts)
 
     def test_unknown_host_404(self, benign):

@@ -67,7 +67,7 @@ class TestPopunder:
         net.register("land.com", FunctionServer(lambda r, c: html_response(page("land"))))
         browser = make_browser(net)
         tab = browser.visit("http://pub.com/")
-        browser.click(tab, tab.page.document.find_all("img")[0])
+        browser.click(tab, tab.load.find_all("img")[0])
         opens = browser.log.entries_of(TabOpenEntry)
         assert len(opens) == 1
         assert opens[0].popunder
@@ -113,7 +113,7 @@ class TestReferrerFlow:
         net.register("land.com", FunctionServer(capture))
         browser = make_browser(net)
         tab = browser.visit("http://pub.com/")
-        browser.click(tab, tab.page.document.find_all("img")[0])
+        browser.click(tab, tab.load.find_all("img")[0])
         assert seen["referrer"] == "http://pub.com/"
 
     def test_no_referrer_policy_suppresses(self, net):
@@ -136,7 +136,7 @@ class TestReferrerFlow:
         net.register("next.com", FunctionServer(capture))
         browser = make_browser(net)
         tab = browser.visit("http://attack.club/")
-        browser.click(tab, tab.page.document.find_all("img")[0])
+        browser.click(tab, tab.load.find_all("img")[0])
         assert seen["referrer"] is None
 
 

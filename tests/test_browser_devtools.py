@@ -55,25 +55,25 @@ class TestStealth:
     def test_stealth_devtools_gets_the_ad(self, net):
         client = DevToolsClient(net, CHROME_MACOS, VP, stealth=True)
         tab = client.navigate("http://pub.com/")
-        outcome = client.click(tab, tab.page.document.find_all("img")[0])
+        outcome = client.click(tab, tab.load.find_all("img")[0])
         assert outcome.triggered_ad
 
     def test_stock_devtools_detected(self, net):
         client = DevToolsClient(net, CHROME_MACOS, VP, stealth=False)
         tab = client.navigate("http://pub.com/")
-        outcome = client.click(tab, tab.page.document.find_all("img")[0])
+        outcome = client.click(tab, tab.load.find_all("img")[0])
         assert not outcome.triggered_ad
 
     def test_selenium_like_driver_detected(self, net):
         client = SeleniumLikeDriver(net, CHROME_MACOS, VP)
         tab = client.navigate("http://pub.com/")
-        outcome = client.click(tab, tab.page.document.find_all("img")[0])
+        outcome = client.click(tab, tab.load.find_all("img")[0])
         assert not outcome.triggered_ad
 
     def test_open_tabs_listing(self, net):
         client = DevToolsClient(net, CHROME_MACOS, VP)
         tab = client.navigate("http://pub.com/")
-        client.click(tab, tab.page.document.find_all("img")[0])
+        client.click(tab, tab.load.find_all("img")[0])
         assert len(client.open_tabs()) == 2
 
     def test_screenshot_passthrough(self, net):

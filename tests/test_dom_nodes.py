@@ -1,6 +1,7 @@
 """Tests for the DOM element tree."""
 
 from repro.dom.nodes import Element, anchor, div, iframe, img, script_tag
+from repro.dom.page import PageContent
 
 
 class TestElement:
@@ -32,18 +33,25 @@ class TestElement:
 
     def test_find_all(self):
         root = div()
-        root.append(img("a", 1, 1))
+        first = root.append(img("a", 1, 1))
         inner = root.append(div())
-        inner.append(img("b", 1, 1))
-        inner.append(iframe("c", 1, 1))
-        assert len(root.find_all("img")) == 2
-        assert len(root.find_all("img", "iframe")) == 3
+        second = inner.append(img("b", 1, 1))
+        frame = inner.append(iframe("c", 1, 1))
+        page = PageContent(title="t", document=root)
+        assert page.find_all("img") == [first, second]
+        assert page.find_all("img", "iframe") == [first, second, frame]
+        load = page.instantiate()
+        injected = load.inject(iframe("d", 1, 1))
+        assert load.find_all("img", "iframe") == [first, second, frame, injected]
 
     def test_find_by_id(self):
         root = div()
         target = root.append(div(attrs={"id": "overlay"}))
-        assert root.find_by_id("overlay") is target
-        assert root.find_by_id("missing") is None
+        load = PageContent(title="t", document=root).instantiate()
+        assert load.find_by_id("overlay") is target
+        assert load.find_by_id("missing") is None
+        injected = load.inject(div(attrs={"id": "late"}))
+        assert load.find_by_id("late") is injected
 
     def test_ancestors(self):
         root = div()

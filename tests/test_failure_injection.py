@@ -114,7 +114,7 @@ class TestHostileScripts:
         net.register("pub.com", FunctionServer(lambda r, c: html_response(simple_page(with_script=script))))
         browser = make_browser(net)
         tab = browser.visit("http://pub.com/")
-        outcome = browser.click(tab, tab.page.document.find_all("img")[0])
+        outcome = browser.click(tab, tab.load.find_all("img")[0])
         assert not outcome.triggered_ad  # ignored, no crash
 
     def test_popup_storm_bounded_per_click(self, net):
@@ -133,7 +133,7 @@ class TestHostileScripts:
             net.register(f"land{i}.com", FunctionServer(lambda r, c: html_response(simple_page(title="l"))))
         browser = make_browser(net)
         tab = browser.visit("http://greedy.com/")
-        outcome = browser.click(tab, tab.page.document.find_all("img")[0])
+        outcome = browser.click(tab, tab.load.find_all("img")[0])
         assert len(outcome.new_tabs) == 1
 
 
