@@ -116,8 +116,9 @@ def test_feed_serving(bench_run):
     assert rebuilt.content_hash == latest.content_hash
     build_seconds = min(build_walls)
 
-    # Payload-store build: render every snapshot once, gzip the hot
-    # payloads, compact the delta chain.  Paid once at server startup.
+    # Payload-store build: render every snapshot once, build and gzip
+    # the tip's answers over the compacted delta chain.  Paid once at
+    # server startup.
     started = time.perf_counter()
     server = FeedServer(snapshots)
     store_build_seconds = time.perf_counter() - started
@@ -125,7 +126,7 @@ def test_feed_serving(bench_run):
 
     # Payload sizes: what one poll actually transfers.
     full_size = server.handle(FeedRequest()).size
-    full_gzip = len(store.full_payload().gz or b"")
+    full_gzip = len(store.answer(None, None, store.tip).gzip_payload or b"")
     one_behind = server.handle(FeedRequest(client_version=latest.version - 1))
     from_v1 = server.handle(FeedRequest(client_version=1))
 
@@ -133,11 +134,11 @@ def test_feed_serving(bench_run):
     # worst single delta any stale client can be served.
     hops, version = 0, 1
     while version != latest.version:
-        version = store.tip_payload(version).version
+        version = store.answer(version, None, store.tip).version
         hops += 1
         assert hops <= len(snapshots), "delta chain failed to converge"
     worst_stale = max(
-        len(store.tip_payload(snapshot.version).body)
+        store.answer(snapshot.version, None, store.tip).size
         for snapshot in snapshots[:-1]
     )
 

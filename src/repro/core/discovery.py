@@ -88,11 +88,6 @@ class DiscoveryResult:
         """Clusters confirmed as SE campaigns."""
         return [cluster for cluster in self.campaigns if cluster.is_seacma]
 
-    @property
-    def benign_clusters(self) -> list[DiscoveredCampaign]:
-        """Clusters triaged as benign or spurious."""
-        return [cluster for cluster in self.campaigns if not cluster.is_seacma]
-
     def census(self) -> Counter:
         """Cluster counts by triage label (the §4.3 breakdown)."""
         return Counter(cluster.label for cluster in self.campaigns)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 from repro.attacks.categories import AttackCategory
 from repro.browser.devtools import DevToolsClient
@@ -198,10 +197,6 @@ class MilkingTracker:
         #: ``domain_seen(record, now)``, ``round_complete(now)`` and
         #: ``milking_finished(now)``.
         self.observers: list = []
-        self._source_ids = 0
-        #: (url, ua_name, cluster_id) triples already verified or added,
-        #: so repeated derivations over a growing discovery stay additive.
-        self._known_sources: set[tuple[str, str, int]] = set()
         #: Payload objects by hash, retained for end-of-experiment VT
         #: submission of previously unknown files.
         self._payloads: dict[str, object] = {}
@@ -214,75 +209,32 @@ class MilkingTracker:
         For each SE cluster, candidate URLs come from the backtracking
         chains of its member interactions; each (candidate, UA) pair is
         verified by a pilot visit whose screenshot must match the
-        cluster's known screenshots.
-
-        Incremental: calling this again with a grown discovery verifies
-        only combinations not seen before, so the streaming pipeline can
-        derive sources as campaigns accrete.  (Pilot visits happen at the
-        current virtual time; clusters that later merge keep the sources
-        they already earned.)
+        cluster's known screenshots.  Pilot visits happen at the current
+        virtual time.  The pipeline derives sources once, when the crawl
+        is finalized.
         """
-        self._derive_new(discovery)
-        return self.sources
-
-    def derive_new_sources(self, discovery: DiscoveryResult) -> list[MilkingSource]:
-        """Like :meth:`derive_sources`, but returns only the sources this
-        call added — the mid-run feeding unit for :meth:`run`'s
-        ``source_feed``."""
-        return self._derive_new(discovery)
-
-    def _derive_new(self, discovery: DiscoveryResult) -> list[MilkingSource]:
-        added: list[MilkingSource] = []
         telemetry = current_telemetry()
-        with telemetry.span(
-            "milking.derive",
-            attrs={"campaigns": len(discovery.seacma_campaigns)},
-        ):
-            self._derive_into(discovery, added)
-        telemetry.inc("milking.sources", len(added))
-        return added
-
-    def _derive_into(
-        self, discovery: DiscoveryResult, added: list[MilkingSource]
-    ) -> None:
         clusters = discovery.seacma_campaigns
-        for cluster, candidates in zip(clusters, _member_candidates(clusters)):
-            known = set(cluster.hashes)
-            for url in sorted(candidates):
-                for ua_name in sorted(candidates[url]):
-                    key = (url, ua_name, cluster.cluster_id)
-                    if key in self._known_sources:
-                        continue
-                    self._known_sources.add(key)
-                    if self._verify(url, ua_name, known):
-                        self._source_ids += 1
-                        source = MilkingSource(
-                            source_id=self._source_ids,
-                            url=url,
-                            ua_name=ua_name,
-                            cluster_id=cluster.cluster_id,
-                            category=cluster.category,
-                            known_hashes=set(known),
-                        )
-                        self.sources.append(source)
-                        added.append(source)
-
-    def add_source(self, source: MilkingSource) -> MilkingSource:
-        """Register an externally verified source (mid-run discovery).
-
-        New sources join the next milking round: the round loop reads
-        :attr:`sources` afresh each firing, so a source added between
-        rounds — by a ``source_feed`` or by a scheduler callback — is
-        milked from then on without disturbing the established schedule.
-        """
-        key = (source.url, source.ua_name, source.cluster_id)
-        if key in self._known_sources:
-            for existing in self.sources:
-                if (existing.url, existing.ua_name, existing.cluster_id) == key:
-                    return existing  # already registered; idempotent
-        self._known_sources.add(key)
-        self.sources.append(source)
-        return source
+        sources: list[MilkingSource] = []
+        with telemetry.span("milking.derive", attrs={"campaigns": len(clusters)}):
+            for cluster, candidates in zip(clusters, _member_candidates(clusters)):
+                known = set(cluster.hashes)
+                for url in sorted(candidates):
+                    for ua_name in sorted(candidates[url]):
+                        if self._verify(url, ua_name, known):
+                            sources.append(
+                                MilkingSource(
+                                    source_id=len(sources) + 1,
+                                    url=url,
+                                    ua_name=ua_name,
+                                    cluster_id=cluster.cluster_id,
+                                    category=cluster.category,
+                                    known_hashes=set(known),
+                                )
+                            )
+        telemetry.inc("milking.sources", len(sources))
+        self.sources = sources
+        return sources
 
     def add_observer(self, observer) -> None:
         """Register a milking observer (see :attr:`observers`)."""
@@ -299,20 +251,9 @@ class MilkingTracker:
 
     # --------------------------------------------------------------- runs
 
-    def run(
-        self,
-        config: MilkingConfig | None = None,
-        source_feed: Callable[[float], Iterable[MilkingSource]] | None = None,
-    ) -> MilkingReport:
-        """Run the full milking + GSB + VirusTotal experiment.
-
-        ``source_feed``, when given, is polled at the start of every
-        milking round with the current virtual time; any sources it
-        yields are registered via :meth:`add_source` and milked from that
-        round on — how newly discovered campaigns join a milking run
-        already in flight.
-        """
-        if not self.sources and source_feed is None:
+    def run(self, config: MilkingConfig | None = None) -> MilkingReport:
+        """Run the full milking + GSB + VirusTotal experiment."""
+        if not self.sources:
             raise MilkingError("no milking sources; call derive_sources first")
         config = config if config is not None else MilkingConfig()
         clock = self.internet.clock
@@ -323,10 +264,6 @@ class MilkingTracker:
         milk_end = clock.now() + config.duration_days * DAY
 
         def milk_round(now: float) -> None:
-            if source_feed is not None:
-                for source in source_feed(now):
-                    self.add_source(source)
-                report.sources = len(self.sources)
             with telemetry.span(
                 "milking.round", attrs={"sources": len(self.sources)}
             ):

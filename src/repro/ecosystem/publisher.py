@@ -158,11 +158,6 @@ class PublisherDirectory(VirtualServer):
         """All sites, in insertion order (materializes every view)."""
         return [self.get(domain) for domain in self._records]
 
-    def iter_sites(self):
-        """Iterate sites in insertion order without building a list."""
-        for domain in self._records:
-            yield self.get(domain)
-
     def page_of(self, domain: str) -> PageContent:
         """The domain's front page, via the bounded page cache."""
         record = self._records[domain]

@@ -241,13 +241,6 @@ class World:
             return "publisher"
         return "unknown"
 
-    def campaigns_by_category(self) -> dict[AttackCategory, list[Campaign]]:
-        """Campaigns grouped by attack category."""
-        groups: dict[AttackCategory, list[Campaign]] = {}
-        for campaign in self.campaigns:
-            groups.setdefault(campaign.category, []).append(campaign)
-        return groups
-
     def self_check(self) -> list[str]:
         """Validate the built world's structural invariants.
 

@@ -10,13 +10,14 @@ Browsing Update API shape:
   delta records (the wire format);
 * :mod:`repro.feed.publisher` — a milking observer that cuts versioned
   snapshots as domains are discovered;
-* :mod:`repro.feed.payloads` — render-once immutable payloads: every
-  snapshot's canonical bytes rendered exactly once, gzip at publish
-  time, and the delta chain compacted over checkpoint versions so deep
-  catch-ups stay small;
+* :mod:`repro.feed.payloads` — the one answer table: the
+  not-modified rule, delta-chain compaction over checkpoint versions and
+  the smaller-than-full delta rule, decided once per (client, tip) and
+  memoized with its gzip variant; the whole history's tip row is built
+  up front;
 * :mod:`repro.feed.server` — full/delta/not-modified request handling
-  with conditional-request short-circuiting over the precomputed
-  payload store (plus an LRU delta cache for time-scoped replays);
+  over that table, scoped to a sim time for fleet replays, with
+  request stats and telemetry;
 * :mod:`repro.feed.fleet` — a seeded, cohort-aggregated client fleet
   (sim-clock driven, scalable to ~10⁶ modeled clients) measuring
   protection lag versus the simulated GSB blacklist;
@@ -40,7 +41,7 @@ from repro.feed.fleet import (
     lag_table,
     percentile,
 )
-from repro.feed.payloads import CHECKPOINT_INTERVAL, Payload, PayloadStore
+from repro.feed.payloads import CHECKPOINT_INTERVAL, PayloadStore
 from repro.feed.publisher import FeedPublisher, network_of_clusters
 from repro.feed.server import (
     DELTA,
@@ -64,7 +65,6 @@ from repro.feed.snapshot import (
 __all__ = [
     "AsyncFeedHTTPServer",
     "CHECKPOINT_INTERVAL",
-    "Payload",
     "PayloadStore",
     "DomainProtection",
     "FeedClientFleet",

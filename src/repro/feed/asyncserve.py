@@ -3,21 +3,18 @@
 ``seacma feed serve`` mounts a :class:`~repro.feed.server.FeedServer`
 behind ``GET /v1/feed[?since=N]`` (full snapshot or delta; ``304`` on a
 matching ``If-None-Match``), ``GET /v1/stats`` and ``GET /healthz``.
-At startup the engine renders every response the tip of the feed can
-ever produce into **complete HTTP wire bytes** — status line, headers,
-body; identity and gzip variants — and the event loop answers each
-request with one dictionary lookup and one ``transport.write``.  No
-``FeedServer`` protocol objects, no JSON, no per-request allocation
-beyond the parse.
-
-Semantics are pinned to :meth:`FeedServer.handle
-<repro.feed.server.FeedServer.handle>`: both derive every payload
-decision from the same precomputed
-:class:`~repro.feed.payloads.PayloadStore`, so for every
-``(client_version, client_hash)`` case the wire response carries the
-status, body, ``ETag``, ``X-Feed-Version`` and ``X-Feed-Status`` that
-``handle`` answers (``tests/test_feed_serving.py`` proves it
-exhaustively).
+Each poll is answered by :meth:`PayloadStore.answer
+<repro.feed.payloads.PayloadStore.answer>` — the same call
+:meth:`FeedServer.handle <repro.feed.server.FeedServer.handle>` makes —
+and the engine keeps only the **complete HTTP wire bytes** of every
+answer the tip of the feed can give (status line, headers, body;
+identity and gzip variants), rendered at startup.  The event loop
+answers a request with two dictionary lookups and one
+``transport.write``: nothing is serialized or rendered per request.
+So for every ``(client_version, client_hash)`` case the wire
+response carries the status, body, ``ETag``, ``X-Feed-Version`` and
+``X-Feed-Status`` that ``handle`` answers
+(``tests/test_feed_serving.py`` proves it exhaustively).
 
 Transport guards (see :class:`FeedProtocol`): idle connections are
 evicted, a client that never reads its responses is paused, oversized
@@ -69,9 +66,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     ioctl = TIOCOUTQ = None
 
 from repro.errors import ConfigError
+from repro.feed.payloads import FeedResponse, PayloadStore
 from repro.feed.server import DELTA, FULL, NOT_MODIFIED, FeedServer
 from repro.feed.snapshot import FeedSnapshot
 from repro.telemetry import current as current_telemetry
+from repro.telemetry.metrics import Histogram
 
 #: Latency histogram bucket upper bounds, in milliseconds.
 LATENCY_BOUNDARIES_MS = (
@@ -100,72 +99,39 @@ _WRITE_CHUNK_BYTES = 65536
 STATS_PUBLISH_INTERVAL = 0.5
 
 
-class LatencyHistogram:
-    """A fixed-boundary latency histogram with percentile estimates.
+def latency_summary(histogram: Histogram) -> dict:
+    """The ``/v1/stats`` view of one latency histogram.
 
-    Updated from the event loop only (single-threaded per replica), read
-    by ``/v1/stats``.  Percentiles are bucket-upper-bound estimates —
-    exact enough for a runbook; the benchmark measures client-side.
+    Percentiles are bucket-upper-bound estimates — exact enough for a
+    runbook; the benchmark measures client-side.
     """
+    count = histogram.count
 
-    __slots__ = ("boundaries", "counts", "total", "sum_ms")
-
-    def __init__(self, boundaries: tuple[float, ...] = LATENCY_BOUNDARIES_MS) -> None:
-        self.boundaries = boundaries
-        self.counts = [0] * (len(boundaries) + 1)
-        self.total = 0
-        self.sum_ms = 0.0
-
-    def observe(self, value_ms: float) -> None:
-        index = 0
-        for boundary in self.boundaries:
-            if value_ms <= boundary:
-                break
-            index += 1
-        self.counts[index] += 1
-        self.total += 1
-        self.sum_ms += value_ms
-
-    def percentile(self, fraction: float) -> float | None:
+    def percentile(fraction: float) -> float | None:
         """Upper bound of the bucket holding the ``fraction`` quantile."""
-        if not self.total:
+        if not count:
             return None
-        rank = fraction * self.total
+        rank = fraction * count
         seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank and count:
-                if index < len(self.boundaries):
-                    return self.boundaries[index]
+        for index, bucket in enumerate(histogram.bucket_counts):
+            seen += bucket
+            if seen >= rank and bucket:
+                if index < len(histogram.boundaries):
+                    return histogram.boundaries[index]
                 return float("inf")
         return float("inf")
 
-    def summary(self) -> dict:
-        return {
-            "count": self.total,
-            "mean_ms": round(self.sum_ms / self.total, 6) if self.total else None,
-            "p50_ms": self.percentile(0.50),
-            "p95_ms": self.percentile(0.95),
-            "p99_ms": self.percentile(0.99),
-        }
+    return {
+        "count": count,
+        "mean_ms": round(histogram.total / count, 6) if count else None,
+        "p50_ms": percentile(0.50),
+        "p95_ms": percentile(0.95),
+        "p99_ms": percentile(0.99),
+    }
 
-    def to_record(self) -> dict:
-        """Raw mergeable state (what the stats mailbox carries)."""
-        return {
-            "boundaries": list(self.boundaries),
-            "counts": list(self.counts),
-            "total": self.total,
-            "sum_ms": self.sum_ms,
-        }
 
-    def merge_record(self, record: dict) -> None:
-        """Fold another replica's raw histogram into this one."""
-        if tuple(record["boundaries"]) != self.boundaries:
-            raise ValueError("cannot merge histograms with different buckets")
-        for index, count in enumerate(record["counts"]):
-            self.counts[index] += count
-        self.total += record["total"]
-        self.sum_ms += record["sum_ms"]
+def _latency_histogram(status: str) -> Histogram:
+    return Histogram(f"feed.http.latency_ms.{status}", LATENCY_BOUNDARIES_MS)
 
 
 def _compose(status_code: int, body: bytes, extra_headers: tuple[tuple[str, str], ...]) -> bytes:
@@ -179,50 +145,32 @@ def _compose(status_code: int, body: bytes, extra_headers: tuple[tuple[str, str]
     return head + body
 
 
+def _answer_wire(answer: FeedResponse) -> tuple[bytes, bytes]:
+    """(identity, gzip) wire responses for one stored answer."""
+    headers = (
+        ("ETag", answer.content_hash),
+        ("X-Feed-Version", str(answer.version)),
+        ("X-Feed-Status", answer.status),
+    )
+    code = 304 if answer.status == NOT_MODIFIED else 200
+    identity = _compose(code, answer.payload, headers)
+    if answer.gzip_payload is None:
+        return identity, identity
+    encoded = headers + (("Content-Encoding", "gzip"),)
+    return identity, _compose(code, answer.gzip_payload, encoded)
+
+
 class _Wire:
     """The precomputed wire table for one feed history tip."""
 
-    def __init__(self, feed: FeedServer) -> None:
-        store = feed.payloads
-        latest = store.latest
-        self.latest_version = latest.version
-        self.latest_hash = latest.content_hash
-
-        def feed_headers(payload) -> tuple[tuple[str, str], ...]:
-            return (
-                ("ETag", payload.content_hash),
-                ("X-Feed-Version", str(payload.version)),
-                ("X-Feed-Status", payload.status),
-            )
-
-        def pair(payload) -> tuple[bytes, bytes]:
-            """(identity, gzip) wire responses for one payload."""
-            identity = _compose(200, payload.body, feed_headers(payload))
-            if payload.gz is None:
-                return identity, identity
-            gz = _compose(
-                200,
-                payload.gz,
-                feed_headers(payload) + (("Content-Encoding", "gzip"),),
-            )
-            return identity, gz
-
-        full = store.full_payload()
-        self.full = pair(full)
-        #: since=V -> (identity, gzip) for every known stale version.
-        self.tip: dict[int, tuple[bytes, bytes]] = {}
-        for snapshot in store.snapshots[:-1]:
-            payload = store.tip_payload(snapshot.version)
-            self.tip[snapshot.version] = pair(payload)
-        self.not_modified = _compose(
-            304,
-            b"",
-            (
-                ("ETag", latest.content_hash),
-                ("X-Feed-Version", str(latest.version)),
-                ("X-Feed-Status", NOT_MODIFIED),
-            ),
-        )
+    def __init__(self, store: PayloadStore) -> None:
+        self.tip = store.tip
+        #: Every answer a poll of the tip can get, by client index, with
+        #: its identity and encoded wire bytes.
+        self.answers: dict[int | None, tuple[FeedResponse, bytes, bytes]] = {
+            client: (answer, *_answer_wire(answer))
+            for client, answer in store.answer_row(store.tip).items()
+        }
         self.bad_since = _compose(
             400, b'{"error":"since must be an integer version"}\n', ()
         )
@@ -240,15 +188,6 @@ class _Wire:
             (("Connection", "close"),),
         )
         self.healthz = _compose(200, b'{"status":"ok"}\n', ())
-        # Payload metadata per known version (status + identity body
-        # size), so per-request accounting never re-inspects bytes —
-        # ``FeedServer.handle`` counts identity bytes in
-        # ``bytes_served`` and stats parity requires the same here.
-        self.meta_full = (FULL, len(full.body))
-        self.meta: dict[int, tuple[str, int]] = {}
-        for version in self.tip:
-            payload = store.tip_payload(version)
-            self.meta[version] = (payload.status, len(payload.body))
 
 
 class FeedProtocol(asyncio.Protocol):
@@ -396,18 +335,16 @@ class AsyncFeedServer:
 
     def __init__(self, feed: FeedServer, stats_dir: str | None = None) -> None:
         self.feed = feed
-        self.wire = _Wire(feed)
+        self.wire = _Wire(feed.payloads)
         self.client_disconnects = 0
         self.bad_requests = 0
         self.stalled_timeouts = 0
         #: Shared mailbox directory for cross-replica stats (None when
         #: the front-end runs a single replica with no mailbox).
         self.stats_dir = stats_dir
-        self.latency: dict[str, LatencyHistogram] = {
-            FULL: LatencyHistogram(),
-            DELTA: LatencyHistogram(),
-            NOT_MODIFIED: LatencyHistogram(),
-            "error": LatencyHistogram(),
+        self.latency: dict[str, Histogram] = {
+            status: _latency_histogram(status)
+            for status in (FULL, DELTA, NOT_MODIFIED, "error")
         }
 
     # ------------------------------------------------------------ dispatch
@@ -472,16 +409,12 @@ class AsyncFeedServer:
                     self.bad_requests += 1
                     return self._finish("error", wire.bad_since, started, close)
         hash_text = client_hash.decode("latin-1") if client_hash is not None else None
-        if hash_text == wire.latest_hash or (
-            since == wire.latest_version and hash_text is None
-        ):
-            self._account(NOT_MODIFIED, 0)
-            return self._finish(NOT_MODIFIED, wire.not_modified, started, close)
-        pair = wire.tip.get(since, wire.full) if since is not None else wire.full
-        status, size = wire.meta.get(since, wire.meta_full) if since is not None \
-            else wire.meta_full
-        self._account(status, size)
-        return self._finish(status, pair[1] if accept_gzip else pair[0], started, close)
+        client = self.feed.payloads.client_index(since, hash_text, wire.tip)
+        answer, identity, encoded = wire.answers[client]
+        self._account(answer.status, answer.size)
+        return self._finish(
+            answer.status, encoded if accept_gzip else identity, started, close
+        )
 
     def reject_oversized_head(self) -> bytes:
         """Count and answer a request head past :data:`MAX_HEAD_BYTES`."""
@@ -492,8 +425,6 @@ class AsyncFeedServer:
 
     def _account(self, status: str, size: int) -> None:
         self.feed.stats.record(status, size)
-        if status != NOT_MODIFIED:
-            self.feed.stats.record_cache(hit=True)
         telemetry = current_telemetry()
         if telemetry.enabled:
             telemetry.inc("feed.http.requests")
@@ -564,7 +495,7 @@ class AsyncFeedServer:
             stats["stalled_timeouts"] = self.stalled_timeouts
             stats["replica_pid"] = os.getpid()
             stats["latency_ms"] = {
-                status: histogram.summary()
+                status: latency_summary(histogram)
                 for status, histogram in sorted(self.latency.items())
             }
         body = json.dumps(stats, sort_keys=True).encode("utf-8") + b"\n"
@@ -583,7 +514,7 @@ class AsyncFeedServer:
             },
             "replica_pid": os.getpid(),
             "latency_ms": {
-                status: histogram.to_record()
+                status: histogram.snapshot()
                 for status, histogram in sorted(self.latency.items())
             },
         }
@@ -638,23 +569,18 @@ class AsyncFeedServer:
                 except (OSError, ValueError):
                     continue  # replica died mid-replace or file vanished
         counters: dict[str, int] = {}
-        merged = {
-            status: LatencyHistogram(self.latency[status].boundaries)
-            for status in self.latency
-        }
+        merged = {status: _latency_histogram(status) for status in self.latency}
         for record in records:
             for key, value in record["counters"].items():
                 counters[key] = counters.get(key, 0) + value
             for status, histogram in record["latency_ms"].items():
-                merged.setdefault(status, LatencyHistogram()).merge_record(
-                    histogram
-                )
+                merged.setdefault(status, _latency_histogram(status)).merge(histogram)
         return counters | {
             "scope": "cluster",
             "replicas": len(records),
             "replica_pids": sorted(record["replica_pid"] for record in records),
             "latency_ms": {
-                status: histogram.summary()
+                status: latency_summary(histogram)
                 for status, histogram in sorted(merged.items())
             },
         }

@@ -151,15 +151,6 @@ class FleetReport:
         listed = sum(1 for item in self.protection if item.gsb_listed_at is not None)
         return listed / len(self.protection)
 
-    def mean_gsb_lag_days(self) -> float | None:
-        """Mean (GSB listing − milking discovery) over listed domains."""
-        lags = [
-            (item.gsb_listed_at - item.milked_at) / DAY
-            for item in self.protection
-            if item.gsb_listed_at is not None
-        ]
-        return sum(lags) / len(lags) if lags else None
-
     def lag_percentiles(self) -> dict[str, float | None]:
         """p50/p95/p99 protection lag (minutes) across (cohort, domain).
 

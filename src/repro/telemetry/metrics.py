@@ -74,6 +74,24 @@ class Histogram:
         self.count += 1
         self.total += value
 
+    def snapshot(self) -> dict[str, Any]:
+        """A JSON-compatible dump that :meth:`merge` consumes."""
+        return {
+            "boundaries": list(self.boundaries),
+            "bucket_counts": list(self.bucket_counts),
+            "count": self.count,
+            "total": self.total,
+        }
+
+    def merge(self, snapshot: dict[str, Any]) -> None:
+        """Fold another histogram's :meth:`snapshot` in, bucket by bucket."""
+        if tuple(snapshot["boundaries"]) != self.boundaries:
+            raise ValueError("cannot merge histograms with different buckets")
+        for index, bucket in enumerate(snapshot["bucket_counts"]):
+            self.bucket_counts[index] += bucket
+        self.count += snapshot["count"]
+        self.total += snapshot["total"]
+
 
 class MetricsRegistry:
     """Lazily-created named instruments plus snapshot/merge plumbing."""
@@ -120,12 +138,7 @@ class MetricsRegistry:
             },
             "gauges": {name: gauge.value for name, gauge in self._gauges.items()},
             "histograms": {
-                name: {
-                    "boundaries": list(histogram.boundaries),
-                    "bucket_counts": list(histogram.bucket_counts),
-                    "count": histogram.count,
-                    "total": histogram.total,
-                }
+                name: histogram.snapshot()
                 for name, histogram in self._histograms.items()
             },
         }
@@ -142,11 +155,7 @@ class MetricsRegistry:
         for name, value in snapshot.get("gauges", {}).items():
             self.gauge(name).set(value)
         for name, data in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name, tuple(data["boundaries"]))
-            for index, bucket in enumerate(data["bucket_counts"]):
-                histogram.bucket_counts[index] += bucket
-            histogram.count += data["count"]
-            histogram.total += data["total"]
+            self.histogram(name, tuple(data["boundaries"])).merge(data)
 
     # -------------------------------------------------------------- export
 

@@ -87,10 +87,6 @@ class Span:
         self.error: str | None = None
 
     @property
-    def sim_duration(self) -> float:
-        return self.sim_end - self.sim_start
-
-    @property
     def wall_duration(self) -> float:
         return self.wall_end - self.wall_start
 

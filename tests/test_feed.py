@@ -2,7 +2,7 @@
 
 Covers the wire format (snapshots, deltas, hashes), the publisher's
 observer behaviour, the server protocol (full/delta/not-modified, the
-LRU delta cache, time-scoped requests), the simulated client fleet, and
+memoized answers, time-scoped requests), the simulated client fleet, and
 the HTTP front-end.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.request
@@ -36,10 +37,10 @@ from repro.feed import (
     network_of_clusters,
     state_hash,
 )
-from repro.feed import asyncserve
+from repro.feed import asyncserve, payloads
 from repro.feed.asyncserve import AsyncFeedHTTPServer, AsyncFeedServer, FeedProtocol
 from repro.store.memory import MemoryStore
-from tests.test_feed_serving import build_history, connected
+from tests.test_feed_serving import build_history, connected, make_server
 
 
 def entry(domain: str, first: float = 0.0, last: float = 0.0, **kwargs) -> FeedEntry:
@@ -240,38 +241,81 @@ class TestServer:
         response = server.handle(FeedRequest(client_version=99))
         assert response.status == FULL
 
-    def test_unscoped_deltas_are_precomputed_cache_hits(self):
-        # The tip path never computes anything per request: every
-        # payload response counts as a cache hit against the payload
-        # store, and repeat polls stay hits.
-        server = FeedServer(self.history())
-        server.handle(FeedRequest(client_version=1))
-        server.handle(FeedRequest(client_version=1))
-        assert server.stats.cache_misses == 0
-        assert server.stats.cache_hits == 2
+    def test_scoped_answer_equals_truncated_history(self):
+        # A poll scoped to the sim time of version t is answered exactly
+        # as a server holding only versions 1..t answers it unscoped.
+        history = build_history()
+        server = make_server(history)
+        for tip, latest in enumerate(history):
+            truncated = make_server(history[: tip + 1])
+            states = [FeedRequest(), FeedRequest(client_version=999)]
+            states.append(
+                FeedRequest(client_version=latest.version, client_hash="sha256:wrong")
+            )
+            for snap in history:
+                states.append(FeedRequest(client_version=snap.version))
+                states.append(
+                    FeedRequest(
+                        client_version=snap.version, client_hash=snap.content_hash
+                    )
+                )
+            for request in states:
+                scoped = server.handle(request, now=latest.published_at)
+                assert scoped == truncated.handle(request), (tip, request)
 
-    def test_scoped_delta_cache_memoizes_repeat_polls(self):
-        server = FeedServer(self.history())
-        at_tip = self.history()[-1].published_at
-        server.handle(FeedRequest(client_version=1), now=at_tip)
-        server.handle(FeedRequest(client_version=1), now=at_tip)
-        assert server.stats.cache_misses == 1
-        assert server.stats.cache_hits == 1
+    def test_each_answer_is_computed_once(self, monkeypatch):
+        calls: list[tuple[int, int]] = []
+        original = payloads.compute_delta
 
-    def test_scoped_delta_cache_is_bounded_lru(self):
-        history = [
-            snapshot(v, v * HOUR, *[f"d{i}.com" for i in range(v)])
-            for v in range(1, 6)
+        def counting(old, new):
+            calls.append((old.version, new.version))
+            return original(old, new)
+
+        monkeypatch.setattr(payloads, "compute_delta", counting)
+        history = build_history()
+        server = make_server(history)
+        built = len(calls)
+        assert built > 0  # the tip row is built at construction
+        for since in [None, 0, 999, *(snap.version for snap in history)]:
+            server.handle(FeedRequest(client_version=since))
+        assert len(calls) == built  # unscoped polls compute nothing
+        report = FeedClientFleet(server).run()
+        replayed = len(calls)
+        assert report.polls > 0 and replayed > built
+        FeedClientFleet(server).run()
+        assert len(calls) == replayed  # every (client, tip) answer is memoized
+
+    def test_concurrent_scoped_polls_agree(self):
+        # Threads racing on the answer memo get what one thread gets.
+        history = build_history()
+        requests = [
+            (FeedRequest(client_version=snap.version), latest.published_at)
+            for latest in history
+            for snap in history
         ]
-        server = FeedServer(history, delta_cache_size=2)
-        at_tip = history[-1].published_at
-        for version in (1, 2, 3):
-            server.handle(FeedRequest(client_version=version), now=at_tip)
-        assert len(server._delta_cache) == 2
-        # (1, 5) was evicted; polling it again misses.
-        misses = server.stats.cache_misses
-        server.handle(FeedRequest(client_version=1), now=at_tip)
-        assert server.stats.cache_misses == misses + 1
+        reference = make_server(history)
+        expected = [reference.handle(request, now=now) for request, now in requests]
+        server = make_server(history)
+        results: list[list] = []
+        barrier = threading.Barrier(8)
+
+        def worker():
+            barrier.wait()
+            results.append([server.handle(request, now=now) for request, now in requests])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert all(answers == expected for answers in results)
 
     def test_corrupted_client_at_latest_version_gets_full_repair(self):
         # Regression: a client claiming the latest version but holding
@@ -531,6 +575,12 @@ def engine() -> AsyncFeedServer:
     return AsyncFeedServer(FeedServer(build_history()))
 
 
+def full_wire(server: AsyncFeedServer) -> bytes:
+    """The identity wire bytes of the fresh-client full answer."""
+    store = server.feed.payloads
+    return server.wire.answers[store.client_index(None, None, store.tip)][1]
+
+
 def stats_of(httpd: AsyncFeedHTTPServer) -> dict:
     with urllib.request.urlopen(f"{httpd.url}/v1/stats") as response:
         return json.loads(response.read())
@@ -647,7 +697,7 @@ class TestHTTPHardening:
         server = engine()
         protocol, transport, _ = connected(server, high_water=65536)
         protocol.data_received(REQUEST * 20_000)
-        response = len(server.wire.full[0])
+        response = len(full_wire(server))
         # One write chunk past the high mark, then no more answers.
         assert transport.peak < 65536 + 65536 + response
         assert not transport.reading and protocol.paused
@@ -709,7 +759,7 @@ class TestHTTPHardening:
         monkeypatch.setattr(asyncserve, "IDLE_TIMEOUT_S", 0.3)
         requests = 600
         with AsyncFeedHTTPServer(FeedServer(build_history())) as httpd:
-            expected = requests * len(httpd.engine.wire.full[0])
+            expected = requests * len(full_wire(httpd.engine))
             sock = socket.socket()
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 32768)
             sock.connect(("127.0.0.1", httpd.port))

@@ -51,14 +51,16 @@ from repro.feed import (
     FleetConfig,
 )
 from repro.feed.asyncserve import (
+    LATENCY_BOUNDARIES_MS,
     MAX_HEAD_BYTES,
     AsyncFeedHTTPServer,
     AsyncFeedServer,
     FeedProtocol,
-    LatencyHistogram,
+    latency_summary,
 )
 from repro.feed.snapshot import state_hash
 from repro.telemetry import Telemetry, use
+from repro.telemetry.metrics import Histogram
 
 # --------------------------------------------------------------- fixtures
 
@@ -551,10 +553,7 @@ class TestWorkerReplicas:
                 checkpoint_interval=INTERVAL,
             )
         )
-        assert replica.wire.full == parent.wire.full
-        assert replica.wire.tip == parent.wire.tip
-        assert replica.wire.not_modified == parent.wire.not_modified
-        assert replica.wire.meta == parent.wire.meta
+        assert replica.wire.answers == parent.wire.answers
 
     @pytest.mark.skipif(
         not hasattr(socket, "SO_REUSEPORT"), reason="needs SO_REUSEPORT"
@@ -778,7 +777,7 @@ class TestConcurrentStatsExactness:
         assert stats["delta"] == polls
         assert stats["not_modified"] == polls
         full_size = len(latest.canonical_bytes())
-        delta_size = server.payloads.tip_payload(1).body
+        delta_size = server.payloads.answer(1, None, server.payloads.tip).payload
         assert stats["bytes_served"] == polls * (full_size + len(delta_size))
 
     def test_stdlib_http_concurrent_counts_exact(self, history):
@@ -918,23 +917,25 @@ class TestFleetPercentiles:
 
 class TestClusterStats:
     def test_histogram_merge_matches_combined_observations(self):
-        one, two, combined = (LatencyHistogram() for _ in range(3))
+        one, two, combined = (
+            Histogram("latency", LATENCY_BOUNDARIES_MS) for _ in range(3)
+        )
         for value in (0.02, 0.3, 7.0):
             one.observe(value)
             combined.observe(value)
         for value in (0.04, 40.0):
             two.observe(value)
             combined.observe(value)
-        one.merge_record(two.to_record())
-        assert one.counts == combined.counts
-        assert one.total == combined.total
-        assert one.sum_ms == pytest.approx(combined.sum_ms)
-        assert one.summary() == combined.summary()
+        one.merge(two.snapshot())
+        assert one.bucket_counts == combined.bucket_counts
+        assert one.count == combined.count
+        assert one.total == pytest.approx(combined.total)
+        assert latency_summary(one) == latency_summary(combined)
 
     def test_histogram_merge_rejects_mismatched_buckets(self):
         with pytest.raises(ValueError, match="buckets"):
-            LatencyHistogram().merge_record(
-                LatencyHistogram(boundaries=(1.0, 2.0)).to_record()
+            Histogram("latency", LATENCY_BOUNDARIES_MS).merge(
+                Histogram("latency", (1.0, 2.0)).snapshot()
             )
 
     def test_mailbox_merge_sums_counters_and_histograms(self, history, tmp_path):

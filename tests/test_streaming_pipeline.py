@@ -28,7 +28,7 @@ from repro.analysis.export import (
 )
 from repro.analysis.reportgen import generate_report
 from repro.core.crawler import AdInteraction, ChainNode
-from repro.core.milking import MilkingConfig, MilkingSource
+from repro.core.milking import MilkingConfig
 from repro.core.pipeline import PipelineResult
 from repro.core.reports import regenerate_report
 from repro.errors import ConfigError, StoreError
@@ -344,51 +344,3 @@ class TestConfigGuards:
         with pytest.raises(ConfigError, match="crawl has not finished"):
             run.finalize()
         batches.close()
-
-
-# ------------------------------------------------- mid-run source feed
-
-
-class TestMidRunSources:
-    def test_source_feed_joins_running_milking(self):
-        world, pipeline = make_pipeline(5)
-        result = pipeline.run(with_milking=False)
-        tracker = pipeline.milking_tracker()
-        sources = tracker.derive_sources(result.discovery)
-        assert len(sources) >= 2
-        # Hold one source back and feed it in mid-run, as if its campaign
-        # had only just been discovered.
-        late = tracker.sources.pop()
-        release_at = world.clock.now() + 0.2 * 86400.0
-        fed: list[MilkingSource] = []
-
-        def feed(now: float):
-            if now >= release_at and not fed:
-                fed.append(late)
-                return [late]
-            return []
-
-        report = tracker.run(MILKING, source_feed=feed)
-        assert fed, "the feed never released its source"
-        assert late in tracker.sources
-        assert report.sources == len(tracker.sources)
-        assert late.sessions > 0  # milked after joining
-        assert late.sessions < max(s.sessions for s in tracker.sources)
-
-    def test_derive_sources_is_incremental(self):
-        _, pipeline = make_pipeline(5)
-        result = pipeline.run(with_milking=False)
-        tracker = pipeline.milking_tracker()
-        first = list(tracker.derive_sources(result.discovery))
-        assert tracker.derive_new_sources(result.discovery) == []
-        assert tracker.derive_sources(result.discovery) == first
-
-    def test_add_source_is_idempotent(self):
-        _, pipeline = make_pipeline(5)
-        result = pipeline.run(with_milking=False)
-        tracker = pipeline.milking_tracker()
-        tracker.derive_sources(result.discovery)
-        count = len(tracker.sources)
-        existing = tracker.sources[0]
-        assert tracker.add_source(existing) is existing
-        assert len(tracker.sources) == count
