@@ -4,7 +4,6 @@ from repro.adnet.spec import (
     AdNetworkSpec,
     DISCOVERABLE_NETWORK_SPECS,
     SEED_NETWORK_SPECS,
-    spec_by_name,
 )
 from repro.adnet.snippets import AdTactic, build_snippet
 from repro.adnet.serving import AdNetworkServer
@@ -13,7 +12,6 @@ __all__ = [
     "AdNetworkSpec",
     "SEED_NETWORK_SPECS",
     "DISCOVERABLE_NETWORK_SPECS",
-    "spec_by_name",
     "AdTactic",
     "build_snippet",
     "AdNetworkServer",

@@ -121,11 +121,3 @@ DISCOVERABLE_NETWORK_SPECS: tuple[AdNetworkSpec, ...] = (
 )
 
 ALL_NETWORK_SPECS: tuple[AdNetworkSpec, ...] = SEED_NETWORK_SPECS + DISCOVERABLE_NETWORK_SPECS
-
-
-def spec_by_name(name: str) -> AdNetworkSpec:
-    """Look up a network spec by display name or key."""
-    for spec in ALL_NETWORK_SPECS:
-        if spec.name == name or spec.key == name:
-            return spec
-    raise KeyError(name)

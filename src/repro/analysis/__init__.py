@@ -25,13 +25,7 @@ from repro.analysis.export import (
     import_crawl_dataset,
 )
 from repro.analysis.reportgen import generate_report
-from repro.analysis.trends import (
-    rotation_rate_stability,
-    survival_curve,
-    window_stats,
-)
 from repro.analysis.uncertainty import (
-    rates_separable,
     table3_with_intervals,
     wilson_interval,
 )
@@ -58,8 +52,4 @@ __all__ = [
     "generate_report",
     "wilson_interval",
     "table3_with_intervals",
-    "rates_separable",
-    "window_stats",
-    "survival_curve",
-    "rotation_rate_stability",
 ]

@@ -14,7 +14,6 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, TextIO
 
-from repro.attacks.categories import AttackCategory
 from repro.core.crawler import (
     AdInteraction,
     interaction_from_dict,
@@ -22,8 +21,6 @@ from repro.core.crawler import (
 )
 from repro.core.discovery import DiscoveryResult
 from repro.core.milking import MilkedDomain, MilkedFile, MilkingReport
-from repro.dom.page import VisualSpec
-from repro.imaging.image import render_visual
 from repro.imaging.png import write_png
 
 
@@ -150,36 +147,3 @@ def export_screenshot_gallery(
         write_png(shot.image, path)
         written.append(path)
     return written
-
-
-def export_template_gallery(
-    template_keys: list[str], out_dir: str | Path
-) -> list[Path]:
-    """Render visual templates directly to PNGs (debugging/docs aid)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for key in template_keys:
-        image = render_visual(VisualSpec(template_key=key))
-        safe = key.replace("/", "_")
-        written.append(write_png(image, out_dir / f"{safe}.png"))
-    return written
-
-
-def import_milking_domains(document: str) -> list[MilkedDomain]:
-    """Parse just the domain records from an exported milking report."""
-    data = json.loads(document)
-    if data.get("format") != "seacma-milking/1":
-        raise ValueError(f"unknown report format: {data.get('format')!r}")
-    return [
-        MilkedDomain(
-            domain=item["domain"],
-            cluster_id=item["cluster_id"],
-            category=AttackCategory(item["category"]) if item["category"] else None,
-            discovered_at=item["discovered_at"],
-            listed_at_discovery=item["listed_at_discovery"],
-            observed_listed_at=item["observed_listed_at"],
-            listed_at_final=item["listed_at_final"],
-        )
-        for item in data["domains"]
-    ]

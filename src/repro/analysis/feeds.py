@@ -54,10 +54,6 @@ class BlacklistFeed:
         """All indicator values, in first-seen order."""
         return [entry.value for entry in self.entries]
 
-    def contains(self, value: str) -> bool:
-        """Membership test."""
-        return value in self._seen
-
 
 def build_domain_feed(report: MilkingReport) -> BlacklistFeed:
     """SE attack domains, timestamped at milking discovery."""

@@ -50,12 +50,6 @@ class ParkedPageDetector:
             reasons.append("scriptless-link-farm")
         return ParkedVerdict(parked=bool(reasons), reasons=tuple(reasons))
 
-    def classify_interaction(self, interaction: AdInteraction) -> ParkedVerdict:
-        """Classify an ad interaction's landing page."""
-        if interaction.load_failed:
-            return ParkedVerdict(parked=False)
-        return self.classify(interaction.page_features)
-
     def cluster_is_parked(
         self, cluster: DiscoveredCampaign, majority: float = 0.6
     ) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.attacks.categories import AttackCategory
-from repro.clock import DAY, HOUR
+from repro.clock import HOUR
 from repro.core.milking import MilkingReport
 
 
@@ -29,13 +29,6 @@ class CampaignTimeline:
         return len(self.discovery_times)
 
     @property
-    def span_days(self) -> float:
-        """Time between the first and last discovered domain, in days."""
-        if len(self.discovery_times) < 2:
-            return 0.0
-        return (self.discovery_times[-1] - self.discovery_times[0]) / DAY
-
-    @property
     def mean_rotation_hours(self) -> float | None:
         """Mean gap between consecutive fresh domains, in hours."""
         if len(self.discovery_times) < 2:
@@ -45,13 +38,6 @@ class CampaignTimeline:
             for earlier, later in zip(self.discovery_times, self.discovery_times[1:])
         ]
         return (sum(gaps) / len(gaps)) / HOUR
-
-    def domains_per_day(self) -> float:
-        """Average fresh domains per day over the observed span."""
-        span = self.span_days
-        if span <= 0:
-            return float(self.domain_count)
-        return self.domain_count / span
 
 
 def campaign_timelines(report: MilkingReport) -> dict[int, CampaignTimeline]:

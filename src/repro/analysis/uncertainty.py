@@ -4,8 +4,7 @@ Table 3's per-network SE rates are binomial estimates (SE pages out of
 landing pages); at sub-paper crawl sizes the counts are small, so any
 conclusion of the form "network A serves more SE ads than network B"
 needs an interval, not a point estimate.  This module provides Wilson
-score intervals and a two-proportion comparison, and annotates Table 3
-with them.
+score intervals and annotates Table 3 with them.
 """
 
 from __future__ import annotations
@@ -27,10 +26,6 @@ class RateInterval:
     low: float
     high: float
     confidence: float
-
-    def overlaps(self, other: "RateInterval") -> bool:
-        """Whether the two intervals overlap (conservative comparison)."""
-        return not (self.high < other.low or other.high < self.low)
 
 
 def z_value(confidence: float) -> float:
@@ -104,14 +99,3 @@ def table3_with_intervals(
             )
         )
     return annotated
-
-
-def rates_separable(
-    a_successes: int, a_trials: int, b_successes: int, b_trials: int,
-    confidence: float = 0.95,
-) -> bool:
-    """Whether two SE rates are distinguishable at the given confidence
-    (non-overlapping Wilson intervals — conservative)."""
-    interval_a = wilson_interval(a_successes, a_trials, confidence)
-    interval_b = wilson_interval(b_successes, b_trials, confidence)
-    return not interval_a.overlaps(interval_b)

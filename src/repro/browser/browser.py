@@ -42,7 +42,6 @@ from repro.dom.nodes import Element, div
 from repro.dom.page import PageContent, PageLoad
 from repro.errors import (
     BrowserError,
-    NoSuchElementError,
     RedirectLoopError,
     TransientError,
     UrlError,
@@ -215,15 +214,6 @@ class Browser:
             downloads=downloads,
             dialogs=dialogs,
         )
-
-    def click_first_candidate(self, tab: Tab) -> ClickOutcome:
-        """Click the largest image/iframe on the page (crawler shortcut)."""
-        if tab.load is None:
-            raise BrowserError("tab has no page")
-        candidates = tab.load.candidates()
-        if not candidates:
-            raise NoSuchElementError("no clickable candidates on page")
-        return self.click(tab, candidates[0])
 
     def screenshot(self, tab: Tab) -> Screenshot:
         """Capture the tab's screenshot (dead-page visual if load failed)."""

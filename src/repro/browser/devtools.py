@@ -72,10 +72,6 @@ class DevToolsClient:
         """Capture the tab's rendering."""
         return self.browser.screenshot(tab)
 
-    def open_tabs(self) -> list[Tab]:
-        """All tabs the session has opened."""
-        return list(self.browser.tabs)
-
 
 class SeleniumLikeDriver(DevToolsClient):
     """A WebDriver-style automation client.

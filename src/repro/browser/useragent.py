@@ -23,13 +23,6 @@ class UserAgentProfile:
     screen_width: int
     screen_height: int
 
-    @property
-    def platform_key(self) -> str:
-        """Coarse platform label ad targeting rules match on."""
-        if self.mobile:
-            return "mobile"
-        return self.os
-
 
 CHROME_MACOS = UserAgentProfile(
     name="chrome66-macos",

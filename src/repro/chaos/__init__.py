@@ -27,10 +27,8 @@ from repro.chaos.plan import (
     seeded_schedule,
 )
 from repro.chaos.points import (
-    ADAPTIVE_ONLY_POINTS,
     CRASH_EXIT_CODE,
     CRASH_POINTS,
-    PARALLEL_ONLY_POINTS,
     POLICY_POINTS,
     RECOVERY_ONLY_POINTS,
     WORLD_POINTS,
@@ -43,11 +41,9 @@ from repro.chaos.points import (
 from repro.chaos.runner import ChaosReport, ChaosRunner, PhaseResult
 
 __all__ = [
-    "ADAPTIVE_ONLY_POINTS",
     "CRASH_EXIT_CODE",
     "CRASH_POINTS",
     "MODES",
-    "PARALLEL_ONLY_POINTS",
     "POLICY_POINTS",
     "RECOVERY_ONLY_POINTS",
     "WORLD_POINTS",

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from typing import IO, Iterator
 
 from repro.chaos.points import (
-    ADAPTIVE_ONLY_POINTS,
     CRASH_POINTS,
-    PARALLEL_ONLY_POINTS,
     RECOVERY_ONLY_POINTS,
     CrashError,
 )
@@ -80,16 +78,8 @@ class CrashDirective:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     @property
-    def parallel_only(self) -> bool:
-        return self.point in PARALLEL_ONLY_POINTS
-
-    @property
     def recovery_only(self) -> bool:
         return self.point in RECOVERY_ONLY_POINTS
-
-    @property
-    def adaptive_only(self) -> bool:
-        return self.point in ADAPTIVE_ONLY_POINTS
 
     def to_env(self, token_path: str | os.PathLike[str]) -> dict[str, str]:
         """Environment variables that arm this directive in a child tree."""

@@ -94,16 +94,6 @@ CRASH_POINTS = (
     + SESSIONBATCH_POINTS
 )
 
-#: Points that only execute inside shard worker processes / the parallel
-#: merge — unreachable with ``workers=1``.
-PARALLEL_ONLY_POINTS = SEGMENT_POINTS + MERGE_POINTS
-
-#: Points that only execute when adaptive scheduling is on (``--policy``
-#: egreedy/ucb1 or a session budget) — unreachable in a static run, so
-#: the default chaos matrix skips them and the dedicated policy matrix
-#: covers them.
-ADAPTIVE_ONLY_POINTS = POLICY_POINTS
-
 #: Points that only execute during crash *recovery* (the store never
 #: truncates during a healthy run); exercising them needs a priming
 #: crash first.

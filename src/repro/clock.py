@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
-
-SECOND = 1.0
+from typing import Callable
 MINUTE = 60.0
 HOUR = 3600.0
 DAY = 86400.0
@@ -143,8 +141,3 @@ class EventScheduler:
             executed += 1
         self.clock.advance_to(max(deadline, self.clock.now()))
         return executed
-
-    def pending_times(self) -> Iterator[float]:
-        """Yield the (unordered) timestamps of pending events."""
-        for event in self._queue:
-            yield event.when

@@ -144,14 +144,18 @@ def interaction_from_dict(data: dict[str, Any]) -> AdInteraction:
     )
 
 
+#: Clicks on one candidate element before the crawler moves to the next.
+REPEAT_CLICKS = 3
+#: Virtual time one crawling session may spend (the paper used ~2 min).
+SESSION_SECONDS = 120.0
+
+
 @dataclass(frozen=True)
 class CrawlerConfig:
     """Per-session knobs (the paper's "tunable" parameters)."""
 
     max_ads: int = 3
     max_interactions: int = 10
-    repeat_clicks: int = 3
-    session_seconds: float = 120.0
 
 
 def _visit_publisher(browser: Browser, internet: Internet, url: str) -> Tab:
@@ -193,7 +197,7 @@ def crawl_session(
     client = DevToolsClient(internet, profile, vantage, stealth=True, bypass_locking=True)
     browser = client.browser
     interactions: list[AdInteraction] = []
-    deadline = internet.clock.now() + config.session_seconds
+    deadline = internet.clock.now() + SESSION_SECONDS
 
     tab = _visit_publisher(browser, internet, publisher_url)
     if not tab.loaded:
@@ -210,7 +214,7 @@ def crawl_session(
     ):
         element = candidates[candidate_index]
         repeats = 0
-        while repeats < config.repeat_clicks and len(interactions) < config.max_ads:
+        while repeats < REPEAT_CLICKS and len(interactions) < config.max_ads:
             if not tab.loaded:
                 break
             outcome = browser.click(tab, element)

@@ -166,11 +166,6 @@ class IncrementalDiscovery:
         self._index = IncrementalDBSCAN(int(eps * DHASH_BITS), min_pts)
         self._rows = 0
 
-    @property
-    def pairs_seen(self) -> int:
-        """Distinct (dhash, e2LD) pairs ingested so far."""
-        return len(self._pairs)
-
     def ingest(self, batch: Iterable[AdInteraction]) -> None:
         """Consume one batch of crawl interactions (step 1, incrementally)."""
         for record in batch:

@@ -9,7 +9,7 @@ paper's operational structure:
 * every site is visited once per user-agent profile (never twice with
   the same UA, the §6 ethics constraint);
 * many container replicas run in parallel, so virtual wall-clock time
-  advances by ``session_seconds / parallelism`` per session.
+  advances by ``SESSION_SECONDS / parallelism`` per session.
 
 Scheduling is *plan-derived*, and the farm makes every plan.  A
 :class:`CrawlPlan` assigns every (domain, profile) session an absolute
@@ -33,8 +33,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from repro.browser.useragent import PROFILES, UserAgentProfile
-from repro.core.crawler import AdInteraction, CrawlerConfig, crawl_session
+from repro.browser.useragent import PROFILES
+from repro.core.crawler import (
+    SESSION_SECONDS,
+    AdInteraction,
+    CrawlerConfig,
+    crawl_session,
+)
 from repro.core.sessionbatch import SessionKernel
 from repro.ecosystem.world import World
 from repro.errors import ConfigError, TabCrashError, TransientError
@@ -59,10 +64,9 @@ def shard_index(domain: str, shard_count: int) -> int:
 class FarmConfig:
     """Farm-level crawl parameters."""
 
-    profiles: tuple[UserAgentProfile, ...] = PROFILES
     crawler: CrawlerConfig = field(default_factory=CrawlerConfig)
     #: Concurrent crawler containers; virtual time advances by
-    #: ``session_seconds / parallelism`` per session.  ``None`` sizes the
+    #: ``SESSION_SECONDS / parallelism`` per session.  ``None`` sizes the
     #: farm so the whole crawl spans the world's configured crawl window
     #: (keeping domain-rotation calibration honest).
     parallelism: int | None = None
@@ -160,16 +164,15 @@ class CrawlPlan:
     entries: tuple[PlanEntry, ...]
     started_at: float
     time_step: float
-    profiles_per_domain: int
     residential_dropped: int = 0
 
     @property
     def total_sessions(self) -> int:
-        return len(self.entries) * self.profiles_per_domain
+        return len(self.entries) * len(PROFILES)
 
     def session_time(self, position: int, profile_index: int) -> float:
         """Absolute virtual start time of one (domain, profile) session."""
-        index = position * self.profiles_per_domain + profile_index
+        index = position * len(PROFILES) + profile_index
         return self.started_at + index * self.time_step
 
     @property
@@ -258,19 +261,17 @@ class CrawlerFarm:
         Each residential entry records how many residential sessions come
         before it — the base of its laptop-rotation slots.
         """
-        profiles_per_domain = len(self.config.profiles)
         entries: list[PlanEntry] = []
         for domain in institutional:
             entries.append(PlanEntry(domain, False, len(entries), 0))
         residential_sessions = 0
         for domain in residential:
             entries.append(PlanEntry(domain, True, len(entries), residential_sessions))
-            residential_sessions += profiles_per_domain
+            residential_sessions += len(PROFILES)
         return CrawlPlan(
             entries=tuple(entries),
             started_at=started_at,
             time_step=time_step,
-            profiles_per_domain=profiles_per_domain,
             residential_dropped=residential_dropped,
         )
 
@@ -290,7 +291,7 @@ class CrawlerFarm:
         if residential and fraction > 0:
             cap = max(1, int(len(residential) * fraction))
         kept = residential[:cap]
-        sessions = (len(institutional) + len(kept)) * len(self.config.profiles)
+        sessions = (len(institutional) + len(kept)) * len(PROFILES)
         return self.layout(
             institutional,
             kept,
@@ -435,7 +436,7 @@ class CrawlerFarm:
         if interactions:
             dataset.publishers_with_ads.add(entry.domain)
         checkpoint.completed_domains.add(entry.domain)
-        for profile in self.config.profiles:
+        for profile in PROFILES:
             checkpoint.completed_sessions.discard((entry.domain, profile.name))
         checkpoint.in_flight = None
         return CrawlBatch(
@@ -463,7 +464,7 @@ class CrawlerFarm:
         dataset.count_landings(batch.interactions)
         if entry.residential:
             checkpoint.laptop_index = (
-                entry.residential_base + len(self.config.profiles)
+                entry.residential_base + len(PROFILES)
             )
         return self._complete_domain(
             checkpoint, entry, batch.interactions, batch.clock, batch.sessions,
@@ -517,16 +518,15 @@ class CrawlerFarm:
     def plan_time_step(self, total_sessions: int) -> float:
         """The virtual-time step of a plan over ``total_sessions``.
 
-        ``session_seconds / parallelism`` for a sized farm; otherwise the
+        ``SESSION_SECONDS / parallelism`` for a sized farm; otherwise the
         sessions spread evenly over the world's crawl window.  The
         adaptive scheduler derives its one global round grid from the
         whole session budget with it.
         """
-        config = self.config
-        session_seconds = config.crawler.session_seconds
-        if config.parallelism is not None:
-            return session_seconds / config.parallelism
+        parallelism = self.config.parallelism
+        if parallelism is not None:
+            return SESSION_SECONDS / parallelism
         window = self.world.config.crawl_window_days * 86400.0
         if total_sessions == 0:
-            return session_seconds
+            return SESSION_SECONDS
         return window / total_sessions

@@ -41,13 +41,19 @@ from repro.telemetry import current as current_telemetry
 from repro.urlkit.psl import e2ld
 
 
+#: Minutes between GSB lookup rounds over the milked domains (§4.2).
+GSB_INTERVAL_MINUTES = 30.0
+#: Rescheduled attempts of one failed source before it waits for the
+#: next round.
+MAX_RETRIES_PER_ROUND = 2
+
+
 @dataclass(frozen=True)
 class MilkingConfig:
     """Scheduling parameters (the paper's §4.2 values by default)."""
 
     duration_days: float = 14.0
     interval_minutes: float = 15.0
-    gsb_interval_minutes: float = 30.0
     post_lookup_days: float = 12.0
     final_lookup_extra_days: float = 60.0
     vt_rescan_days: float = 90.0
@@ -56,7 +62,6 @@ class MilkingConfig:
     #: a whole interval (transient-fault resilience).
     retry_failed_sources: bool = True
     retry_delay_minutes: float = 3.0
-    max_retries_per_round: int = 2
 
 
 @dataclass
@@ -290,7 +295,7 @@ class MilkingTracker:
         )
         lookups_end = milk_end + config.post_lookup_days * DAY
         scheduler.schedule_every(
-            config.gsb_interval_minutes * MINUTE, gsb_round, until=lookups_end
+            GSB_INTERVAL_MINUTES * MINUTE, gsb_round, until=lookups_end
         )
         scheduler.run_until(lookups_end)
         report.finished_at = milk_end
@@ -336,10 +341,10 @@ class MilkingTracker:
         """Reschedule a failed milk attempt instead of dropping the round.
 
         Retries back off exponentially from ``retry_delay_minutes``, stop
-        after ``max_retries_per_round`` and never fire past the milking
+        after :data:`MAX_RETRIES_PER_ROUND` and never fire past the milking
         window; a 20-failure streak still deactivates the source.
         """
-        if not config.retry_failed_sources or attempt >= config.max_retries_per_round:
+        if not config.retry_failed_sources or attempt >= MAX_RETRIES_PER_ROUND:
             return
         delay = config.retry_delay_minutes * MINUTE * (2.0**attempt)
         if scheduler.clock.now() + delay > milk_end:

@@ -287,22 +287,6 @@ def ethics_cost(
 # ------------------------------------------------- offline regeneration
 
 
-def regenerate_report(store) -> str:
-    """Regenerate a stored run's full markdown report, offline.
-
-    Rehydrates the world and the result from the
-    :class:`~repro.store.base.RunStore` (see :mod:`repro.store.persist`)
-    and renders the same report a live run prints — no crawl session is
-    re-run.  Byte-identical to the live report for finished runs.
-    """
-    # Imported lazily: persist imports the pipeline, which imports this
-    # module.
-    from repro.analysis.reportgen import generate_report
-    from repro.store.persist import load_result, load_world
-
-    return generate_report(load_world(store), load_result(store))
-
-
 # ------------------------------------------------------------ rendering
 
 

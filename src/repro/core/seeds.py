@@ -41,10 +41,6 @@ class InvariantPattern:
         """Whether an ad-loading URL carries this network's invariant."""
         return f"/{self.token}/" in url or url.endswith(f"/{self.token}.js")
 
-    def matches_source(self, source: str) -> bool:
-        """Whether a snippet source carries this network's invariant."""
-        return self.token in source
-
 
 def extract_invariant_token(snippet_sources: list[str]) -> str | None:
     """Find the identifier shared by every snippet variant.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.browser.useragent import PROFILES
 from repro.chaos.points import crash_point
 from repro.core.crawler import AdInteraction
 from repro.telemetry import SHARD_LANE, current as current_telemetry
@@ -64,7 +65,7 @@ class SessionKernel:
         #: (session key, profile index, that session's interactions).
         pending: list[tuple[tuple[str, str], int, list[AdInteraction]]] = []
         try:
-            for profile_index, profile in enumerate(config.profiles):
+            for profile_index, profile in enumerate(PROFILES):
                 key = (entry.domain, profile.name)
                 if key in checkpoint.completed_sessions:
                     continue

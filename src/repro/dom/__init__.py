@@ -1,6 +1,6 @@
 """Simulated DOM: element trees, events, layout and page content."""
 
-from repro.dom.nodes import Element, anchor, div, iframe, img, script_tag
+from repro.dom.nodes import Element, anchor, div, iframe, img
 from repro.dom.events import EventListener, collect_click_handlers
 from repro.dom.render import (
     clickable_candidates,
@@ -15,7 +15,6 @@ __all__ = [
     "img",
     "iframe",
     "anchor",
-    "script_tag",
     "EventListener",
     "collect_click_handlers",
     "clickable_candidates",

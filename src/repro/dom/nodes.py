@@ -98,15 +98,3 @@ def iframe(src: str, width: int, height: int, **kwargs: Any) -> Element:
 def anchor(href: str, width: int = 0, height: int = 0, **kwargs: Any) -> Element:
     """Create an ``<a href=...>``."""
     return Element(tag="a", attrs={"href": href}, width=width, height=height, **kwargs)
-
-
-def script_tag(src: str, inline_marker: str = "") -> Element:
-    """Create a ``<script src=...>``.
-
-    ``inline_marker`` lets ad snippets leave invariant artifacts in the page
-    source (variable names etc.) that PublicWWW-style search can find.
-    """
-    attrs = {"src": src}
-    if inline_marker:
-        attrs["data-inline"] = inline_marker
-    return Element(tag="script", attrs=attrs)

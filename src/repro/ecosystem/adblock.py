@@ -22,10 +22,6 @@ class FilterRule:
 
     domain: str
 
-    def matches(self, url: Url) -> bool:
-        """Whether this rule blocks ``url``."""
-        return e2ld(url.host) == e2ld(self.domain)
-
 
 class FilterList:
     """An ordered set of blocking rules."""

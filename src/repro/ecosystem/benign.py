@@ -173,10 +173,6 @@ class BenignWeb(VirtualServer):
             return BenignKind.DEAD
         return None
 
-    def cluster_family_count(self, kind: BenignKind) -> int:
-        """How many shared-template families of a kind exist (census S1)."""
-        return sum(1 for family in self._families if family.kind == kind)
-
     def pick_url(self, rng: random.Random, now: float) -> Url:
         """An ad-click destination, sampled by traffic weights."""
         kind = weighted_choice(rng, _KINDS, _WEIGHTS)

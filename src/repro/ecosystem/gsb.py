@@ -100,14 +100,3 @@ class GoogleSafeBrowsing:
         if decision is None or not decision.will_list:
             return None
         return decision.listed_at
-
-    def detection_lag(self, domain: str, discovered_at: float) -> float | None:
-        """Listing time minus the milker's discovery time, if ever listed."""
-        listed = self.listed_time(domain)
-        if listed is None:
-            return None
-        return listed - discovered_at
-
-    def known_domains(self) -> int:
-        """Number of attack domains GSB has had a chance to judge."""
-        return len(self._decisions)

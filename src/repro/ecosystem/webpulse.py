@@ -65,7 +65,3 @@ class WebPulse:
     def categorize(self, domain: str) -> str:
         """Return the category of ``domain`` (``"Uncategorized"`` if new)."""
         return self._categories.get(domain, "Uncategorized")
-
-    def known_domains(self) -> int:
-        """Number of categorized domains."""
-        return len(self._categories)

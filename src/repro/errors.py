@@ -82,10 +82,6 @@ class BrowserError(ReproError):
     """Raised for invalid browser-automation operations."""
 
 
-class NoSuchElementError(BrowserError):
-    """Raised when a DOM query matches no element."""
-
-
 class WorldConfigError(ReproError):
     """Raised when a :class:`~repro.ecosystem.world.WorldConfig` is invalid."""
 

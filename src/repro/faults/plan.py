@@ -56,6 +56,13 @@ FETCH_KIND_WEIGHTS: tuple[tuple[FaultKind, float], ...] = (
 )
 _FETCH_KINDS = [kind for kind, _ in FETCH_KIND_WEIGHTS]
 _FETCH_WEIGHTS = [weight for _, weight in FETCH_KIND_WEIGHTS]
+#: Virtual seconds one attempt affected by each delaying fault kind costs
+#: the client (timeout waits, slow transfers); other kinds cost nothing.
+FAULT_DELAY_SECONDS: dict[FaultKind, float] = {
+    FaultKind.DNS_TIMEOUT: 2.0,
+    FaultKind.CONNECT_TIMEOUT: 1.0,
+    FaultKind.SLOW_RESPONSE: 3.0,
+}
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,6 @@ class FaultConfig:
     #: Maximum consecutive attempts one fault event keeps failing.  Keep
     #: below the retry budget or recovery cannot be complete.
     max_burst: int = 2
-    dns_timeout_seconds: float = 2.0
-    connect_timeout_seconds: float = 1.0
-    slow_response_seconds: float = 3.0
 
     def __post_init__(self) -> None:
         for name in ("rate", "tab_crash_rate", "session_crash_rate"):
@@ -109,16 +113,6 @@ class FaultConfig:
     def at_rate(cls, rate: float) -> "FaultConfig":
         """Scale every injection channel from one headline fetch rate."""
         return cls(rate=rate, tab_crash_rate=rate / 2.0, session_crash_rate=rate)
-
-    def delay_for(self, kind: FaultKind) -> float:
-        """The virtual-time cost of one attempt affected by ``kind``."""
-        if kind is FaultKind.DNS_TIMEOUT:
-            return self.dns_timeout_seconds
-        if kind is FaultKind.CONNECT_TIMEOUT:
-            return self.connect_timeout_seconds
-        if kind is FaultKind.SLOW_RESPONSE:
-            return self.slow_response_seconds
-        return 0.0
 
 
 class FaultPlan:
@@ -162,7 +156,8 @@ class FaultPlan:
         kind = weighted_choice(rng, _FETCH_KINDS, _FETCH_WEIGHTS)
         burst = 1 if kind is FaultKind.SLOW_RESPONSE else rng.randint(1, config.max_burst)
         self.stats.injected[kind.value] += 1
-        return FaultEvent(kind=kind, burst=burst, delay=config.delay_for(kind))
+        delay = FAULT_DELAY_SECONDS.get(kind, 0.0)
+        return FaultEvent(kind=kind, burst=burst, delay=delay)
 
     # ------------------------------------------------------- browser layer
 

@@ -180,14 +180,6 @@ class BreakerRegistry:
             scope.breakers[host] = breaker
         return breaker
 
-    def open_hosts(self, scope: "CrawlScope") -> list[str]:
-        """Hosts whose breaker in ``scope`` is open (health reporting)."""
-        return sorted(
-            host
-            for host, breaker in scope.breakers.items()
-            if breaker.state is BreakerState.OPEN
-        )
-
 
 @dataclass
 class Resilience:

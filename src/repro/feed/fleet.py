@@ -19,6 +19,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.clock import DAY, MINUTE, EventScheduler, SimClock
 from repro.errors import ConfigError
@@ -81,7 +83,9 @@ class _CohortState:
     index: int
     version: int = 0
     content_hash: str = ""
-    entries: dict[str, FeedEntry] = field(default_factory=dict)
+    #: The cohort's blocklist; after a delta it is the fleet's shared,
+    #: read-only map for that transition.
+    entries: Mapping[str, FeedEntry] = field(default_factory=dict)
     #: Sim time each domain became blocked for this cohort.
     protected_at: dict[str, float] = field(default_factory=dict)
     polls: int = 0
@@ -135,14 +139,6 @@ class FleetReport:
         return self.polls * self.config.clients_per_cohort
 
     # ------------------------------------------------------------ aggregates
-
-    def mean_feed_lag_minutes(self) -> float | None:
-        """Mean (cohort protection − milking discovery), in minutes."""
-        lags = [
-            (item.mean_protected_at - item.milked_at) / MINUTE
-            for item in self.protection
-        ]
-        return sum(lags) / len(lags) if lags else None
 
     def gsb_listed_fraction(self) -> float:
         """Fraction of protected domains GSB ever lists."""
@@ -225,6 +221,13 @@ class FeedClientFleet:
         clock = SimClock(start)
         scheduler = EventScheduler(clock)
         self._poll_latency_ms: list[float] = []
+        #: Verified delta transitions: (pre-state content hash, delta
+        #: payload) -> the entry map it yields, shared read-only by every
+        #: cohort making the same transition, so each distinct transition
+        #: is applied and checked against ``to_hash`` once.  A cohort's
+        #: content hash is only ever set from a full snapshot or after a
+        #: verified delta, so it names its entry map.
+        self._transitions: dict[tuple[str, bytes], Mapping[str, FeedEntry]] = {}
         retry_policy = RetryPolicy(
             max_attempts=config.max_attempts, seed=config.seed
         )
@@ -322,14 +325,19 @@ class FeedClientFleet:
             snapshot = FeedSnapshot.from_record(json.loads(response.payload))
             cohort.entries = snapshot.entry_map()
         elif response.status == DELTA:
-            delta = FeedDelta.from_record(json.loads(response.payload))
-            cohort.entries = apply_delta(cohort.entries, delta)
-            if state_hash(cohort.entries) != delta.to_hash:
-                raise ConfigError(
-                    f"cohort {cohort.index} diverged applying delta "
-                    f"v{delta.from_version}->v{delta.to_version}; the feed "
-                    "history is inconsistent"
-                )
+            transition = (cohort.content_hash, response.payload)
+            entries = self._transitions.get(transition)
+            if entries is None:
+                delta = FeedDelta.from_record(json.loads(response.payload))
+                entries = apply_delta(cohort.entries, delta)
+                if state_hash(entries) != delta.to_hash:
+                    raise ConfigError(
+                        f"cohort {cohort.index} diverged applying delta "
+                        f"v{delta.from_version}->v{delta.to_version}; the feed "
+                        "history is inconsistent"
+                    )
+                entries = self._transitions[transition] = MappingProxyType(entries)
+            cohort.entries = entries
         else:  # not modified
             return
         cohort.version = response.version

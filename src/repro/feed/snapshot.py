@@ -163,10 +163,6 @@ class FeedDelta:
     removed: tuple[str, ...]
     to_hash: str
 
-    @property
-    def change_count(self) -> int:
-        return len(self.added) + len(self.updated) + len(self.removed)
-
     def canonical_bytes(self) -> bytes:
         return _canonical_json(self.to_record())
 

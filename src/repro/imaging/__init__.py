@@ -2,8 +2,7 @@
 
 from repro.imaging.image import render_visual, resize_area, to_grayscale
 from repro.imaging.dhash import DHASH_BITS, dhash128
-from repro.imaging.distance import hamming, normalized_hamming
-from repro.imaging.similarity import near_duplicate
+from repro.imaging.distance import hamming
 
 __all__ = [
     "render_visual",
@@ -12,6 +11,4 @@ __all__ = [
     "DHASH_BITS",
     "dhash128",
     "hamming",
-    "normalized_hamming",
-    "near_duplicate",
 ]

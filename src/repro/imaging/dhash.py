@@ -52,11 +52,6 @@ def visual_dhash(spec: VisualSpec) -> int:
     return dhash128(render_visual(spec))
 
 
-def dhash_bytes(hash_value: int) -> bytes:
-    """The hash as 16 big-endian bytes (for storage / display)."""
-    return hash_value.to_bytes(DHASH_BITS // 8, "big")
-
-
 def dhash_hex(hash_value: int) -> str:
     """The hash as a 32-character hex string."""
     return f"{hash_value:032x}"

@@ -2,18 +2,7 @@
 
 from __future__ import annotations
 
-from repro.imaging.dhash import DHASH_BITS
-
 
 def hamming(a: int, b: int) -> int:
     """Number of differing bits between two hashes."""
     return (a ^ b).bit_count()
-
-
-def normalized_hamming(a: int, b: int, bits: int = DHASH_BITS) -> float:
-    """Hamming distance scaled to ``[0, 1]``.
-
-    This is the distance the DBSCAN ``eps`` parameter (0.1 in the paper's
-    tuning) is expressed in.
-    """
-    return hamming(a, b) / float(bits)

@@ -53,11 +53,3 @@ def write_png(image: np.ndarray, path: str | Path) -> Path:
     path = Path(path)
     path.write_bytes(encode_png(image))
     return path
-
-
-def decode_png_size(data: bytes) -> tuple[int, int]:
-    """Read (width, height) from a PNG byte string (sanity checking)."""
-    if data[:8] != _SIGNATURE:
-        raise ValueError("not a PNG stream")
-    width, height = struct.unpack(">II", data[16:24])
-    return width, height

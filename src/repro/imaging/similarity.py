@@ -7,9 +7,7 @@ matches the campaign's known screenshots.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.imaging.dhash import DHASH_BITS, dhash128
+from repro.imaging.dhash import DHASH_BITS
 from repro.imaging.distance import hamming
 
 # eps=0.1 over 128 bits; matching the clustering tolerance keeps the
@@ -17,29 +15,6 @@ from repro.imaging.distance import hamming
 DEFAULT_THRESHOLD_BITS = int(0.1 * DHASH_BITS)
 
 
-def near_duplicate(
-    image_a: np.ndarray,
-    image_b: np.ndarray,
-    threshold_bits: int = DEFAULT_THRESHOLD_BITS,
-) -> bool:
-    """Whether two screenshots are perceptual near-duplicates."""
-    return hamming(dhash128(image_a), dhash128(image_b)) <= threshold_bits
-
-
 def matches_any(hash_value: int, known_hashes, threshold_bits: int = DEFAULT_THRESHOLD_BITS) -> bool:
     """Whether ``hash_value`` is within threshold of any known hash."""
     return any(hamming(hash_value, known) <= threshold_bits for known in known_hashes)
-
-
-def best_match(hash_value: int, known_hashes) -> tuple[int | None, int]:
-    """Return ``(closest_hash, distance)`` over ``known_hashes``.
-
-    Returns ``(None, DHASH_BITS + 1)`` when the collection is empty.
-    """
-    best: int | None = None
-    best_distance = DHASH_BITS + 1
-    for known in known_hashes:
-        distance = hamming(hash_value, known)
-        if distance < best_distance:
-            best, best_distance = known, distance
-    return best, best_distance

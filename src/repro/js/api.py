@@ -19,11 +19,6 @@ from repro.net.http import RedirectKind
 
 Ops = tuple  # a JS program: tuple of op instances
 
-# A URL may be static (str) or computed at execution time from the page's
-# serving context, which is how ad networks pick a fresh click URL per
-# impression.
-UrlExpr = "str | Callable[[float], str]"
-
 
 @dataclass(frozen=True)
 class AddListener:
@@ -56,7 +51,7 @@ class InjectOverlay:
 class OpenTab:
     """``window.open(url)`` — popup / pop-under."""
 
-    url: object  # UrlExpr
+    url: object  # str or callable: see resolve_url
     popunder: bool = False
 
 
@@ -69,7 +64,7 @@ class InjectIframe:
     handlers inside the frame.
     """
 
-    src: object  # UrlExpr
+    src: object  # str or callable: see resolve_url
     width: int = 300
     height: int = 250
 
@@ -78,7 +73,7 @@ class InjectIframe:
 class Navigate:
     """A same-tab navigation via one of the JS mechanisms of §3.4."""
 
-    url: object  # UrlExpr
+    url: object  # str or callable: see resolve_url
     mechanism: RedirectKind = RedirectKind.JS_LOCATION
 
 
@@ -139,14 +134,14 @@ class RequestNotificationPermission:
 class TriggerDownload:
     """Force a file download (fake-software / scareware payloads)."""
 
-    url: object  # UrlExpr
+    url: object  # str or callable: see resolve_url
 
 
 @dataclass(frozen=True)
 class Beacon:
     """Fire a tracking request (analytics pixel, ad-network stats)."""
 
-    url: object  # UrlExpr
+    url: object  # str or callable: see resolve_url
 
 
 @dataclass(frozen=True)
@@ -165,7 +160,12 @@ class Script:
 
 
 def resolve_url(expr: object, now: float) -> str:
-    """Evaluate a :data:`UrlExpr` at virtual time ``now``."""
+    """Evaluate a URL operand at virtual time ``now``.
+
+    A URL may be static (a ``str``) or computed at execution time from
+    the page's serving context (a callable of ``now``), which is how ad
+    networks pick a fresh click URL per impression.
+    """
     if callable(expr):
         return str(expr(now))
     return str(expr)

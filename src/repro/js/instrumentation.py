@@ -63,15 +63,3 @@ class InstrumentationLog:
         """Append one call record; a :class:`~repro.urlkit.url.Url` is
         rendered on read, and None reads as ``""``."""
         self._calls.append((timestamp, api, args, script_url, page_url))
-
-    def calls_to(self, api: str) -> list[JsCallRecord]:
-        """All records for one API name."""
-        return [record for record in self if record.api == api]
-
-    def apis_used(self) -> set[str]:
-        """The distinct API names seen."""
-        return {call[1] for call in self._calls}
-
-    def by_script(self, script_url: str | None) -> list[JsCallRecord]:
-        """All records attributed to one script."""
-        return [record for record in self if record.script_url == script_url]

@@ -79,8 +79,3 @@ def _chunked_literal(text: str, rng: random.Random) -> str:
         pieces.append(f"'{text[index:index + step]}'")
         index += step
     return ",".join(pieces)
-
-
-def contains_invariant(source: str, invariant_token: str) -> bool:
-    """Whether an obfuscated snippet still carries the invariant feature."""
-    return invariant_token in source

@@ -36,10 +36,6 @@ class DnsRegistry:
             raise ValueError(f"host {host!r} already registered")
         self._static[host] = server
 
-    def deregister(self, host: str) -> None:
-        """Remove a static binding (domain takedown / expiry)."""
-        self._static.pop(host.lower(), None)
-
     def add_claimant(self, server: "VirtualServer") -> None:
         """Add a server consulted for hosts without static bindings."""
         self._claimants.append(server)
@@ -58,7 +54,3 @@ class DnsRegistry:
     def is_registered(self, host: str) -> bool:
         """Whether ``host`` has a static binding (claimants not consulted)."""
         return host.lower() in self._static
-
-    def static_hosts(self) -> list[str]:
-        """All statically registered hostnames, sorted."""
-        return sorted(self._static)

@@ -16,7 +16,7 @@ import hashlib
 import random
 from typing import Sequence
 
-__all__ = ["derive", "rng_for", "weighted_choice", "stable_shuffle"]
+__all__ = ["derive", "rng_for", "weighted_choice"]
 
 
 def derive(seed: int, *labels: str | int) -> int:
@@ -59,10 +59,3 @@ def weighted_choice(rng: random.Random, items: Sequence, weights: Sequence[float
         if point < cumulative:
             return item
     return items[-1]
-
-
-def stable_shuffle(rng: random.Random, items: Sequence) -> list:
-    """Return a shuffled copy of ``items`` without mutating the input."""
-    copy = list(items)
-    rng.shuffle(copy)
-    return copy

@@ -24,7 +24,7 @@ would have done.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.milking import MilkingConfig
 from repro.core.pipeline import SeacmaPipeline
@@ -108,24 +108,3 @@ def evaluate_policy(
         ),
         pulls=pulls,
     )
-
-
-def compare_policies(
-    world_config: WorldConfig,
-    session_budget: int,
-    policies: tuple[str, ...] = ("static", "egreedy", "ucb1"),
-    explore_floor: float = 0.15,
-    workers: int = 1,
-) -> dict[str, PolicyOutcome]:
-    """Score every policy on the same world config and budget."""
-    base = SchedConfig(
-        policy="static",
-        explore_floor=explore_floor,
-        session_budget=session_budget,
-    )
-    return {
-        policy: evaluate_policy(
-            world_config, replace(base, policy=policy), workers=workers
-        )
-        for policy in policies
-    }

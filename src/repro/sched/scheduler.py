@@ -39,6 +39,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Iterable
 
+from repro.browser.useragent import PROFILES
 from repro.chaos.points import crash_point
 from repro.core.crawler import AdInteraction
 from repro.core.farm import CrawlerFarm, CrawlPlan
@@ -95,7 +96,6 @@ class PolicyScheduler:
         self.policy = make_policy(config)
         world = farm.world
         self.seed = world.config.seed
-        self.profiles_per_domain = plan.profiles_per_domain
 
         # The eligible universe is the run's static plan: the §4.1
         # residential cap applied once over the whole run, institutional
@@ -117,20 +117,20 @@ class PolicyScheduler:
 
         budget_sessions = config.session_budget
         if budget_sessions is None:
-            budget_sessions = len(self.eligible) * self.profiles_per_domain
+            budget_sessions = len(self.eligible) * len(PROFILES)
         self.budget_domains = min(
-            len(self.eligible), budget_sessions // self.profiles_per_domain
+            len(self.eligible), budget_sessions // len(PROFILES)
         )
         if self.budget_domains < 1:
             raise ConfigError(
                 f"session budget {budget_sessions} is below one full "
-                f"publisher visit ({self.profiles_per_domain} sessions)"
+                f"publisher visit ({len(PROFILES)} sessions)"
             )
         #: One global virtual-time grid for the whole budget: rounds chain
         #: on it, so the time line is independent of how the budget is cut
         #: into rounds (and of worker counts, like the static plan).
         self.time_step = farm.plan_time_step(
-            self.budget_domains * self.profiles_per_domain
+            self.budget_domains * len(PROFILES)
         )
         arms = sorted(set(self.arm_of.values()))
         if config.round_domains is not None:
@@ -303,7 +303,7 @@ class PolicyScheduler:
                 + config.attribution_weight * attributed_by_arm[arm]
             )
             stats.pulls += pulls
-            stats.sessions += pulls * self.profiles_per_domain
+            stats.sessions += pulls * len(PROFILES)
             stats.reward += reward
             stats.se_hits += se_by_arm[arm]
             stats.candidates += candidates_by_arm[arm]

@@ -195,10 +195,3 @@ class StoreBase:
             if record.get("key") == key:
                 value = record.get("value")
         return value
-
-    def meta(self) -> dict[str, Any]:
-        """The resolved (last-write-wins) metadata mapping."""
-        resolved: dict[str, Any] = {}
-        for record in self.scan(META):
-            resolved[record["key"]] = record.get("value")
-        return resolved

@@ -17,7 +17,6 @@ class MemoryStore(StoreBase):
     def __init__(self, run_id: str = "in-memory") -> None:
         self.run_id = run_id
         self._streams: dict[str, list[dict[str, Any]]] = {}
-        self._meta_cache: dict[str, Any] = {}
 
     def append(self, stream: str, record: Mapping[str, Any]) -> None:
         self._streams.setdefault(stream, []).append(dict(record))

@@ -56,23 +56,6 @@ def canonical_trace_bytes(telemetry: "Telemetry") -> bytes:
     return ("\n".join(_dumps(record) for record in canonical_records(telemetry)) + "\n").encode()
 
 
-def canonical_records_from_spans(
-    records: list[dict[str, Any]],
-) -> list[dict[str, Any]]:
-    """Recover the canonical view from exported ``spans.jsonl`` records."""
-    canonical = []
-    for record in records:
-        if record.get("lane") != SIM_LANE:
-            continue
-        trimmed = {
-            key: value
-            for key, value in record.items()
-            if key not in ("wall", "host")
-        }
-        canonical.append(trimmed)
-    return canonical
-
-
 # ------------------------------------------------------------------- JSONL
 
 

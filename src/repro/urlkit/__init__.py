@@ -1,7 +1,7 @@
 """URL parsing, public-suffix handling and domain generation."""
 
 from repro.urlkit.url import Url, parse_url
-from repro.urlkit.psl import e2ld, public_suffix, is_known_suffix
+from repro.urlkit.psl import e2ld, public_suffix
 from repro.urlkit.domains import DomainGenerator, ThrowawayDomainPool
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "parse_url",
     "e2ld",
     "public_suffix",
-    "is_known_suffix",
     "DomainGenerator",
     "ThrowawayDomainPool",
 ]

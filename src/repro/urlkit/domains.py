@@ -13,7 +13,6 @@ Two generation styles appear in the paper's observations:
 from __future__ import annotations
 
 import random
-import string
 
 from repro.rng import rng_for
 
@@ -78,15 +77,6 @@ class DomainGenerator:
                 self._seen.add(domain)
                 return domain
 
-    def branded(self, stem: str, tld: str = "com") -> str:
-        """Generate a domain from a fixed stem (for stable benign brands)."""
-        stem = "".join(ch for ch in stem.lower() if ch in string.ascii_lowercase + string.digits + "-")
-        domain = f"{stem}.{tld}"
-        if domain in self._seen:
-            domain = f"{stem}{self._rng.randint(2, 99)}.{tld}"
-        self._seen.add(domain)
-        return domain
-
 
 class ThrowawayDomainPool:
     """A rotating pool of short-lived attack domains for one campaign.
@@ -136,19 +126,6 @@ class ThrowawayDomainPool:
             lifetime = self._rng.uniform(self._min, self._max)
             self._next_rotation = activation + lifetime
         return self._history[-1][1]
-
-    def force_rotation(self, now: float) -> str:
-        """Immediately retire the active domain (e.g. after a blacklisting)."""
-        current = self.active_domain(now)
-        self._next_rotation = now
-        rotated = self.active_domain(now + 1e-9)
-        if rotated == current:  # pragma: no cover - defensive
-            raise RuntimeError("rotation failed to produce a fresh domain")
-        return rotated
-
-    def is_active(self, domain: str, now: float) -> bool:
-        """Whether ``domain`` is the campaign's live attack domain at ``now``."""
-        return self.active_domain(now) == domain
 
     @property
     def next_rotation(self) -> float:

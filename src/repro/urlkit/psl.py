@@ -41,11 +41,6 @@ _SUFFIXES: frozenset[str] = frozenset(
 _MAX_SUFFIX_LABELS = max(suffix.count(".") + 1 for suffix in _SUFFIXES)
 
 
-def is_known_suffix(suffix: str) -> bool:
-    """Whether ``suffix`` is in the embedded public-suffix subset."""
-    return suffix.lower() in _SUFFIXES
-
-
 def public_suffix(host: str) -> str:
     """Return the longest matching public suffix of ``host``.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from urllib.parse import parse_qsl, urlencode
+from urllib.parse import parse_qsl
 
 from repro.errors import UrlError
 
@@ -69,20 +69,6 @@ class Url:
     def params(self) -> dict[str, str]:
         """Query parameters as a dict (last value wins on duplicates)."""
         return dict(self._params)
-
-    def with_path(self, path: str) -> "Url":
-        """Return a copy of this URL with a different path."""
-        return replace(self, path=path)
-
-    def with_params(self, **params: str) -> "Url":
-        """Return a copy with query parameters merged over existing ones."""
-        merged = self.params
-        merged.update({key: str(value) for key, value in params.items()})
-        return replace(self, query=urlencode(merged))
-
-    def same_host(self, other: "Url") -> bool:
-        """Whether the two URLs share a hostname exactly."""
-        return self.host == other.host
 
     def join(self, reference: str) -> "Url":
         """Resolve ``reference`` (absolute URL or absolute path) against self."""

@@ -11,7 +11,6 @@ from repro.adnet.spec import (
     AdNetworkSpec,
     DISCOVERABLE_NETWORK_SPECS,
     SEED_NETWORK_SPECS,
-    spec_by_name,
 )
 from repro.browser.useragent import CHROME_ANDROID, CHROME_MACOS, IE_WINDOWS
 from repro.clock import SimClock
@@ -38,8 +37,12 @@ class FakeCampaign:
         return parse_url(f"http://tds-{self.key}.info/go?cid={self.key}")
 
 
+def spec_named(name):
+    return next(spec for spec in ALL_NETWORK_SPECS if name in (spec.name, spec.key))
+
+
 def make_server(spec_name="popcash", **extra):
-    spec = spec_by_name(spec_name)
+    spec = spec_named(spec_name)
     return AdNetworkServer(spec, seed=7, benign_url_picker=benign_picker, **extra)
 
 
@@ -65,13 +68,13 @@ class TestSpecs:
         }
 
     def test_table3_se_rates(self):
-        assert spec_by_name("PopCash").se_rate == pytest.approx(0.6427)
-        assert spec_by_name("Clicksor").se_rate == pytest.approx(0.0435)
+        assert spec_named("PopCash").se_rate == pytest.approx(0.6427)
+        assert spec_named("Clicksor").se_rate == pytest.approx(0.0435)
 
     def test_table3_code_domain_counts(self):
-        assert spec_by_name("RevenueHits").code_domain_count == 517
-        assert spec_by_name("AdSterra").code_domain_count == 578
-        assert spec_by_name("PopMyAds").code_domain_count == 1
+        assert spec_named("RevenueHits").code_domain_count == 517
+        assert spec_named("AdSterra").code_domain_count == 578
+        assert spec_named("PopMyAds").code_domain_count == 1
 
     def test_cloaking_networks(self):
         cloakers = {spec.name for spec in SEED_NETWORK_SPECS if spec.cloaks_nonresidential}
@@ -85,11 +88,6 @@ class TestSpecs:
         tokens = [spec.invariant_token for spec in ALL_NETWORK_SPECS]
         assert len(set(tokens)) == len(tokens)
 
-    def test_lookup_by_key_and_name(self):
-        assert spec_by_name("popcash") is spec_by_name("PopCash")
-        with pytest.raises(KeyError):
-            spec_by_name("doubleclick")
-
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
             AdNetworkSpec(
@@ -100,7 +98,7 @@ class TestSpecs:
 
 class TestSnippets:
     def test_snippet_embeds_invariant(self):
-        spec = spec_by_name("popcash")
+        spec = spec_named("popcash")
         snippet = build_snippet(
             spec, "serve.net", "http://serve.net/pcuid_var/go?pid=p", AdTactic.DOCUMENT_CLICK,
             random.Random(0),
@@ -109,7 +107,7 @@ class TestSnippets:
         assert snippet.url.endswith(f"{spec.invariant_token}.js")
 
     def test_all_tactics_build(self):
-        spec = spec_by_name("adsterra")
+        spec = spec_named("adsterra")
         for tactic in AdTactic:
             snippet = build_snippet(
                 spec, "d.net", "http://d.net/atag_srv/go", tactic, random.Random(0)
@@ -120,12 +118,12 @@ class TestSnippets:
         from repro.js.api import CheckWebdriver
 
         guarded = build_snippet(
-            spec_by_name("propeller"), "d.net", "http://d.net/propel_zn/go",
+            spec_named("propeller"), "d.net", "http://d.net/propel_zn/go",
             AdTactic.DOCUMENT_CLICK, random.Random(0),
         )
         assert isinstance(guarded.ops[0], CheckWebdriver)
         unguarded = build_snippet(
-            spec_by_name("popcash"), "d.net", "http://d.net/pcuid_var/go",
+            spec_named("popcash"), "d.net", "http://d.net/pcuid_var/go",
             AdTactic.DOCUMENT_CLICK, random.Random(0),
         )
         assert not isinstance(unguarded.ops[0], CheckWebdriver)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adnet.serving import AdNetworkServer
-from repro.adnet.spec import spec_by_name
+from repro.adnet.spec import ALL_NETWORK_SPECS
 from repro.browser.useragent import CHROME_MACOS
 from repro.clock import SimClock
 from repro.core.attribution import attribute_interactions
@@ -23,7 +23,8 @@ def benign_picker(rng, now):
 
 
 def make_server(name):
-    return AdNetworkServer(spec_by_name(name), seed=7, benign_url_picker=benign_picker)
+    spec = next(spec for spec in ALL_NETWORK_SPECS if spec.key == name)
+    return AdNetworkServer(spec, seed=7, benign_url_picker=benign_picker)
 
 
 def context():

@@ -8,7 +8,6 @@ from repro.analysis.export import (
     export_crawl_dataset,
     export_milking_report,
     import_crawl_dataset,
-    import_milking_domains,
     interaction_to_dict,
 )
 
@@ -59,15 +58,6 @@ class TestCrawlExport:
 
 
 class TestMilkingExport:
-    def test_domains_roundtrip(self, pipeline_run):
-        _, _, result = pipeline_run
-        document = export_milking_report(result.milking)
-        restored = import_milking_domains(document)
-        assert len(restored) == len(result.milking.domains)
-        for original, copy in zip(result.milking.domains, restored):
-            assert copy.domain == original.domain
-            assert copy.category == original.category
-            assert copy.discovered_at == original.discovered_at
 
     def test_report_fields_present(self, pipeline_run):
         _, _, result = pipeline_run
@@ -78,7 +68,3 @@ class TestMilkingExport:
         assert data["phones"] == sorted(result.milking.phones)
         if data["files"]:
             assert "final_detections" in data["files"][0]
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            import_milking_domains('{"format": "x", "domains": []}')

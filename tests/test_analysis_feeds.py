@@ -18,8 +18,7 @@ class TestBlacklistFeed:
         assert feed.add(FeedEntry("a.club", 0.0, "domain"))
         assert not feed.add(FeedEntry("a.club", 9.0, "domain"))
         assert len(feed) == 1
-        assert feed.contains("a.club")
-        assert not feed.contains("b.club")
+        assert feed.values() == ["a.club"]
 
     def test_values_in_order(self):
         feed = BlacklistFeed(name="test")

@@ -64,7 +64,7 @@ class TestOnRealCrawl:
         for record in result.crawl.interactions:
             if record.load_failed:
                 continue
-            verdict = detector.classify_interaction(record)
+            verdict = detector.classify(record.page_features)
             truly_parked = record.labels.get("kind") == "parked"
             if truly_parked and verdict.parked:
                 hits += 1

@@ -2,7 +2,7 @@
 
 from repro.analysis.stats import CampaignTimeline, campaign_timelines, churn_summary
 from repro.attacks.categories import AttackCategory
-from repro.clock import DAY, HOUR
+from repro.clock import HOUR
 
 
 class TestCampaignTimeline:
@@ -14,22 +14,13 @@ class TestCampaignTimeline:
     def test_domain_count(self):
         assert self.make_timeline([0.0, HOUR, 2 * HOUR]).domain_count == 3
 
-    def test_span(self):
-        timeline = self.make_timeline([0.0, 2 * DAY])
-        assert timeline.span_days == 2.0
-
     def test_single_domain_span_zero(self):
         timeline = self.make_timeline([5.0])
-        assert timeline.span_days == 0.0
         assert timeline.mean_rotation_hours is None
 
     def test_mean_rotation(self):
         timeline = self.make_timeline([0.0, 2 * HOUR, 4 * HOUR])
         assert timeline.mean_rotation_hours == 2.0
-
-    def test_domains_per_day(self):
-        timeline = self.make_timeline([0.0, DAY])
-        assert timeline.domains_per_day() == 2.0
 
 
 class TestOnRealReport:

@@ -70,12 +70,6 @@ class TestStealth:
         outcome = client.click(tab, tab.load.find_all("img")[0])
         assert not outcome.triggered_ad
 
-    def test_open_tabs_listing(self, net):
-        client = DevToolsClient(net, CHROME_MACOS, VP)
-        tab = client.navigate("http://pub.com/")
-        client.click(tab, tab.load.find_all("img")[0])
-        assert len(client.open_tabs()) == 2
-
     def test_screenshot_passthrough(self, net):
         client = DevToolsClient(net, CHROME_MACOS, VP)
         tab = client.navigate("http://pub.com/")
@@ -92,11 +86,6 @@ class TestUserAgentProfiles:
             "ie10-windows",
             "edge12-windows",
         }
-
-    def test_platform_keys(self):
-        assert CHROME_MACOS.platform_key == "macos"
-        assert CHROME_ANDROID.platform_key == "mobile"
-        assert profile_by_name("ie10-windows").platform_key == "windows"
 
     def test_mobile_emulation_has_phone_screen(self):
         assert CHROME_ANDROID.mobile

@@ -32,7 +32,6 @@ from repro.chaos import (
     CRASH_EXIT_CODE,
     CRASH_POINTS,
     MODES,
-    PARALLEL_ONLY_POINTS,
     RECOVERY_ONLY_POINTS,
     ChaosRunner,
     CrashDirective,
@@ -52,6 +51,9 @@ from repro.telemetry import Telemetry, use as use_telemetry
 from repro.telemetry.export import canonical_trace_bytes
 
 MILKING = MilkingConfig(duration_days=0.5, post_lookup_days=0.5)
+#: Points only shard workers and the parallel merge reach: unreachable
+#: with ``workers=1``.
+PARALLEL_ONLY_POINTS = chaos_points.SEGMENT_POINTS + chaos_points.MERGE_POINTS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -92,13 +94,8 @@ class TestCrashDirective:
             CrashDirective("store.append.pre", mode="segfault")
 
     def test_scope_properties(self):
-        assert CrashDirective("segment.emit.mid").parallel_only
         assert CrashDirective("store.truncate.mid").recovery_only
-        assert CrashDirective("policy.update.pre").adaptive_only
-        assert CrashDirective("policy.update.post").adaptive_only
-        assert not CrashDirective("checkpoint.persist").parallel_only
         assert not CrashDirective("checkpoint.persist").recovery_only
-        assert not CrashDirective("checkpoint.persist").adaptive_only
 
     def test_env_round_trip(self, tmp_path, monkeypatch):
         directive = CrashDirective("feed.publish.pre", occurrence=3, mode="kill")
@@ -181,7 +178,6 @@ class TestSeededSchedule:
         )
 
     def test_point_scope_constants_are_within_the_catalog(self):
-        assert set(PARALLEL_ONLY_POINTS) <= set(CRASH_POINTS)
         assert set(RECOVERY_ONLY_POINTS) <= set(CRASH_POINTS)
 
 
@@ -310,9 +306,9 @@ class TestChaosMatrix:
         runner = ChaosRunner(tmp_path, seed=seed, workers=workers, days=2.0)
         reports = []
         for directive in seeded_schedule(seed):
-            if directive.parallel_only and workers == 1:
+            if directive.point in PARALLEL_ONLY_POINTS and workers == 1:
                 continue
-            if directive.adaptive_only:
+            if directive.point in chaos_points.POLICY_POINTS:
                 continue  # unreachable in a static run; see the policy matrix
             reports.append(runner.run_case(directive))
         failures = [r.describe() for r in reports if not r.identical]

@@ -121,13 +121,6 @@ class TestEventScheduler:
         scheduler.run_until(100.0)
         assert seen == [7.0]
 
-    def test_pending_times(self):
-        clock = SimClock()
-        scheduler = EventScheduler(clock)
-        scheduler.schedule_at(3.0, lambda t: None)
-        scheduler.schedule_at(9.0, lambda t: None)
-        assert sorted(scheduler.pending_times()) == [3.0, 9.0]
-
     def test_interleaved_recurrences_stay_deterministic(self):
         """15-min milking and 30-min GSB rounds interleave like §4.2."""
         clock = SimClock()

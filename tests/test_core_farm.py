@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.browser.useragent import PROFILES
 from repro.core.farm import CrawlerFarm, FarmConfig
-from repro.core.crawler import CrawlerConfig
+from repro.core.crawler import SESSION_SECONDS, CrawlerConfig
 
 
 class TestGroupSplit:
@@ -249,7 +250,7 @@ class TestPlanTimeStep:
     def test_parallelism_divides_session_seconds(self, tiny_world):
         config = FarmConfig(parallelism=4)
         farm = CrawlerFarm(tiny_world, config)
-        expected = config.crawler.session_seconds / 4
+        expected = SESSION_SECONDS / 4
         assert farm.plan_time_step(10) == expected
 
     def test_default_spans_the_crawl_window(self, tiny_world):
@@ -259,21 +260,18 @@ class TestPlanTimeStep:
 
     def test_zero_sessions_fall_back_to_session_seconds(self, tiny_world):
         farm = CrawlerFarm(tiny_world)
-        assert (
-            farm.plan_time_step(0)
-            == farm.config.crawler.session_seconds
-        )
+        assert farm.plan_time_step(0) == SESSION_SECONDS
 
     def test_scheduler_grid_is_schedule_independent(self, tiny_world):
         """One global step for a whole budget: cutting the budget into
         rounds must not change the grid the rounds run on."""
         farm = CrawlerFarm(tiny_world)
         domains = [site.domain for site in tiny_world.publishers][:30]
-        whole = farm.plan_time_step(len(domains) * len(farm.config.profiles))
+        whole = farm.plan_time_step(len(domains) * len(PROFILES))
         started_at = 0.0
         for size in (1, 9, 20):
             plan = farm.plan_round(domains[:size], started_at, whole)
             assert plan.time_step == whole
             assert plan.session_time(0, 0) == started_at
             started_at = plan.end_time
-        assert started_at == pytest.approx(30 * len(farm.config.profiles) * whole)
+        assert started_at == pytest.approx(30 * len(PROFILES) * whole)

@@ -56,11 +56,6 @@ class TestDerivePatterns:
         assert pattern.matches_url("http://x.net/pcuid_var.js")
         assert not pattern.matches_url("http://x.net/other/go")
 
-    def test_pattern_source_matching(self):
-        pattern = InvariantPattern("popcash", "PopCash", "pcuid_var")
-        assert pattern.matches_source("var pcuid_var=1;")
-        assert not pattern.matches_source("var other=1;")
-
 
 class TestReversal:
     def test_reversal_finds_embedding_publishers(self, tiny_world):

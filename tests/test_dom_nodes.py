@@ -1,6 +1,6 @@
 """Tests for the DOM element tree."""
 
-from repro.dom.nodes import Element, anchor, div, iframe, img, script_tag
+from repro.dom.nodes import Element, anchor, div, iframe, img
 from repro.dom.page import PageContent
 
 
@@ -72,10 +72,6 @@ class TestElement:
         root.append(img("pic.jpg", 1, 1))
         text = root.source_text()
         assert text.startswith("<div") and "<img" in text
-
-    def test_script_tag_inline_marker(self):
-        node = script_tag("http://cdn.com/a.js", inline_marker="var pcuid_var")
-        assert "pcuid_var" in node.source_text()
 
 
 class TestBuilders:

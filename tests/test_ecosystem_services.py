@@ -2,6 +2,7 @@
 GSB, VirusTotal and the ad-block filter lists."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.attacks.campaign import Campaign
 from repro.attacks.categories import AttackCategory
 from repro.attacks.payloads import PayloadFactory
 from repro.clock import DAY, HOUR
-from repro.ecosystem.adblock import FilterList, FilterRule, build_filter_list
+from repro.ecosystem.adblock import FilterList, build_filter_list
 from repro.ecosystem.benign import BenignKind, BenignWeb
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import PRIOR_KNOWN_RATE, VirusTotal
@@ -23,10 +24,11 @@ class TestBenignWeb:
         return BenignWeb(seed=7, n_advertisers=30, n_parking_providers=4, n_stock_sets=3)
 
     def test_cluster_family_counts(self, benign):
-        assert benign.cluster_family_count(BenignKind.PARKED) == 4
-        assert benign.cluster_family_count(BenignKind.STOCK_ADULT) == 3
-        assert benign.cluster_family_count(BenignKind.SHORTENER) == 4
-        assert benign.cluster_family_count(BenignKind.ADVERTISER) == 30
+        counts = Counter(family.kind for family in benign._families)
+        assert counts[BenignKind.PARKED] == 4
+        assert counts[BenignKind.STOCK_ADULT] == 3
+        assert counts[BenignKind.SHORTENER] == 4
+        assert counts[BenignKind.ADVERTISER] == 30
 
     def test_parked_families_span_many_domains(self, benign):
         parked_hosts = [
@@ -115,7 +117,6 @@ class TestWebPulse:
         webpulse.learn("site.com", "Games")
         assert webpulse.categorize("site.com") == "Games"
         assert webpulse.categorize("new.com") == "Uncategorized"
-        assert webpulse.known_domains() == 1
 
 
 class TestGsb:
@@ -207,20 +208,6 @@ class TestGsb:
         gsb.lookup("b.com", 0.0)
         assert gsb.lookup_count == 2
 
-    def test_detection_lag_helper(self):
-        gsb = GoogleSafeBrowsing(seed=5)
-        campaign = self.make_campaign(key="laghelper")
-        for i in range(200):
-            domain = f"lh{i}.club"
-            gsb.observe_attack_domain(campaign, domain, 0.0)
-            listed = gsb.listed_time(domain)
-            if listed is not None and listed > 0:
-                assert gsb.detection_lag(domain, discovered_at=HOUR) == pytest.approx(
-                    listed - HOUR
-                )
-                return
-        pytest.fail("no listed domain found")
-
 
 class TestVirusTotal:
     def test_unknown_hash_returns_none(self):
@@ -288,10 +275,6 @@ class TestVirusTotal:
 
 
 class TestAdblock:
-    def test_rule_matches_subdomains(self):
-        rule = FilterRule("clicksor.com")
-        assert rule.matches(parse_url("http://cdn.clicksor.com/x.js"))
-        assert not rule.matches(parse_url("http://other.com/x.js"))
 
     def test_filter_list_blocks(self):
         filters = FilterList()

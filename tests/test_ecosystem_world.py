@@ -137,7 +137,7 @@ class TestBuildWorld:
         campaign.active_attack_domain(tiny_world.clock.now())
         domain = campaign.all_attack_domains()[0]
         assert domain in tiny_world.attack_domain_owner
-        assert tiny_world.gsb.known_domains() > 0
+        assert domain in tiny_world.gsb._decisions
 
     def test_vantages(self, tiny_world):
         assert not tiny_world.vantage_institution.looks_residential

@@ -218,8 +218,9 @@ class TestCircuitBreaker:
         assert registry.for_host("a.com", other) is not breaker
         breaker.record_failure("dns", 0.0)
         registry.for_host("b.com", scope)
-        assert registry.open_hosts(scope) == ["a.com"]
-        assert registry.open_hosts(other) == []
+        assert breaker.state is BreakerState.OPEN
+        assert registry.for_host("b.com", scope).state is BreakerState.CLOSED
+        assert other.breakers["a.com"].state is BreakerState.CLOSED
 
 
 # ------------------------------------------------------------------ plan

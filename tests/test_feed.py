@@ -8,6 +8,7 @@ the HTTP front-end.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import socket
 import sys
@@ -38,6 +39,7 @@ from repro.feed import (
     state_hash,
 )
 from repro.feed import asyncserve, payloads
+from repro.feed import fleet as fleet_module
 from repro.feed.asyncserve import AsyncFeedHTTPServer, AsyncFeedServer, FeedProtocol
 from repro.store.memory import MemoryStore
 from tests.test_feed_serving import build_history, connected, make_server
@@ -111,7 +113,6 @@ class TestDelta:
         assert [e.domain for e in delta.added] == ["fresh.com"]
         assert [e.domain for e in delta.updated] == ["stale.com"]
         assert delta.removed == ("gone.com",)
-        assert delta.change_count == 3
 
     def test_apply_delta_reconstructs_target_state(self):
         old = snapshot(1, 0.0, "a.com", "b.com")
@@ -474,6 +475,50 @@ class TestFleet:
         ).run()
         for item in report.protection:
             assert item.first_protected_at >= item.published_at
+
+    def test_each_distinct_transition_is_verified_once(self, monkeypatch):
+        # Cohorts apply the same deltas to the same states; the to_hash
+        # check runs once per distinct (pre-state, delta) transition.
+        server = make_server(build_history())
+        handle = server.handle
+        deltas = []
+
+        def logged(request, now=None):
+            response = handle(request, now=now)
+            if response.status == DELTA:
+                deltas.append((request.client_hash, response.payload))
+            return response
+
+        hashed = []
+
+        def counting(state):
+            hashed.append(len(state))
+            return state_hash(state)
+
+        server.handle = logged
+        monkeypatch.setattr(fleet_module, "state_hash", counting)
+        report = FeedClientFleet(server).run()
+        assert len(hashed) == len(set(deltas)) < len(deltas)
+        # Every cohort still ends protected against every domain ever fed.
+        fed = {entry.domain for snap in server.snapshots for entry in snap.entries}
+        assert {item.domain for item in report.protection} == fed
+
+    def test_divergent_delta_raises_naming_cohort_and_versions(self):
+        server = FeedServer(self.history())
+        handle = server.handle
+
+        def tampered(request, now=None):
+            response = handle(request, now=now)
+            if response.status != DELTA:
+                return response
+            record = json.loads(response.payload)
+            record["to_hash"] = "0" * len(record["to_hash"])
+            return dataclasses.replace(response, payload=json.dumps(record).encode())
+
+        server.handle = tampered
+        fleet = FeedClientFleet(server, FleetConfig(cohorts=1, clients_per_cohort=1))
+        with pytest.raises(ConfigError, match=r"^cohort 0 diverged applying delta v1->v2;"):
+            fleet.run()
 
     def test_empty_window_rejected(self):
         server = FeedServer(self.history())

@@ -688,7 +688,9 @@ class TestCorruptedClientRepair:
                     self.corruptions == 0
                     and cohort.version == self.server.latest.version
                 ):
-                    cohort.entries.pop(next(iter(cohort.entries)))
+                    # Damage this cohort's copy only: after a delta its
+                    # entry map is shared read-only with other cohorts.
+                    cohort.entries = dict(list(cohort.entries.items())[1:])
                     cohort.content_hash = "sha256:corrupt"
                     self.corruptions += 1
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.dom.page import VisualSpec
-from repro.imaging.dhash import DHASH_BITS, dhash128, dhash_bytes, dhash_hex
-from repro.imaging.distance import hamming, normalized_hamming
+from repro.imaging.dhash import DHASH_BITS, dhash128, dhash_hex
+from repro.imaging.distance import hamming
 from repro.imaging.image import render_visual, resize_area, to_grayscale
-from repro.imaging.similarity import best_match, matches_any, near_duplicate
+from repro.imaging.similarity import matches_any
 
 
 class TestRenderVisual:
@@ -94,8 +94,7 @@ class TestDhash:
     def test_hex_and_bytes(self):
         value = dhash128(render_visual(VisualSpec("attack/a")))
         assert len(dhash_hex(value)) == 32
-        assert len(dhash_bytes(value)) == 16
-        assert int.from_bytes(dhash_bytes(value), "big") == value
+        assert int(dhash_hex(value), 16) == value
 
 
 class TestDistance:
@@ -108,21 +107,8 @@ class TestDistance:
         a, b = 0xDEADBEEF, 0xCAFEBABE
         assert hamming(a, b) == hamming(b, a)
 
-    def test_normalized(self):
-        assert normalized_hamming(0, 2**128 - 1) == 1.0
-        assert normalized_hamming(0, 0) == 0.0
-
 
 class TestSimilarity:
-    def test_near_duplicate_same_campaign(self):
-        a = render_visual(VisualSpec("attack/a", variant=1))
-        b = render_visual(VisualSpec("attack/a", variant=2))
-        assert near_duplicate(a, b)
-
-    def test_not_duplicate_across_campaigns(self):
-        a = render_visual(VisualSpec("attack/a"))
-        b = render_visual(VisualSpec("attack/b"))
-        assert not near_duplicate(a, b)
 
     def test_matches_any(self):
         known = {dhash128(render_visual(VisualSpec("attack/a", variant=v))) for v in range(3)}
@@ -130,14 +116,3 @@ class TestSimilarity:
         assert matches_any(probe, known)
         stranger = dhash128(render_visual(VisualSpec("attack/z")))
         assert not matches_any(stranger, known)
-
-    def test_best_match(self):
-        known = [0b0000, 0b1111]
-        best, distance = best_match(0b0001, known)
-        assert best == 0b0000
-        assert distance == 1
-
-    def test_best_match_empty(self):
-        best, distance = best_match(5, [])
-        assert best is None
-        assert distance == DHASH_BITS + 1

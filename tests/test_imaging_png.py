@@ -1,5 +1,6 @@
 """Tests for the minimal PNG encoder and gallery export."""
 
+import struct
 import zlib
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 
 from repro.dom.page import VisualSpec
 from repro.imaging.image import render_visual
-from repro.imaging.png import decode_png_size, encode_png, write_png
+from repro.imaging.png import encode_png, write_png
+
+
+def png_size(data: bytes) -> tuple[int, int]:
+    """(width, height) from a PNG's IHDR chunk."""
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    return struct.unpack(">II", data[16:24])
 
 
 class TestEncodePng:
@@ -20,7 +27,7 @@ class TestEncodePng:
 
     def test_size_roundtrip(self):
         data = encode_png(np.zeros((72, 128), dtype=np.uint8))
-        assert decode_png_size(data) == (128, 72)
+        assert png_size(data) == (128, 72)
 
     def test_pixel_data_decompresses(self):
         image = np.arange(24, dtype=np.uint8).reshape(4, 6)
@@ -36,7 +43,7 @@ class TestEncodePng:
     def test_float_input_clipped(self):
         image = np.full((3, 3), 300.0)
         data = encode_png(image)
-        assert decode_png_size(data) == (3, 3)
+        assert png_size(data) == (3, 3)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -44,14 +51,10 @@ class TestEncodePng:
         with pytest.raises(ValueError):
             encode_png(np.zeros((0, 5), dtype=np.uint8))
 
-    def test_not_png_rejected(self):
-        with pytest.raises(ValueError):
-            decode_png_size(b"GIF89a....")
-
     def test_write_png(self, tmp_path):
         path = write_png(render_visual(VisualSpec("png/test")), tmp_path / "shot.png")
         assert path.exists()
-        assert decode_png_size(path.read_bytes()) == (128, 72)
+        assert png_size(path.read_bytes()) == (128, 72)
 
 
 class TestGalleryExport:
@@ -69,11 +72,4 @@ class TestGalleryExport:
         # Every SE cluster with a surviving milkable URL gets a shot.
         assert len(written) >= len(result.discovery.seacma_campaigns) // 2
         for path in written:
-            assert decode_png_size(path.read_bytes()) == (128, 72)
-
-    def test_template_gallery(self, tmp_path):
-        from repro.analysis.export import export_template_gallery
-
-        written = export_template_gallery(["attack/demo-a", "attack/demo-b"], tmp_path)
-        assert len(written) == 2
-        assert all(path.suffix == ".png" for path in written)
+            assert png_size(path.read_bytes()) == (128, 72)

@@ -24,19 +24,6 @@ class TestInstrumentationLog:
             "Window.open", "Window.open", "Window.alert",
         ]
 
-    def test_calls_to(self):
-        log = self.make_log()
-        assert len(log.calls_to("Window.open")) == 2
-        assert log.calls_to("Navigator.webdriver") == []
-
-    def test_apis_used(self):
-        assert self.make_log().apis_used() == {"Window.open", "Window.alert"}
-
-    def test_by_script(self):
-        log = self.make_log()
-        assert len(log.by_script("http://s.com/a.js")) == 1
-        assert len(log.by_script(None)) == 1
-
 
 class TestBrowserLog:
     def make_entries(self):

@@ -18,7 +18,7 @@ class TestSourceDeath:
         # Take one campaign's TDS off the air before milking starts.
         victim = sources[0]
         victim_host = victim.url.split("/")[2]
-        world.internet.dns.deregister(victim_host)
+        del world.internet.dns._static[victim_host]
 
         report = tracker.run(
             MilkingConfig(duration_days=1.0, post_lookup_days=0.5,

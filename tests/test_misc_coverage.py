@@ -5,7 +5,6 @@ import pytest
 from repro.clock import EventScheduler, MINUTE, SimClock
 from repro.analysis.stats import churn_summary
 from repro.core.milking import MilkingReport
-from repro.errors import NoSuchElementError
 
 
 class TestSchedulerStartParam:
@@ -16,39 +15,6 @@ class TestSchedulerStartParam:
         scheduler.schedule_every(10 * MINUTE, fired.append, start=5 * MINUTE, until=30 * MINUTE)
         scheduler.run_until(60 * MINUTE)
         assert fired == [5 * MINUTE, 15 * MINUTE, 25 * MINUTE]
-
-
-class TestClickFirstCandidate:
-    def test_clicks_largest_element(self, tiny_world):
-        from repro.browser.browser import Browser
-        from repro.browser.useragent import CHROME_MACOS
-
-        browser = Browser(
-            tiny_world.internet, CHROME_MACOS, tiny_world.vantage_institution
-        )
-        site = tiny_world.publishers[0]
-        tab = browser.visit(site.url)
-        outcome = browser.click_first_candidate(tab)
-        assert outcome.handlers_fired >= 0  # dispatch ran without error
-
-    def test_no_candidates_raises(self, tiny_world):
-        from repro.browser.browser import Browser
-        from repro.browser.useragent import CHROME_MACOS
-        from repro.dom.nodes import div
-        from repro.dom.page import PageContent, VisualSpec
-        from repro.net.http import html_response
-        from repro.net.server import FunctionServer
-
-        page = PageContent(title="bare", document=div(width=10, height=10), visual=VisualSpec("m/bare"))
-        tiny_world.internet.register(
-            "bare-page-test.com", FunctionServer(lambda r, c: html_response(page))
-        )
-        browser = Browser(
-            tiny_world.internet, CHROME_MACOS, tiny_world.vantage_institution
-        )
-        tab = browser.visit("http://bare-page-test.com/")
-        with pytest.raises(NoSuchElementError):
-            browser.click_first_candidate(tab)
 
 
 class TestEmptyChurnSummary:

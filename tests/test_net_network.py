@@ -46,13 +46,6 @@ class TestDnsRegistry:
         with pytest.raises(DnsError):
             dns.resolve("nope.com", 0.0)
 
-    def test_deregister(self):
-        dns = DnsRegistry()
-        dns.register("a.com", page_server("a"))
-        dns.deregister("a.com")
-        with pytest.raises(DnsError):
-            dns.resolve("a.com", 0.0)
-
     def test_claimant_resolution(self):
         dns = DnsRegistry()
         claimant = FunctionServer(
@@ -83,12 +76,6 @@ class TestDnsRegistry:
         assert dns.resolve("rotating.club", 50.0) is claimant
         with pytest.raises(DnsError):
             dns.resolve("rotating.club", 150.0)
-
-    def test_static_hosts_listing(self):
-        dns = DnsRegistry()
-        dns.register("b.com", page_server("b"))
-        dns.register("a.com", page_server("a"))
-        assert dns.static_hosts() == ["a.com", "b.com"]
 
 
 class TestInternet:

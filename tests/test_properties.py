@@ -13,7 +13,7 @@ from repro.cluster.dbscan import DBSCAN_NOISE, dbscan
 from repro.cluster.incremental import IncrementalDBSCAN
 from repro.dom.page import VisualSpec
 from repro.imaging.dhash import DHASH_BITS, dhash128
-from repro.imaging.distance import hamming, normalized_hamming
+from repro.imaging.distance import hamming
 from repro.imaging.image import render_visual, resize_area
 from repro.rng import derive
 from repro.urlkit.psl import e2ld, public_suffix
@@ -77,7 +77,6 @@ class TestHammingProperties:
     @given(a=hash128, b=hash128)
     def test_bounded_by_bits(self, a, b):
         assert 0 <= hamming(a, b) <= DHASH_BITS
-        assert 0.0 <= normalized_hamming(a, b) <= 1.0
 
 
 class TestDhashProperties:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.feeds import build_domain_feed
 from repro.analysis.stats import campaign_timelines, churn_summary
-from repro.analysis.trends import survival_curve, window_stats
 from repro.analysis.uncertainty import wilson_interval
 from repro.core.milking import MilkedDomain, MilkingReport
 
@@ -39,30 +38,6 @@ def milking_reports(draw):
             )
         )
     return report
-
-
-class TestWindowProperties:
-    @given(report=milking_reports(), n=st.integers(min_value=1, max_value=8))
-    @settings(max_examples=50, deadline=None)
-    def test_windows_partition_domains(self, report, n):
-        windows = window_stats(report, n_windows=n)
-        assert len(windows) == n
-        assert sum(w.new_domains for w in windows) == len(report.domains)
-        assert sum(w.listed_at_discovery for w in windows) == sum(
-            1 for d in report.domains if d.listed_at_discovery
-        )
-        # Windows tile the span without gaps.
-        for earlier, later in zip(windows, windows[1:]):
-            assert earlier.end == later.start
-
-    @given(report=milking_reports(), n=st.integers(min_value=1, max_value=8))
-    @settings(max_examples=50, deadline=None)
-    def test_survival_bounded(self, report, n):
-        curve = survival_curve(report, n_windows=n)
-        assert len(curve) == n
-        assert all(0.0 <= value <= 1.0 for value in curve)
-        if report.domains:
-            assert max(curve) > 0.0
 
 
 class TestStatsProperties:

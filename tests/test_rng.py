@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.rng import derive, rng_for, stable_shuffle, weighted_choice
+from repro.rng import derive, rng_for, weighted_choice
 
 
 class TestDerive:
@@ -84,21 +84,3 @@ class TestWeightedChoice:
     def test_non_positive_total_rejected(self):
         with pytest.raises(ValueError):
             weighted_choice(random.Random(0), ["a", "b"], [0.0, 0.0])
-
-
-class TestStableShuffle:
-    def test_does_not_mutate_input(self):
-        items = [1, 2, 3, 4]
-        stable_shuffle(random.Random(0), items)
-        assert items == [1, 2, 3, 4]
-
-    def test_is_permutation(self):
-        items = list(range(20))
-        shuffled = stable_shuffle(random.Random(1), items)
-        assert sorted(shuffled) == items
-
-    def test_deterministic_given_seed(self):
-        items = list(range(10))
-        assert stable_shuffle(random.Random(5), items) == stable_shuffle(
-            random.Random(5), items
-        )

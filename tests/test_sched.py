@@ -23,6 +23,7 @@ from __future__ import annotations
 import pytest
 
 from repro import SeacmaPipeline, WorldConfig, build_world
+from repro.browser.useragent import PROFILES
 from repro.chaos import CrashDirective, CrashError, CrashPlan, install, reset
 from repro.core.milking import MilkingConfig
 from repro.errors import ConfigError
@@ -37,7 +38,7 @@ from repro.sched import (
     UCB1Policy,
     make_policy,
 )
-from repro.sched.evaluate import compare_policies, evaluate_policy
+from repro.sched.evaluate import evaluate_policy
 from repro.store import JsonlStore, MemoryStore, POLICY
 from repro.store.base import STREAMS
 from repro.store.persist import load_world
@@ -266,7 +267,7 @@ class TestStaticByteIdentity:
             row["publisher_domain"] for row in capped["interactions"]
         ]
         assert capped_order == full_order[: len(capped_order)]
-        profiles = len(make_pipeline(3).farm_config.profiles)
+        profiles = len(PROFILES)
         assert len(set(capped_order)) <= 60 // profiles
 
 
@@ -359,9 +360,7 @@ class TestPolicyStream:
     def test_budget_respected(self, stream):
         rounds = [r for r in stream if r["kind"] == "round"]
         domains = sum(len(r["domains"]) for r in rounds)
-        profiles = len(
-            make_pipeline(7).farm_config.profiles
-        )
+        profiles = len(PROFILES)
         assert domains * profiles <= 120
         for record in rounds:
             assert sum(record["allocation"].values()) == len(record["domains"])
@@ -378,7 +377,7 @@ class TestPolicyStream:
     def test_floor_pulls_every_arm(self, stream):
         final = [r for r in stream if r["kind"] == "stats"][-1]
         arms = final["arms"]
-        profiles = len(make_pipeline(7).farm_config.profiles)
+        profiles = len(PROFILES)
         assert len(arms) > 1
         for payload in arms.values():
             assert payload["pulls"] >= 1
@@ -387,7 +386,7 @@ class TestPolicyStream:
 
     def test_virtual_time_grid_is_chained(self, stream):
         rounds = [r for r in stream if r["kind"] == "round"]
-        profiles = len(make_pipeline(7).farm_config.profiles)
+        profiles = len(PROFILES)
         for earlier, later in zip(rounds, rounds[1:]):
             end = earlier["started_at"] + (
                 len(earlier["domains"]) * profiles * earlier["time_step"]
@@ -401,9 +400,13 @@ class TestPolicyStream:
 
 class TestEvaluation:
     def test_compare_policies_scores_every_policy(self):
-        outcomes = compare_policies(
-            WorldConfig.tiny(seed=3), session_budget=60
-        )
+        outcomes = {
+            policy: evaluate_policy(
+                WorldConfig.tiny(seed=3),
+                SchedConfig(policy=policy, explore_floor=0.15, session_budget=60),
+            )
+            for policy in POLICIES
+        }
         assert set(outcomes) == set(POLICIES)
         for outcome in outcomes.values():
             assert outcome.sessions <= 60

@@ -30,7 +30,6 @@ from repro.analysis.reportgen import generate_report
 from repro.core.crawler import AdInteraction, ChainNode
 from repro.core.milking import MilkingConfig
 from repro.core.pipeline import PipelineResult
-from repro.core.reports import regenerate_report
 from repro.errors import ConfigError, StoreError
 from repro.store import JsonlStore, MemoryStore
 from repro.store.persist import load_result, load_world
@@ -129,13 +128,10 @@ class TestBatchStreamingEquivalence:
     def test_live_stage_results_mid_crawl(self):
         world, pipeline = make_pipeline(3)
         run = pipeline.start_streaming(with_milking=False)
-        seen_pairs = []
         for batch in run.crawl_batches():
             # Incremental stages answer at any point of the stream.
             census = run.discovery_stage.finalize()
             assert census.clusters_before_filter >= 0
-            seen_pairs.append(run.discovery_stage.pairs_seen)
-        assert seen_pairs == sorted(seen_pairs)
         result = run.finalize()
         assert result.discovery.campaigns
         # finalize() is idempotent.
@@ -160,7 +156,7 @@ class TestJsonlPersistence:
 
         # ...and regenerates offline from the reloaded directory alone.
         reopened = JsonlStore.open(tmp_path / "run")
-        assert regenerate_report(reopened) == live_report
+        assert generate_report(load_world(reopened), load_result(reopened)) == live_report
         assert reopened.get_meta("status") == "finished"
 
     def test_loaded_result_matches_live(self, tmp_path):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UrlError
-from repro.urlkit.psl import e2ld, is_known_suffix, public_suffix
+from repro.urlkit.psl import e2ld, public_suffix
 
 
 class TestPublicSuffix:
@@ -18,11 +18,6 @@ class TestPublicSuffix:
 
     def test_dynamic_dns_suffix(self):
         assert public_suffix("me.blogspot.com") == "blogspot.com"
-
-    def test_known_suffix_predicate(self):
-        assert is_known_suffix("com")
-        assert is_known_suffix("co.uk")
-        assert not is_known_suffix("zzz")
 
 
 class TestE2ld:

@@ -66,20 +66,6 @@ class TestUrl:
         url = parse_url("http://a.com/p?x=1&y=two")
         assert url.params == {"x": "1", "y": "two"}
 
-    def test_with_params_merges(self):
-        url = parse_url("http://a.com/p?x=1").with_params(y="2")
-        assert url.params == {"x": "1", "y": "2"}
-
-    def test_with_path(self):
-        assert parse_url("http://a.com/old").with_path("/new").path == "/new"
-
-    def test_same_host(self):
-        a = parse_url("http://a.com/1")
-        b = parse_url("http://a.com/2")
-        c = parse_url("http://b.com/1")
-        assert a.same_host(b)
-        assert not a.same_host(c)
-
     def test_join_absolute_url(self):
         base = parse_url("http://a.com/x")
         assert str(base.join("http://b.com/y")) == "http://b.com/y"

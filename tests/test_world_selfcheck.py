@@ -11,7 +11,7 @@ class TestSelfCheck:
 
     def test_detects_dead_tds(self, fresh_world):
         campaign = fresh_world.campaigns[0]
-        fresh_world.internet.dns.deregister(campaign.tds_domain)
+        del fresh_world.internet.dns._static[campaign.tds_domain]
         issues = fresh_world.self_check()
         assert any(campaign.tds_domain in issue for issue in issues)
 
@@ -23,6 +23,6 @@ class TestSelfCheck:
 
     def test_detects_unresolvable_publisher(self, fresh_world):
         site = fresh_world.publishers[0]
-        fresh_world.internet.dns.deregister(site.domain)
+        del fresh_world.internet.dns._static[site.domain]
         issues = fresh_world.self_check()
         assert any(site.domain in issue for issue in issues)
