@@ -123,13 +123,24 @@ class Campaign:
         memo = self._active_memo
         if memo is not None and memo[0] == now and now < self.pool.next_rotation:
             return memo[1]
+        domain = self.attack_domain_window(now)[0]
+        self._active_memo = (now, domain)
+        return domain
+
+    def attack_domain_window(self, now: float) -> tuple[str, float, float]:
+        """The attack domain live at ``now`` and the ``[start, end)``
+        window it is live in (see
+        :meth:`~repro.urlkit.domains.ThrowawayDomainPool.active_window`).
+
+        Rotating the pool tells the new-domain hook of every domain
+        activated up to ``now``, in activation order.
+        """
         before = self.pool.domain_count
-        domain = self.pool.active_domain(now)
+        window = self.pool.active_window(now)
         if self._on_new_domain is not None and self.pool.domain_count > before:
             for fresh in self.pool.domains_since(before):
                 self._on_new_domain(self.key, fresh, self.pool.activation_time(fresh))
-        self._active_memo = (now, domain)
-        return domain
+        return window
 
     def attack_url(self, now: float) -> Url:
         """The current attack landing URL ("same URL pattern", §3.5)."""
@@ -193,6 +204,9 @@ class CampaignServer(VirtualServer):
         # Only the *currently active* attack domain resolves; retired
         # domains become NXDOMAIN, exactly like the paper's dead URLs.
         return host == self.campaign.active_attack_domain(now)
+
+    def claim(self, now: float) -> tuple[str, float, float]:
+        return self.campaign.attack_domain_window(now)
 
     def handle(self, request: HttpRequest, context: FetchContext) -> HttpResponse:
         campaign = self.campaign

@@ -48,7 +48,7 @@ from repro.errors import (
 )
 from repro.js.api import Ops
 from repro.js.engine import JsEngine
-from repro.net.http import HttpRequest, RedirectKind, ReferrerPolicy
+from repro.net.http import HttpRequest, RedirectKind, ReferrerPolicy, sent_referrer
 from repro.net.ipspace import VantagePoint
 from repro.net.network import Internet
 from repro.urlkit.url import Url, parse_url
@@ -57,7 +57,7 @@ MAX_NAVIGATION_DEPTH = 8
 SETTLE_BUDGET_MS = 10_000.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Tab:
     """One browser tab."""
 
@@ -87,15 +87,21 @@ class Tab:
         return self.load is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class ClickOutcome:
     """What a single click produced (the crawler's ad-trigger signal)."""
 
     handlers_fired: int = 0
     new_tabs: list[Tab] = field(default_factory=list)
     navigated_away: bool = False
-    downloads: list[DownloadEntry] = field(default_factory=list)
+    #: The click's downloads as the log stores them (see :attr:`downloads`).
+    download_rows: list[tuple] = field(default_factory=list)
     dialogs: int = 0
+
+    @property
+    def downloads(self) -> list[DownloadEntry]:
+        """The downloads the click triggered, in order."""
+        return [DownloadEntry(*row) for row in self.download_rows]
 
     @property
     def triggered_ad(self) -> bool:
@@ -151,12 +157,8 @@ class Browser:
                 # world exactly.
                 resilience.backoff(0, "tab", target.host)
             else:
-                self.log.append(
-                    TabCrashEntry(
-                        timestamp=self.internet.clock.now(),
-                        tab_id=tab.tab_id,
-                        url=str(target),
-                    )
+                self.log.add(
+                    TabCrashEntry, (self.internet.clock.now(), tab.tab_id, str(target))
                 )
                 tab.load_epoch += 1
                 tab.history.append(target)
@@ -177,7 +179,8 @@ class Browser:
         overlays = load.overlays()
         if overlays and element not in overlays:
             element = overlays[0]
-        mark = self.log.mark()
+        log = self.log
+        mark = log.mark()
         # Tabs are only ever appended: the ones past this count are new.
         tabs = self.tabs
         tabs_before = len(tabs)
@@ -200,19 +203,14 @@ class Browser:
             # replaced the page, remaining handlers wait for the next click.
             if len(tabs) != tabs_before or tab.load_epoch != epoch_before:
                 break
-        downloads: list[DownloadEntry] = []
-        dialogs = 0
-        for entry in self.log.since(mark):
-            if isinstance(entry, DownloadEntry):
-                downloads.append(entry)
-            elif isinstance(entry, DialogEntry):
-                dialogs += 1
+        if not fired:
+            return ClickOutcome()  # no handler ran, so nothing changed
         return ClickOutcome(
             handlers_fired=fired,
             new_tabs=tabs[tabs_before:],
             navigated_away=tab.load_epoch != epoch_before,
-            downloads=downloads,
-            dialogs=dialogs,
+            download_rows=log.rows_since(mark, DownloadEntry),
+            dialogs=len(log.rows_since(mark, DialogEntry)),
         )
 
     def screenshot(self, tab: Tab) -> Screenshot:
@@ -241,14 +239,14 @@ class Browser:
             return  # runaway redirect via JS; give up quietly like a timeout
         if not self._leave_current_page(tab):
             return  # locked and not bypassing: navigation suppressed
+        page = tab.page
+        policy = page.referrer_policy if page is not None else ReferrerPolicy.DEFAULT
         request = HttpRequest(
             url=url,
             vantage=self.vantage,
             user_agent=self.profile.ua_string,
-            referrer=referrer,
+            referrer=sent_referrer(referrer, policy),
         )
-        policy = tab.page.referrer_policy if tab.page is not None else ReferrerPolicy.DEFAULT
-        request = request.with_referrer(referrer, policy)
         try:
             result = self.internet.fetch(request)
         except RedirectLoopError:
@@ -262,13 +260,9 @@ class Browser:
         except TransientError as error:
             # The retry budget could not absorb an injected fault: the
             # tab shows a dead-page error instead of content.
-            self.log.append(
-                FetchFailureEntry(
-                    timestamp=self.internet.clock.now(),
-                    tab_id=tab.tab_id,
-                    url=str(url),
-                    reason=str(error),
-                )
+            self.log.add(
+                FetchFailureEntry,
+                (self.internet.clock.now(), tab.tab_id, str(url), str(error)),
             )
             tab.load_epoch += 1
             tab.history.append(url)
@@ -279,17 +273,16 @@ class Browser:
         now = self.internet.clock.now()
         # Log the navigation chain: requested URL with the original cause,
         # every HTTP hop after it with cause http-redirect.
-        for index, hop in enumerate(result.chain):
-            self.log.append(
-                NavigationEntry(
-                    timestamp=now,
-                    tab_id=tab.tab_id,
-                    url=str(hop),
-                    cause=cause if index == 0 else "http-redirect",
-                    source_url=source_url if index == 0 else None,
-                    referrer=str(request.referrer) if index == 0 and request.referrer else None,
-                )
-            )
+        log = self.log
+        tab_id = tab.tab_id
+        chain = result.chain
+        sent = request.referrer
+        log.add(
+            NavigationEntry,
+            (now, tab_id, str(chain[0]), cause, source_url, str(sent) if sent else None),
+        )
+        for hop in chain[1:]:
+            log.add(NavigationEntry, (now, tab_id, str(hop), "http-redirect", None, None))
         final_url = result.final_url
         tab.load_epoch += 1
         tab.unload_nag = None
@@ -299,7 +292,7 @@ class Browser:
         tab.history.append(final_url)
         if result.dns_failure or not result.response.ok:
             if result.dns_failure:
-                self.log.append(DnsFailureEntry(timestamp=now, tab_id=tab.tab_id, url=str(final_url)))
+                log.add(DnsFailureEntry, (now, tab_id, str(final_url)))
             tab.current_url = final_url
             tab.load = None
             tab.failure = "dns" if result.dns_failure else "http"
@@ -323,33 +316,31 @@ class Browser:
         """Handle unload nags when navigating away; False blocks the move."""
         if tab.page is None or tab.unload_nag is None:
             return True
-        now = self.internet.clock.now()
-        self.log.append(
-            DialogEntry(
-                timestamp=now,
-                tab_id=tab.tab_id,
-                kind="beforeunload",
-                message=tab.unload_nag,
-                page_url=str(tab.current_url),
-                bypassed=self.bypass_locking,
-            )
+        self.log.add(
+            DialogEntry,
+            (
+                self.internet.clock.now(),
+                tab.tab_id,
+                "beforeunload",
+                tab.unload_nag,
+                str(tab.current_url),
+                self.bypass_locking,
+            ),
         )
         return self.bypass_locking
 
     def _run_page_scripts(self, tab: Tab, page: PageContent, depth: int) -> None:
+        if not page.scripts:
+            return
         epoch = tab.load_epoch
         engine = JsEngine(_TabHost(self, tab, depth))
         for script in page.scripts:
             if tab.load_epoch != epoch:
                 break  # a script navigated; remaining scripts never run
             if script.url:
-                self.log.append(
-                    ScriptFetchEntry(
-                        timestamp=self.internet.clock.now(),
-                        tab_id=tab.tab_id,
-                        page_url=str(tab.current_url),
-                        script_url=script.url,
-                    )
+                self.log.add(
+                    ScriptFetchEntry,
+                    (self.internet.clock.now(), tab.tab_id, str(tab.current_url), script.url),
                 )
             engine.run_script(script)
 
@@ -381,13 +372,14 @@ class Browser:
                 result = self.internet.fetch(request)
             except (RedirectLoopError, TransientError):
                 continue  # a lost banner frame doesn't kill the page
-            self.log.append(
-                FrameLoadEntry(
-                    timestamp=self.internet.clock.now(),
-                    tab_id=tab.tab_id,
-                    page_url=str(tab.current_url),
-                    frame_url=str(result.final_url),
-                )
+            self.log.add(
+                FrameLoadEntry,
+                (
+                    self.internet.clock.now(),
+                    tab.tab_id,
+                    str(tab.current_url),
+                    str(result.final_url),
+                ),
             )
             body = result.response.body
             if not result.response.ok or not isinstance(body, PageContent):
@@ -401,13 +393,14 @@ class Browser:
                 if tab.load_epoch != epoch:
                     return
                 if script.url:
-                    self.log.append(
-                        ScriptFetchEntry(
-                            timestamp=self.internet.clock.now(),
-                            tab_id=tab.tab_id,
-                            page_url=str(result.final_url),
-                            script_url=script.url,
-                        )
+                    self.log.add(
+                        ScriptFetchEntry,
+                        (
+                            self.internet.clock.now(),
+                            tab.tab_id,
+                            str(result.final_url),
+                            script.url,
+                        ),
                     )
                 engine.run_script(script)
 
@@ -416,13 +409,14 @@ class Browser:
         would while the crawler waits out its per-page budget."""
         epoch = tab.load_epoch
         budget = SETTLE_BUDGET_MS
-        engine = JsEngine(_TabHost(self, tab, depth))
-        for delay_ms, ops, script_url in sorted(tab.timers, key=lambda item: item[0]):
-            if tab.load_epoch != epoch or delay_ms > budget:
-                break
-            engine.run(ops, script_url)
-        if tab.load_epoch != epoch:
-            return
+        if tab.timers:
+            engine = JsEngine(_TabHost(self, tab, depth))
+            for delay_ms, ops, script_url in sorted(tab.timers, key=lambda item: item[0]):
+                if tab.load_epoch != epoch or delay_ms > budget:
+                    break
+                engine.run(ops, script_url)
+            if tab.load_epoch != epoch:
+                return
         page = tab.page
         if page is not None and page.meta_refresh is not None:
             delay_s, target = page.meta_refresh
@@ -446,16 +440,17 @@ class Browser:
 
     def _record_download(self, tab: Tab, url: Url, payload: object, source_url: str | None) -> None:
         filename = getattr(payload, "filename", url.path.rsplit("/", 1)[-1] or "download.bin")
-        self.log.append(
-            DownloadEntry(
-                timestamp=self.internet.clock.now(),
-                tab_id=tab.tab_id,
-                url=str(url),
-                filename=str(filename),
-                payload=payload,
-                page_url=str(tab.current_url) if tab.current_url else "",
-                source_url=source_url,
-            )
+        self.log.add(
+            DownloadEntry,
+            (
+                self.internet.clock.now(),
+                tab.tab_id,
+                str(url),
+                str(filename),
+                payload,
+                str(tab.current_url) if tab.current_url else "",
+                source_url,
+            ),
         )
 
 
@@ -535,15 +530,9 @@ class _TabHost:
         except UrlError:
             return
         new = browser.new_tab(opener=self._tab)
-        browser.log.append(
-            TabOpenEntry(
-                timestamp=self.now(),
-                tab_id=new.tab_id,
-                parent_tab_id=self._tab.tab_id,
-                url=url,
-                source_url=script_url,
-                popunder=popunder,
-            )
+        browser.log.add(
+            TabOpenEntry,
+            (self.now(), new.tab_id, self._tab.tab_id, url, script_url, popunder),
         )
         browser._load(
             new,
@@ -564,15 +553,16 @@ class _TabHost:
             return
         if mechanism in (RedirectKind.JS_PUSH_STATE, RedirectKind.JS_REPLACE_STATE):
             # History rewrites change the visible URL without a load.
-            self._browser.log.append(
-                NavigationEntry(
-                    timestamp=self.now(),
-                    tab_id=tab.tab_id,
-                    url=str(target),
-                    cause=str(mechanism.value),
-                    source_url=script_url,
-                    referrer=str(tab.current_url) if tab.current_url else None,
-                )
+            self._browser.log.add(
+                NavigationEntry,
+                (
+                    self.now(),
+                    tab.tab_id,
+                    str(target),
+                    str(mechanism.value),
+                    script_url,
+                    str(tab.current_url) if tab.current_url else None,
+                ),
             )
             tab.current_url = target
             return
@@ -594,15 +584,16 @@ class _TabHost:
     def show_dialog(self, kind: str, message: str, repeat: int, script_url: str | None) -> None:
         browser = self._browser
         for _ in range(max(1, repeat)):
-            browser.log.append(
-                DialogEntry(
-                    timestamp=self.now(),
-                    tab_id=self._tab.tab_id,
-                    kind=kind,
-                    message=message,
-                    page_url=str(self._tab.current_url) if self._tab.current_url else "",
-                    bypassed=browser.bypass_locking,
-                )
+            browser.log.add(
+                DialogEntry,
+                (
+                    self.now(),
+                    self._tab.tab_id,
+                    kind,
+                    message,
+                    str(self._tab.current_url) if self._tab.current_url else "",
+                    browser.bypass_locking,
+                ),
             )
         if not browser.bypass_locking:
             self._tab.locked = True
@@ -613,15 +604,16 @@ class _TabHost:
     def request_notification_permission(
         self, prompt_text: str, push_endpoint: str | None, script_url: str | None
     ) -> None:
-        self._browser.log.append(
-            NotificationPromptEntry(
-                timestamp=self.now(),
-                tab_id=self._tab.tab_id,
-                page_url=str(self._tab.current_url) if self._tab.current_url else "",
-                prompt_text=prompt_text,
-                push_endpoint=push_endpoint,
-                granted=self._browser.grant_notifications,
-            )
+        self._browser.log.add(
+            NotificationPromptEntry,
+            (
+                self.now(),
+                self._tab.tab_id,
+                str(self._tab.current_url) if self._tab.current_url else "",
+                prompt_text,
+                push_endpoint,
+                self._browser.grant_notifications,
+            ),
         )
 
     def trigger_download(self, url: str, script_url: str | None) -> None:
@@ -662,14 +654,15 @@ class _TabHost:
             browser.internet.fetch(request)
         except (RedirectLoopError, TransientError):
             return
-        browser.log.append(
-            BeaconEntry(
-                timestamp=self.now(),
-                tab_id=self._tab.tab_id,
-                url=url,
-                page_url=str(self._tab.current_url) if self._tab.current_url else "",
-                source_url=script_url,
-            )
+        browser.log.add(
+            BeaconEntry,
+            (
+                self.now(),
+                self._tab.tab_id,
+                url,
+                str(self._tab.current_url) if self._tab.current_url else "",
+                script_url,
+            ),
         )
 
     # -- helpers ---------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.imaging.image import render_visual
 DEAD_PAGE_SPEC = VisualSpec(template_key="dead-page", variant=0, noise_level=0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Screenshot:
     """A captured screenshot with its provenance.
 

@@ -23,18 +23,20 @@ from typing import Any
 from repro.browser.browser import Browser, Tab
 from repro.browser.devtools import DevToolsClient
 from repro.browser.logging import (
+    NavigationEntry,
     NotificationPromptEntry,
     ScriptFetchEntry,
     TabOpenEntry,
 )
 from repro.browser.useragent import UserAgentProfile
 from repro.dom.page import PageFeatures
+from repro.ecosystem.world import WorldConfig
 from repro.net.ipspace import VantagePoint
 from repro.net.network import Internet
 from repro.urlkit.psl import e2ld
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChainNode:
     """One hop of an ad-loading chain: a URL, why it appeared, and which
     script (if any) caused it."""
@@ -44,7 +46,7 @@ class ChainNode:
     source_url: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdInteraction:
     """One triggered ad: the unit record of the whole measurement."""
 
@@ -70,7 +72,7 @@ class AdInteraction:
     page_features: PageFeatures = field(default_factory=PageFeatures)
     #: Ground-truth annotations from the landing page — used only for
     #: evaluating the pipeline, never by the pipeline itself.
-    labels: dict = field(default_factory=dict, hash=False, compare=False)
+    labels: dict = field(default_factory=dict, compare=False)
 
 
 def interaction_to_dict(record: AdInteraction) -> dict[str, Any]:
@@ -146,8 +148,6 @@ def interaction_from_dict(data: dict[str, Any]) -> AdInteraction:
 
 #: Clicks on one candidate element before the crawler moves to the next.
 REPEAT_CLICKS = 3
-#: Virtual time one crawling session may spend (the paper used ~2 min).
-SESSION_SECONDS = 120.0
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,13 @@ def crawl_session(
     profile: UserAgentProfile,
     vantage: VantagePoint,
     config: CrawlerConfig | None = None,
+    session_seconds: float = WorldConfig.session_seconds,
 ) -> list[AdInteraction]:
     """Run one crawling session and return the recorded ad interactions.
+
+    No new candidate element is clicked once ``session_seconds`` of
+    virtual time have passed (the world's
+    :attr:`~repro.ecosystem.world.WorldConfig.session_seconds`).
 
     Landing-page features are extracted once per served page and host
     (:meth:`repro.dom.page.PageContent.features`) and screenshot hashes
@@ -197,7 +202,7 @@ def crawl_session(
     client = DevToolsClient(internet, profile, vantage, stealth=True, bypass_locking=True)
     browser = client.browser
     interactions: list[AdInteraction] = []
-    deadline = internet.clock.now() + SESSION_SECONDS
+    deadline = internet.clock.now() + session_seconds
 
     tab = _visit_publisher(browser, internet, publisher_url)
     if not tab.loaded:
@@ -255,33 +260,27 @@ def _record_interaction(
     shot = browser.screenshot(landing_tab)
     landing_url = shot.url
     landing_host = landing_tab.current_url.host if landing_tab.current_url else ""
+    landing_id = landing_tab.tab_id
+    # The log's rows are the entries' fields in order (see BrowserLog).
+    opens = log.rows(TabOpenEntry, landing_id)
+    navigations = log.rows(NavigationEntry, landing_id)
     chain: list[ChainNode] = []
-    tab_open = None
-    for entry in reversed(log.entries_of(TabOpenEntry)):
-        if entry.tab_id == landing_tab.tab_id:
-            tab_open = entry
-            break
-    navigations = log.navigations(landing_tab.tab_id)
-    if tab_open is not None and not (
-        navigations and navigations[0].url == tab_open.url
-    ):
-        chain.append(
-            ChainNode(url=tab_open.url, cause="window-open", source_url=tab_open.source_url)
-        )
-    for entry in navigations:
-        chain.append(ChainNode(url=entry.url, cause=entry.cause, source_url=entry.source_url))
+    popunder = False
+    if opens:  # a tab opens at most once
+        _, _, _, open_url, open_source, popunder = opens[-1]
+        if not (navigations and navigations[0][2] == open_url):
+            chain.append(ChainNode(open_url, "window-open", open_source))
+    for _, _, url, cause, source_url, _ in navigations:
+        chain.append(ChainNode(url, cause, source_url))
     scripts = tuple(
-        entry.script_url
-        for entry in log.entries_of(ScriptFetchEntry)
-        if entry.tab_id == publisher_tab.tab_id
+        script_url
+        for _, _, _, script_url in log.rows(ScriptFetchEntry, publisher_tab.tab_id)
     )
-    notification = False
+    prompts = log.rows(NotificationPromptEntry, landing_id)
     push_endpoint = None
-    for entry in log.entries_of(NotificationPromptEntry):
-        if entry.tab_id == landing_tab.tab_id:
-            notification = True
-            if entry.push_endpoint:
-                push_endpoint = entry.push_endpoint
+    for _, _, _, _, endpoint, _ in prompts:
+        if endpoint:
+            push_endpoint = endpoint
     page = landing_tab.page
     labels = dict(page.labels) if page is not None else {}
     features = page.features(landing_host) if page is not None else PageFeatures()
@@ -298,9 +297,9 @@ def _record_interaction(
         chain=tuple(chain),
         publisher_scripts=scripts,
         load_failed=not landing_tab.loaded,
-        notification_prompt=notification,
+        notification_prompt=bool(prompts),
         notification_push_endpoint=push_endpoint,
-        popunder=bool(tab_open is not None and tab_open.popunder),
+        popunder=bool(popunder),
         page_features=features,
         labels=labels,
     )

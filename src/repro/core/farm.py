@@ -9,7 +9,8 @@ paper's operational structure:
 * every site is visited once per user-agent profile (never twice with
   the same UA, the §6 ethics constraint);
 * many container replicas run in parallel, so virtual wall-clock time
-  advances by ``SESSION_SECONDS / parallelism`` per session.
+  advances by ``session_seconds / parallelism`` per session (the
+  world's :attr:`~repro.ecosystem.world.WorldConfig.session_seconds`).
 
 Scheduling is *plan-derived*, and the farm makes every plan.  A
 :class:`CrawlPlan` assigns every (domain, profile) session an absolute
@@ -35,7 +36,6 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.browser.useragent import PROFILES
 from repro.core.crawler import (
-    SESSION_SECONDS,
     AdInteraction,
     CrawlerConfig,
     crawl_session,
@@ -66,7 +66,7 @@ class FarmConfig:
 
     crawler: CrawlerConfig = field(default_factory=CrawlerConfig)
     #: Concurrent crawler containers; virtual time advances by
-    #: ``SESSION_SECONDS / parallelism`` per session.  ``None`` sizes the
+    #: ``session_seconds / parallelism`` per session.  ``None`` sizes the
     #: farm so the whole crawl spans the world's configured crawl window
     #: (keeping domain-rotation calibration honest).
     parallelism: int | None = None
@@ -506,6 +506,7 @@ class CrawlerFarm:
                 profile,
                 vantage,
                 self.config.crawler,
+                world.config.session_seconds,
             )
         except TransientError:
             # Safety net: an unabsorbed fault killed the container
@@ -518,15 +519,15 @@ class CrawlerFarm:
     def plan_time_step(self, total_sessions: int) -> float:
         """The virtual-time step of a plan over ``total_sessions``.
 
-        ``SESSION_SECONDS / parallelism`` for a sized farm; otherwise the
-        sessions spread evenly over the world's crawl window.  The
-        adaptive scheduler derives its one global round grid from the
-        whole session budget with it.
+        ``session_seconds / parallelism`` for a sized farm (the world's
+        session budget); otherwise the sessions spread evenly over the
+        world's crawl window.  The adaptive scheduler derives its one
+        global round grid from the whole session budget with it.
         """
+        config = self.world.config
         parallelism = self.config.parallelism
         if parallelism is not None:
-            return SESSION_SECONDS / parallelism
-        window = self.world.config.crawl_window_days * 86400.0
+            return config.session_seconds / parallelism
         if total_sessions == 0:
-            return SESSION_SECONDS
-        return window / total_sessions
+            return config.session_seconds
+        return config.crawl_window_days * 86400.0 / total_sessions

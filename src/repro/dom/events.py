@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from repro.dom.nodes import Element
 
 
-@dataclass
+@dataclass(slots=True)
 class EventListener:
     """A listener attached to an element.
 

@@ -47,7 +47,7 @@ class InjectOverlay:
     z_index: int = 2147483647
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OpenTab:
     """``window.open(url)`` — popup / pop-under."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.net.ipspace import VantagePoint
-from repro.urlkit.url import Url
+from repro.urlkit.url import Url, parse_url
 
 
 class RedirectKind(enum.Enum):
@@ -45,7 +45,7 @@ class ReferrerPolicy(enum.Enum):
     UNSAFE_URL = "unsafe-url"
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpRequest:
     """A simulated HTTP request.
 
@@ -61,25 +61,17 @@ class HttpRequest:
     referrer: Url | None = None
     headers: dict[str, str] = field(default_factory=dict)
 
-    def with_referrer(self, referrer: Url | None, policy: ReferrerPolicy) -> "HttpRequest":
-        """Return a copy whose referrer obeys ``policy``."""
-        if policy is ReferrerPolicy.NO_REFERRER or referrer is None:
-            effective: Url | None = None
-        elif policy is ReferrerPolicy.ORIGIN:
-            effective = Url(scheme=referrer.scheme, host=referrer.host, port=referrer.port)
-        else:
-            effective = referrer
-        return HttpRequest(
-            url=self.url,
-            vantage=self.vantage,
-            user_agent=self.user_agent,
-            method=self.method,
-            referrer=effective,
-            headers=dict(self.headers),
-        )
+
+def sent_referrer(referrer: Url | None, policy: ReferrerPolicy) -> Url | None:
+    """The referrer a request carries when the page's ``policy`` applies."""
+    if policy is ReferrerPolicy.NO_REFERRER or referrer is None:
+        return None
+    if policy is ReferrerPolicy.ORIGIN:
+        return Url(scheme=referrer.scheme, host=referrer.host, port=referrer.port)
+    return referrer
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpResponse:
     """A simulated HTTP response.
 
@@ -106,18 +98,12 @@ class HttpResponse:
     @property
     def location(self) -> Url:
         """The redirect target; raises ``KeyError`` for non-redirects."""
-        return _parse_location(self.headers["Location"])
+        return parse_url(self.headers["Location"])
 
     @property
     def is_download(self) -> bool:
         """Whether the response delivers a file rather than a page."""
         return self.ok and self.content_type == "application/octet-stream"
-
-
-def _parse_location(raw: str) -> Url:
-    from repro.urlkit.url import parse_url
-
-    return parse_url(raw)
 
 
 def redirect(target: Url | str, kind: RedirectKind = RedirectKind.HTTP_302) -> HttpResponse:

@@ -31,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 MAX_REDIRECT_HOPS = 20
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchResult:
     """The outcome of one fetch, including the followed HTTP redirect chain.
 
@@ -107,6 +107,9 @@ class Internet:
 
     def __init__(self, clock: SimClock, fault_plan: "FaultPlan | None" = None) -> None:
         self.clock = clock
+        #: The one context every request is served with: it holds only
+        #: this internet and its clock, so no request needs its own.
+        self._context = FetchContext(clock=clock, internet=self)
         self.dns = DnsRegistry()
         self.fault_plan = fault_plan
         self.resilience: "Resilience | None" = None
@@ -174,7 +177,7 @@ class Internet:
         the retry budget runs out the typed
         :class:`~repro.errors.TransientError` escapes to the caller.
         """
-        context = FetchContext(clock=self.clock, internet=self)
+        context = self._context
         chain: list[Url] = []
         retries = 0
         current = request

@@ -18,9 +18,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.network import CrawlScope, Internet
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchContext:
-    """Per-request context handed to servers.
+    """The context handed to servers with every request.
 
     Carries the virtual clock (so servers can rotate content over time)
     and a back-reference to the internet (so redirectors can consult
@@ -58,6 +58,17 @@ class VirtualServer(abc.ABC):
         statically registered servers never get asked.
         """
         return False
+
+    def claim(self, now: float) -> tuple[str, float, float] | None:
+        """The one host this claimant answers for at ``now``, with the
+        window ``[start, end)`` of times over which that answer holds.
+
+        A claimant that can say this lets :class:`~repro.net.dns.DnsRegistry`
+        index it; the default None means "ask :meth:`claims_host`", and
+        the registry then polls this claimant on every lookup.  A claimant
+        returns None always or never.
+        """
+        return None
 
 
 class FunctionServer(VirtualServer):

@@ -11,9 +11,11 @@ Layout of a store directory::
     <dir>/progress.jsonl        # per-domain crawl progress markers
     <dir>/intent.log            # write-barrier journal, while open
 
-Every write is a single JSON line flushed to disk, so a run killed
-mid-crawl loses at most the record being written; ``repro resume``
-reloads the directory and continues from the last progress marker.
+Every write is a single JSON line.  Outside an intent it is flushed to
+disk as it is written, so a run killed mid-crawl loses at most the
+record being written; inside an intent (below) the group is flushed
+once, at commit.  ``repro resume`` reloads the directory and continues
+from the last progress marker.
 
 Durability model (see DESIGN.md, "Chaos & durability"):
 
@@ -27,15 +29,19 @@ Durability model (see DESIGN.md, "Chaos & durability"):
   the finalize block) are bracketed by an **intent**:
   :meth:`begin_intent` writes one record holding every stream's byte
   size to ``intent.log`` before the first write, and
-  :meth:`commit_intent` empties the journal after the last — emptying
-  it is the commit point.  Opening a store whose journal still holds a
-  begin record cuts every stream back to its journaled size and removes
-  the streams born inside the intent, so the group takes effect
-  all-or-nothing;
-* ``fsync=True`` additionally fsyncs after every append, cut and
-  journal write — the paranoid mode for real deployments; off by
-  default because the simulation's crash model (process death, not
-  power loss) only needs the OS-level write ordering.
+  :meth:`commit_intent` flushes every stream the intent wrote, then
+  empties the journal — emptying it is the commit point.  Opening a
+  store whose journal still holds a begin record cuts every stream back
+  to its journaled size and removes the streams born inside the intent,
+  so the group takes effect all-or-nothing.  That is also why appends
+  inside an intent skip the per-record flush: until the commit, a crash
+  discards the group whatever part of it reached the disk.  Reads of a
+  stream flush its pending writes first;
+* ``fsync=True`` additionally fsyncs every flushed append (at commit,
+  for an intent's), cut and journal write — the paranoid mode for real
+  deployments; off by default because the simulation's crash model
+  (process death, not power loss) only needs the OS-level write
+  ordering.
 
 The named ``store.append.*`` / ``store.truncate.*`` call sites are
 :mod:`repro.chaos` crash points; they cost one global check when no
@@ -115,6 +121,8 @@ class JsonlStore(StoreBase):
         self._handles: dict[str, IO[str]] = {}
         self._counts: dict[str, int] = {}
         self._intent_active = False
+        #: Streams written inside the open intent, not yet flushed by it.
+        self._pending: set[str] = set()
         self._journal: IO[bytes] | None = None
         self.last_recovery = RecoveryReport()
         self._recover()
@@ -258,15 +266,21 @@ class JsonlStore(StoreBase):
         crash_point("store.append.pre")
         before = self.count(stream)
         handle = self._handle(stream)
-        line = encode_record(dict(record))
+        line = encode_record(record if type(record) is dict else dict(record))
         handle.write(line)
         # ``mid`` flushes the newline-less line first, so the crash leaves
         # exactly the torn tail a real mid-write death leaves.
         crash_point("store.append.mid", flush=handle)
         handle.write("\n")
-        handle.flush()
-        self._sync(handle)
-        crash_point("store.append.post")
+        if self._intent_active:
+            # The intent's commit flushes the whole group once.
+            self._pending.add(stream)
+        else:
+            handle.flush()
+            self._sync(handle)
+        # ``post`` dies with the record written through to the OS, inside
+        # an intent too.
+        crash_point("store.append.post", flush=handle)
         self._counts[stream] = before + 1
         telemetry = current_telemetry()
         if telemetry.enabled:
@@ -308,6 +322,7 @@ class JsonlStore(StoreBase):
         """``(line number, stripped line, terminated?)`` of every
         non-blank line of ``stream``."""
         path = self._stream_path(stream)
+        self._flush_pending(stream)
         if not path.exists():
             return
         with path.open("rb") as handle:
@@ -369,6 +384,8 @@ class JsonlStore(StoreBase):
         return cached
 
     def streams(self) -> list[str]:
+        for stream in list(self._pending):
+            self._flush_pending(stream)
         return sorted(
             path.stem
             for path in self.directory.glob("*.jsonl")
@@ -386,6 +403,7 @@ class JsonlStore(StoreBase):
         if keep < 0:
             raise StoreError("keep must be non-negative")
         path = self._stream_path(stream)
+        self._flush_pending(stream)
         if not path.exists():
             return
         offset = kept = 0
@@ -406,6 +424,7 @@ class JsonlStore(StoreBase):
         handle = self._handles.pop(stream, None)
         if handle is not None:
             handle.close()
+        self._pending.discard(stream)
         self._counts.pop(stream, None)
         crash_point("store.truncate.pre")
         with path.open("r+b") as out:
@@ -413,6 +432,12 @@ class JsonlStore(StoreBase):
             self._sync(out)
         crash_point("store.truncate.post")
         current_telemetry().inc(f"store.truncates.{stream}")
+
+    def _flush_pending(self, stream: str) -> None:
+        """Hand ``stream``'s buffered intent writes to the OS (reads see
+        the file, not the buffer)."""
+        if stream in self._pending:
+            self._handles[stream].flush()
 
     # ------------------------------------------------------ write barriers
 
@@ -451,11 +476,18 @@ class JsonlStore(StoreBase):
     def commit_intent(self) -> None:
         """Retire the open write barrier: the group of writes is final.
 
-        Emptying the journal is the commit point: recovery rolls back
-        only a journal whose last complete record is a begin.
+        Every stream the intent wrote is flushed (and fsynced under
+        ``fsync=True``) first; then emptying the journal is the commit
+        point: recovery rolls back only a journal whose last complete
+        record is a begin.
         """
         if not self._intent_active:
             return
+        for stream in sorted(self._pending):
+            handle = self._handles[stream]
+            handle.flush()
+            self._sync(handle)
+        self._pending.clear()
         journal = self._journal_handle()
         journal.truncate(0)
         self._sync(journal)
@@ -560,6 +592,7 @@ class JsonlStore(StoreBase):
         for handle in self._handles.values():
             handle.close()
         self._handles.clear()
+        self._pending.clear()
         if self._journal is not None:
             self._journal.close()
             self._journal = None

@@ -12,6 +12,7 @@ Two generation styles appear in the paper's observations:
 
 from __future__ import annotations
 
+import math
 import random
 
 from repro.rng import rng_for
@@ -83,8 +84,9 @@ class ThrowawayDomainPool:
 
     The paper observes SE attack domains lasting "hours to a few days" and
     being replaced as soon as they get blacklisted.  The pool exposes the
-    *active* domain for a given virtual time; domain lifetime is sampled per
-    domain from ``[min_lifetime, max_lifetime]``.
+    *active* domain for a given virtual time (:meth:`active_window`);
+    domain lifetime is sampled per domain from ``[min_lifetime,
+    max_lifetime]``.
     """
 
     def __init__(
@@ -108,24 +110,33 @@ class ThrowawayDomainPool:
         self._history: list[tuple[float, str]] = []
         self._next_rotation = 0.0
 
-    def active_domain(self, now: float) -> str:
-        """Return the attack domain active at virtual time ``now``.
+    def active_window(self, now: float) -> tuple[str, float, float]:
+        """The domain active at ``now`` and the window ``[start, end)`` of
+        times at which this pool gives the same answer.
 
-        Advances the rotation schedule as needed; times must be queried in
-        non-decreasing order (the simulation clock only moves forward).
+        Advances the rotation schedule as needed.  The schedule depends
+        only on the pool's own generators, never on when it is asked, so
+        a query behind the newest activation (a rewound clock) answers
+        from history with the domain that was active then.  The first
+        domain also answers for times before it activated, so its window
+        opens at ``-inf``.
         """
-        if self._history and now < self._history[-1][0]:
-            # Historical query: find the domain that was active then.
-            for activation, domain in reversed(self._history):
-                if activation <= now:
-                    return domain
-            return self._history[0][1]
-        while not self._history or now >= self._next_rotation:
-            activation = self._next_rotation if self._history else 0.0
-            self._history.append((activation, self._generator.dga(tld=self._tld)))
-            lifetime = self._rng.uniform(self._min, self._max)
-            self._next_rotation = activation + lifetime
-        return self._history[-1][1]
+        history = self._history
+        if history and now < history[-1][0]:
+            # Historical query: the last activation at or before ``now``.
+            index = len(history) - 1
+            while index > 0 and history[index][0] > now:
+                index -= 1
+        else:
+            while not history or now >= self._next_rotation:
+                activation = self._next_rotation if history else 0.0
+                history.append((activation, self._generator.dga(tld=self._tld)))
+                lifetime = self._rng.uniform(self._min, self._max)
+                self._next_rotation = activation + lifetime
+            index = len(history) - 1
+        start = history[index][0] if index > 0 else -math.inf
+        end = history[index + 1][0] if index + 1 < len(history) else self._next_rotation
+        return history[index][1], start, end
 
     @property
     def next_rotation(self) -> float:

@@ -1,5 +1,7 @@
 """Tests for backtracking graphs and milkable-URL extraction (§3.4/§3.5)."""
 
+from dataclasses import replace
+
 from repro.core.backtrack import attack_node, backtracking_graph, milkable_candidates
 from repro.core.crawler import AdInteraction, ChainNode
 
@@ -89,7 +91,7 @@ class TestBacktrackingGraph:
 
     def test_dead_landing_marked(self):
         record = figure3_interaction()
-        dead = AdInteraction(**{**record.__dict__, "load_failed": True})
+        dead = replace(record, load_failed=True)
         graph = backtracking_graph(dead)
         assert graph.nodes[attack_node(graph)] == "dead"
 
@@ -110,12 +112,12 @@ class TestMilkableCandidates:
         NOT become a milking source (§6: milking avoids the ad networks)."""
         record = figure3_interaction()
         chain = tuple(node for node in record.chain if "findglo210" not in node.url)
-        no_tds = AdInteraction(**{**record.__dict__, "chain": chain})
+        no_tds = replace(record, chain=chain)
         assert milkable_candidates(no_tds) == []
 
     def test_empty_chain(self):
         record = figure3_interaction()
-        empty = AdInteraction(**{**record.__dict__, "chain": ()})
+        empty = replace(record, chain=())
         assert milkable_candidates(empty) == []
 
     def test_candidates_on_real_crawl(self, pipeline_run):

@@ -50,6 +50,33 @@ class TestCrawlSession:
         ]
         assert with_provenance, "snippet provenance must be captured"
 
+    def test_session_seconds_bounds_the_clicks(self, tiny_world, monkeypatch):
+        # The deadline is checked before each new candidate element, and
+        # each click costs 2 s of think time: a 1 s budget clicks one
+        # candidate only (at most REPEAT_CLICKS times).
+        from repro.browser.browser import Browser
+        from repro.core.crawler import REPEAT_CLICKS
+
+        clicks = []
+        click = Browser.click
+        monkeypatch.setattr(
+            Browser, "click", lambda self, *args: clicks.append(1) or click(self, *args)
+        )
+
+        def most_clicks(session_seconds):
+            most = 0
+            for site in tiny_world.publishers[:12]:
+                clicks.clear()
+                crawl_session(
+                    tiny_world.internet, site.url, CHROME_MACOS,
+                    tiny_world.vantage_institution, session_seconds=session_seconds,
+                )
+                most = max(most, len(clicks))
+            return most
+
+        assert most_clicks(1.0) <= REPEAT_CLICKS
+        assert most_clicks(120.0) > REPEAT_CLICKS
+
     def test_max_ads_respected(self, tiny_world):
         config = CrawlerConfig(max_ads=1)
         for site in tiny_world.publishers[:8]:

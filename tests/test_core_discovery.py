@@ -1,5 +1,7 @@
 """Tests for SEACMA campaign discovery (§3.3)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attacks.categories import AttackCategory
@@ -117,9 +119,7 @@ class TestDiscoverCampaigns:
 
     def test_interactions_without_e2ld_skipped(self):
         record = synthetic_interaction("x", 0, "a.club")
-        broken = AdInteraction(
-            **{**record.__dict__, "landing_e2ld": "", "labels": {}}
-        )
+        broken = replace(record, landing_e2ld="", labels={})
         result = discover_campaigns([broken])
         assert result.campaigns == []
 

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro import WorldConfig, build_world
 from repro.browser.useragent import PROFILES
 from repro.core.farm import CrawlerFarm, FarmConfig
-from repro.core.crawler import SESSION_SECONDS, CrawlerConfig
+from repro.core.crawler import CrawlerConfig
 
 
 class TestGroupSplit:
@@ -250,7 +251,7 @@ class TestPlanTimeStep:
     def test_parallelism_divides_session_seconds(self, tiny_world):
         config = FarmConfig(parallelism=4)
         farm = CrawlerFarm(tiny_world, config)
-        expected = SESSION_SECONDS / 4
+        expected = tiny_world.config.session_seconds / 4
         assert farm.plan_time_step(10) == expected
 
     def test_default_spans_the_crawl_window(self, tiny_world):
@@ -260,7 +261,22 @@ class TestPlanTimeStep:
 
     def test_zero_sessions_fall_back_to_session_seconds(self, tiny_world):
         farm = CrawlerFarm(tiny_world)
-        assert farm.plan_time_step(0) == SESSION_SECONDS
+        assert farm.plan_time_step(0) == tiny_world.config.session_seconds
+
+    def test_world_session_seconds_is_the_session_budget(self, monkeypatch):
+        world = build_world(WorldConfig.tiny(seed=11, session_seconds=30.0))
+        assert CrawlerFarm(world, FarmConfig(parallelism=4)).plan_time_step(10) == 7.5
+        farm = CrawlerFarm(world)
+        assert farm.plan_time_step(0) == 30.0
+        budgets = []
+        monkeypatch.setattr(
+            "repro.core.farm.crawl_session",
+            lambda *args: budgets.append(args[-1]) or [],
+        )
+        farm._run_session(
+            world.publishers[0].domain, PROFILES[0], world.vantage_institution
+        )
+        assert budgets == [30.0]
 
     def test_scheduler_grid_is_schedule_independent(self, tiny_world):
         """One global step for a whole budget: cutting the budget into

@@ -3,9 +3,13 @@
 from repro.browser.logging import (
     BrowserLog,
     DialogEntry,
+    LogEntry,
     NavigationEntry,
+    ScriptFetchEntry,
     TabOpenEntry,
 )
+from repro.browser.useragent import CHROME_MACOS
+from repro.core.crawler import crawl_session
 from repro.js.instrumentation import InstrumentationLog
 
 
@@ -68,3 +72,72 @@ class TestCliSelfcheck:
 
         assert main(["selfcheck", "--seed", "4"]) == 0
         assert "world ok" in capsys.readouterr().out
+
+
+def _entry_kinds():
+    kinds, todo = [], [LogEntry]
+    while todo:
+        kind = todo.pop()
+        kinds.append(kind)
+        todo.extend(kind.__subclasses__())
+    return kinds
+
+
+def _crawl_some(world):
+    for site in world.publishers[:12]:
+        crawl_session(world.internet, site.url, CHROME_MACOS, world.vantage_institution)
+
+
+class TestSessionLogRows:
+    """A crawl session logs rows; entries exist only when read back."""
+
+    def test_crawl_builds_no_log_entries(self, fresh_world, monkeypatch):
+        built = []
+        for kind in _entry_kinds():
+            init = kind.__init__
+            monkeypatch.setattr(
+                kind,
+                "__init__",
+                lambda self, *args, _init=init, **kwargs: built.append(type(self))
+                or _init(self, *args, **kwargs),
+            )
+        added = []
+        add = BrowserLog.add
+        monkeypatch.setattr(
+            BrowserLog, "add", lambda self, kind, row: added.append(kind) or add(self, kind, row)
+        )
+        _crawl_some(fresh_world)
+        assert len(added) > 100
+        assert built == []
+
+    def test_reading_back_gives_the_recorded_entries_in_order(self, fresh_world, monkeypatch):
+        recorded: dict[int, list] = {}
+        logs = {}
+        add = BrowserLog.add
+
+        def recording_add(self, kind, row):
+            recorded.setdefault(id(self), []).append(kind(*row))
+            logs[id(self)] = self
+            add(self, kind, row)
+
+        monkeypatch.setattr(BrowserLog, "add", recording_add)
+        _crawl_some(fresh_world)
+        assert len(logs) >= 12
+        kinds_seen = set()
+        for key, log in logs.items():
+            expected = recorded[key]
+            assert list(log) == expected
+            assert len(log) == len(expected)
+            for mark in (0, 1, len(expected) // 2, len(expected)):
+                assert log.since(mark) == expected[mark:]
+            for kind in {type(entry) for entry in expected}:
+                kinds_seen.add(kind)
+                assert log.entries_of(kind) == [e for e in expected if type(e) is kind]
+            assert log.entries_of(LogEntry) == expected
+            navigations = [e for e in expected if isinstance(e, NavigationEntry)]
+            assert log.navigations() == navigations
+            for tab_id in {entry.tab_id for entry in expected}:
+                assert log.navigations(tab_id) == [
+                    e for e in navigations if e.tab_id == tab_id
+                ]
+        assert {NavigationEntry, TabOpenEntry, ScriptFetchEntry} <= kinds_seen

@@ -187,7 +187,7 @@ class TestDomainPoolProperties:
     def test_monotone_queries_consistent(self, seed, queries):
         pool = ThrowawayDomainPool(seed, "prop", min_lifetime=3600, max_lifetime=7200)
         for t in sorted(queries):
-            domain = pool.active_domain(t)
+            domain = pool.active_window(t)[0]
             assert pool.activation_time(domain) <= t
         domains = pool.all_domains()
         assert len(domains) == len(set(domains))
@@ -196,9 +196,9 @@ class TestDomainPoolProperties:
     @settings(max_examples=20, deadline=None)
     def test_historical_answers_stable(self, seed):
         pool = ThrowawayDomainPool(seed, "prop2", min_lifetime=3600, max_lifetime=7200)
-        early = pool.active_domain(1000.0)
-        pool.active_domain(10 * 86400.0)
-        assert pool.active_domain(1000.0) == early
+        early = pool.active_window(1000.0)[0]
+        pool.active_window(10 * 86400.0)
+        assert pool.active_window(1000.0)[0] == early
 
 
 class TestSchedulerProperties:

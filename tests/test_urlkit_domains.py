@@ -42,38 +42,49 @@ class TestThrowawayDomainPool:
 
     def test_active_domain_stable_within_lifetime(self):
         pool = self.make_pool()
-        assert pool.active_domain(0.0) == pool.active_domain(60.0)
+        assert pool.active_window(0.0)[0] == pool.active_window(60.0)[0]
 
     def test_rotation_over_time(self):
         pool = self.make_pool()
-        first = pool.active_domain(0.0)
-        later = pool.active_domain(10 * DAY)
+        first = pool.active_window(0.0)[0]
+        later = pool.active_window(10 * DAY)[0]
         assert first != later
         assert len(pool.all_domains()) > 5
 
     def test_rotation_rate_matches_lifetimes(self):
         pool = self.make_pool(min_lifetime=1 * HOUR, max_lifetime=3 * HOUR)
-        pool.active_domain(10 * DAY)
+        pool.active_window(10 * DAY)
         count = len(pool.all_domains())
         # Mean lifetime 2h -> ~120 domains over 10 days.
         assert 80 <= count <= 240
 
     def test_historical_queries_supported(self):
         pool = self.make_pool()
-        first = pool.active_domain(0.0)
-        pool.active_domain(2 * DAY)  # advance
-        assert pool.active_domain(0.0) == first
+        first = pool.active_window(0.0)[0]
+        pool.active_window(2 * DAY)  # advance
+        assert pool.active_window(0.0)[0] == first
+
+    def test_window_bounds_the_answer(self):
+        pool = self.make_pool()
+        first, start, end = pool.active_window(0.0)
+        assert start == float("-inf") and end > 0.0
+        assert pool.active_window(end - 1.0)[0] == first
+        second, start, later = pool.active_window(end)
+        assert second != first and start == end and later > end
+        # A rewound query answers from history, with the old window.
+        assert pool.active_window(end / 2) == (first, float("-inf"), end)
+        assert pool.active_window(-5.0)[0] == first
 
     def test_activation_time(self):
         pool = self.make_pool()
-        domain = pool.active_domain(0.0)
+        domain = pool.active_window(0.0)[0]
         assert pool.activation_time(domain) == 0.0
         with pytest.raises(KeyError):
             pool.activation_time("never.seen")
 
     def test_all_domains_in_activation_order(self):
         pool = self.make_pool()
-        pool.active_domain(5 * DAY)
+        pool.active_window(5 * DAY)
         domains = pool.all_domains()
         times = [pool.activation_time(domain) for domain in domains]
         assert times == sorted(times)
@@ -87,6 +98,6 @@ class TestThrowawayDomainPool:
     def test_deterministic_across_instances(self):
         a = self.make_pool()
         b = self.make_pool()
-        a.active_domain(3 * DAY)
-        b.active_domain(3 * DAY)
+        a.active_window(3 * DAY)
+        b.active_window(3 * DAY)
         assert a.all_domains() == b.all_domains()
