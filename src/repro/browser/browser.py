@@ -192,19 +192,22 @@ class Browser:
         if frame is not None:
             handlers.extend(frame.click_handlers(frame.document))
         handlers.extend(load.click_handlers(element))
+        if not handlers:
+            return ClickOutcome()  # no handler ran, so nothing changed
+        # One host for the whole gesture: it holds no state of its own and
+        # reads the tab's current load on every call.
+        engine = JsEngine(_TabHost(self, tab, depth=0))
         fired = 0
         for listener in handlers:
             if tab.load_epoch != epoch_before:
                 break  # the page we clicked on is gone
-            self._run_handler(tab, listener)
+            engine.run(listener.handler, listener.source_url)
             listener.mark_fired()
             fired += 1
             # One ad per user gesture: once a handler produced a popup or
             # replaced the page, remaining handlers wait for the next click.
             if len(tabs) != tabs_before or tab.load_epoch != epoch_before:
                 break
-        if not fired:
-            return ClickOutcome()  # no handler ran, so nothing changed
         return ClickOutcome(
             handlers_fired=fired,
             new_tabs=tabs[tabs_before:],
@@ -354,7 +357,7 @@ class Browser:
         load = tab.load
         if load is None or depth > MAX_NAVIGATION_DEPTH:
             return
-        for frame in load.find_all("iframe"):
+        for frame in load.iframes():
             source = frame.attrs.get("src", "")
             if frame in load.frames or "://" not in source:
                 continue
@@ -433,10 +436,6 @@ class Browser:
                     referrer=tab.current_url,
                     depth=depth + 1,
                 )
-
-    def _run_handler(self, tab: Tab, listener: EventListener) -> None:
-        host = _TabHost(self, tab, depth=0)
-        JsEngine(host).run(listener.handler, listener.source_url)
 
     def _record_download(self, tab: Tab, url: Url, payload: object, source_url: str | None) -> None:
         filename = getattr(payload, "filename", url.path.rsplit("/", 1)[-1] or "download.bin")
@@ -673,7 +672,7 @@ class _TabHost:
         if selector == "img:all":
             return load.find_all("img")
         if selector == "iframe:all":
-            return load.find_all("iframe")
+            return list(load.iframes())
         if selector.startswith("#"):
             found = load.find_by_id(selector[1:])
             return [found] if found is not None else []

@@ -29,7 +29,6 @@ from repro.chaos.plan import (
 from repro.chaos.points import (
     CRASH_EXIT_CODE,
     CRASH_POINTS,
-    POLICY_POINTS,
     RECOVERY_ONLY_POINTS,
     WORLD_POINTS,
     CrashError,
@@ -44,7 +43,6 @@ __all__ = [
     "CRASH_EXIT_CODE",
     "CRASH_POINTS",
     "MODES",
-    "POLICY_POINTS",
     "RECOVERY_ONLY_POINTS",
     "WORLD_POINTS",
     "ChaosReport",

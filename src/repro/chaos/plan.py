@@ -47,9 +47,6 @@ _OCCURRENCE_POOLS: dict[str, tuple[int, ...]] = {
     # builds now happen as the crawl reaches each publisher — a tiny
     # run still materializes ~90 pages, past every depth here.
     "world.materialize": (1, 15, 75),
-    # One hit per completed crawl round; an adaptive tiny run with the
-    # default round sizing spans roughly a dozen rounds.
-    "policy.update": (1, 2, 4),
     # One hit per crawled domain (the kernel resolves every domain,
     # even ad-free ones); a tiny run crawls ~40+ domains.
     "farm.sessionbatch": (1, 6, 30),

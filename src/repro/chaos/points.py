@@ -68,12 +68,6 @@ MERGE_POINTS = ("parallel.merge.pre", "parallel.merge.post")
 #: run as the crawl reaches each publisher, including inside shard
 #: workers.
 WORLD_POINTS = ("world.materialize.pre", "world.materialize.post")
-#: The adaptive-scheduling arm-statistics write: ``pre`` dies before the
-#: round's cumulative stats record is appended, ``post`` after the append
-#: but before the intent commits.  Either way recovery rolls the intent
-#: back and the resumed run recomputes the identical record from the
-#: replayed stages.
-POLICY_POINTS = ("policy.update.pre", "policy.update.post")
 #: The session kernel's per-domain commit: ``pre`` dies before the
 #: domain's finished sessions are committed, ``post`` after they
 #: committed to the in-memory checkpoint but before the domain's batch
@@ -90,7 +84,6 @@ CRASH_POINTS = (
     + FEED_POINTS
     + MERGE_POINTS
     + WORLD_POINTS
-    + POLICY_POINTS
     + SESSIONBATCH_POINTS
 )
 

@@ -110,7 +110,6 @@ class ChaosRunner:
         workers: int = 1,
         fsync: bool = False,
         timeout: float = 600.0,
-        run_flags: tuple[str, ...] = (),
     ) -> None:
         # Resolved eagerly: store paths are handed to child processes
         # running with ``cwd=work_dir``, where a relative path would
@@ -123,12 +122,6 @@ class ChaosRunner:
         self.workers = workers
         self.fsync = fsync
         self.timeout = timeout
-        #: Extra ``seacma run`` flags (e.g. ``--policy``/``--session-budget``
-        #: for adaptive-scheduling scenarios).  Applied to run phases only:
-        #: ``seacma resume`` takes no policy flags — the stored
-        #: ``sched_config`` meta record governs the resumed run, which is
-        #: exactly the replay invariant these scenarios exercise.
-        self.run_flags = tuple(run_flags)
         self._reference: dict[str, bytes] | None = None
 
     # ------------------------------------------------------------ phases
@@ -148,7 +141,7 @@ class ChaosRunner:
             self.preset,
             "--seed",
             str(self.seed),
-        ] + self._common_flags() + list(self.run_flags)
+        ] + self._common_flags()
 
     def _resume_args(self, store_dir: Path) -> list[str]:
         return ["resume", str(store_dir)] + self._common_flags()

@@ -10,8 +10,6 @@ Subcommands::
                      [--no-retries] [--no-milking] [--out DIR]
                      [--store-dir DIR] [--batch-domains N]
                      [--workers K] [--fsync]
-                     [--policy static|egreedy|ucb1 [--explore-floor F]
-                      [--session-budget N]]
                      [--trace-dir DIR] [--metrics]
     seacma resume    STORE_DIR --days 2 [--no-milking]
                      [--batch-domains N] [--workers K] [--fsync]
@@ -46,15 +44,6 @@ off by default).  ``store check`` validates a run store end to end —
 repairing torn tails, rolling back uncommitted write intents, and
 printing per-stream record counts — and exits non-zero on corruption
 that crash recovery cannot explain.
-
-``run --policy egreedy|ucb1`` (or ``--session-budget N``) replaces the
-single canonical crawl plan with round-based adaptive scheduling
-(:mod:`repro.sched`): each round's sessions are reallocated across ad
-networks by observed SE yield, with ``--explore-floor`` reserving a
-round-robin slice so low-yield networks keep surfacing.  Decisions are
-persisted to the store's ``policy`` stream, so ``seacma resume``
-replays them byte-identically; ``--policy static`` (no budget) keeps
-today's plan, byte for byte.
 
 Publisher pages are derived on demand into a bounded cache, so
 populations of 10k+ publishers run in bounded memory.
@@ -96,7 +85,6 @@ from repro.core.milking import MilkingConfig
 _PRESETS = {
     "tiny": WorldConfig.tiny,
     "small": WorldConfig.small,
-    "skewed": WorldConfig.skewed,
     "paper": WorldConfig.paper_scale,
 }
 
@@ -158,31 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="fsync every store write (durability against power "
                 "loss, not just process death)",
-            )
-            command.add_argument(
-                "--policy",
-                choices=("static", "egreedy", "ucb1"),
-                default="static",
-                help="crawl scheduling policy: static keeps today's "
-                "single canonical plan; egreedy/ucb1 reallocate each "
-                "round's sessions toward the ad networks that yielded "
-                "SE interactions (deterministic for a fixed seed)",
-            )
-            command.add_argument(
-                "--explore-floor",
-                type=float,
-                default=0.15,
-                help="fraction of each adaptive round reserved for a "
-                "round-robin sweep over all ad networks, so low-yield "
-                "networks keep surfacing",
-            )
-            command.add_argument(
-                "--session-budget",
-                type=int,
-                default=None,
-                help="total crawl sessions across all rounds (adaptive "
-                "scheduling; with --policy static this walks the "
-                "canonical plan order until the budget is spent)",
             )
             _add_telemetry_arguments(command)
         if name in ("tables", "report"):
@@ -320,22 +283,10 @@ def _run_pipeline(args):
     if fault_rate:
         config = dataclasses.replace(config, fault_rate=fault_rate)
     world = build_world(config)
-    sched_config = None
-    if getattr(args, "policy", "static") != "static" or getattr(
-        args, "session_budget", None
-    ) is not None:
-        from repro.sched import SchedConfig
-
-        sched_config = SchedConfig(
-            policy=args.policy,
-            explore_floor=args.explore_floor,
-            session_budget=args.session_budget,
-        )
     pipeline = SeacmaPipeline(
         world,
         milking_config=_milking_config(args),
         retries_enabled=not getattr(args, "no_retries", False),
-        sched_config=sched_config,
     )
     with_milking = not getattr(args, "no_milking", False)
     telemetry = _activate_telemetry(args, world)
@@ -477,8 +428,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be at least 1")
     if getattr(args, "batch_domains", 1) < 1:
         parser.error("--batch-domains must be at least 1")
-    if not 0.0 <= getattr(args, "explore_floor", 0.0) <= 1.0:
-        parser.error("--explore-floor must be in [0, 1]")
     try:
         return _dispatch(args)
     except (StoreError, ConfigError) as error:
@@ -675,15 +624,6 @@ def _dispatch(args) -> int:
             f"{len(result.crawl.interactions)} ads, "
             f"{len(result.discovery.seacma_campaigns)} SEACMA campaigns"
         )
-        if getattr(args, "policy", "static") != "static" or getattr(
-            args, "session_budget", None
-        ) is not None:
-            budget = args.session_budget
-            print(
-                f"scheduling: policy={args.policy}"
-                + (f", session budget {budget}" if budget is not None else "")
-                + f", explore floor {args.explore_floor:.2f}"
-            )
         if result.crawl.residential_dropped:
             print(
                 f"residential cap: {result.crawl.residential_dropped} "

@@ -180,29 +180,22 @@ class IncrementalDiscovery:
                 self._index.add(record.screenshot_hash)
             facts.add(row, record)
 
-    def finalize(self, theta_c: int | None = None) -> DiscoveryResult:
+    def finalize(self) -> DiscoveryResult:
         """Steps 3-4 over everything ingested so far.
 
         Safe to call repeatedly (e.g. once per crawl batch for a live
         campaign count); each call reflects the current stream prefix.
-
-        ``theta_c`` overrides the configured domain threshold for this
-        call only — the adaptive scheduler uses a lower threshold to
-        triage *candidate* campaigns (clusters that have not yet spread
-        over enough domains to be confirmed) as an early reward signal,
-        without touching the pipeline's canonical filter.
         """
-        threshold = self.theta_c if theta_c is None else theta_c
         pairs = list(self._pairs)
         labels = self._index.labels()
         clusters = clusters_from_labels(labels)
         kept = filter_clusters_by_domains(
-            clusters, [pair[1] for pair in pairs], threshold
+            clusters, [pair[1] for pair in pairs], self.theta_c
         )
         result = DiscoveryResult(
             eps=self.eps,
             min_pts=self.min_pts,
-            theta_c=threshold,
+            theta_c=self.theta_c,
             clusters_before_filter=len(clusters),
             noise_points=sum(1 for label in labels if label == -1),
         )

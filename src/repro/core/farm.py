@@ -16,16 +16,13 @@ Scheduling is *plan-derived*, and the farm makes every plan.  A
 :class:`CrawlPlan` assigns every (domain, profile) session an absolute
 virtual start time and every residential session a laptop slot, both
 computed from the session's position in the plan rather than from
-mutable loop state.  :meth:`CrawlerFarm.layout` builds one from the two
-publisher groups, a start time and a time step;
-:meth:`CrawlerFarm.plan_crawl` is the static plan (residential cap,
-step derived from the crawl window) and :meth:`CrawlerFarm.plan_round`
-one adaptive round on the scheduler's grid.  :meth:`CrawlerFarm.run_plan`
-runs a plan, whole or one shard of it.  Everything else — the sharded
-executor, its workers, the scheduler, the pipeline — receives plans and
-never re-plans, which is what lets :mod:`repro.parallel` carve a plan
-into deterministic shards whose merged output is byte-identical to a
-sequential crawl.
+mutable loop state.  :meth:`CrawlerFarm.plan_crawl` makes the one plan
+of a crawl (publisher groups, residential cap, time step derived from
+the crawl window); :meth:`CrawlerFarm.run_plan` runs it, whole or one
+shard of it.  Everything else — the sharded executor, its workers, the
+pipeline — receives plans and never re-plans, which is what lets
+:mod:`repro.parallel` carve a plan into deterministic shards whose
+merged output is byte-identical to a sequential crawl.
 """
 
 from __future__ import annotations
@@ -223,20 +220,32 @@ class CrawlerFarm:
         #: in to resume after a crash.
         self.checkpoint: CrawlCheckpoint | None = None
 
-    def split_publisher_groups(
-        self, domains: Iterable[str]
-    ) -> tuple[list[str], list[str]]:
-        """Split crawl targets into (institutional, residential) groups.
+    def plan_crawl(
+        self, publisher_domains: Iterable[str], started_at: float
+    ) -> CrawlPlan:
+        """The crawl plan for ``publisher_domains``: institutional, then
+        residential entries.
 
         Sites embedding Propeller or Clickadu go to the residential group
-        — their networks cloak on non-residential IP space.  Answered
-        from the directory's record table (network keys only), so
-        planning a crawl never materializes a publisher page.
+        — their networks cloak on non-residential IP space.  The split is
+        answered from the directory's record table (network keys only),
+        so planning a crawl never materializes a publisher page; a domain
+        the directory does not know is institutional.
+
+        §4.1: the residential laptops only got through a fraction of
+        their group — but never zero of a non-empty group, and the
+        dropped count is carried on the plan so crawl stats report it.
+        Each residential entry records how many residential sessions come
+        before it — the base of its laptop-rotation slots.
+
+        The time step is ``session_seconds / parallelism`` for a sized
+        farm (the world's session budget); otherwise the plan's sessions
+        spread evenly over the world's crawl window.
         """
         directory = self.world.publisher_directory
         institutional: list[str] = []
         residential: list[str] = []
-        for domain in domains:
+        for domain in publisher_domains:
             try:
                 keys = directory.network_keys_of(domain)
             except KeyError:
@@ -246,71 +255,32 @@ class CrawlerFarm:
                 residential.append(domain)
             else:
                 institutional.append(domain)
-        return institutional, residential
-
-    def layout(
-        self,
-        institutional: list[str],
-        residential: list[str],
-        started_at: float,
-        time_step: float,
-        residential_dropped: int = 0,
-    ) -> CrawlPlan:
-        """Lay out a crawl schedule: institutional entries, then residential.
-
-        Each residential entry records how many residential sessions come
-        before it — the base of its laptop-rotation slots.
-        """
-        entries: list[PlanEntry] = []
-        for domain in institutional:
-            entries.append(PlanEntry(domain, False, len(entries), 0))
-        residential_sessions = 0
-        for domain in residential:
-            entries.append(PlanEntry(domain, True, len(entries), residential_sessions))
-            residential_sessions += len(PROFILES)
-        return CrawlPlan(
-            entries=tuple(entries),
-            started_at=started_at,
-            time_step=time_step,
-            residential_dropped=residential_dropped,
-        )
-
-    def plan_crawl(
-        self, publisher_domains: Iterable[str], started_at: float
-    ) -> CrawlPlan:
-        """The static crawl plan for ``publisher_domains``.
-
-        §4.1: the residential laptops only got through a fraction of
-        their group — but never zero of a non-empty group, and the
-        dropped count is carried on the plan so crawl stats report it.
-        The time step is :meth:`plan_time_step` of the plan's sessions.
-        """
-        institutional, residential = self.split_publisher_groups(publisher_domains)
         fraction = self.config.residential_visit_fraction
         cap = 0
         if residential and fraction > 0:
             cap = max(1, int(len(residential) * fraction))
-        kept = residential[:cap]
-        sessions = (len(institutional) + len(kept)) * len(PROFILES)
-        return self.layout(
-            institutional,
-            kept,
-            started_at,
-            self.plan_time_step(sessions),
+        entries = [
+            PlanEntry(domain, False, position, 0)
+            for position, domain in enumerate(institutional)
+        ]
+        for index, domain in enumerate(residential[:cap]):
+            entries.append(
+                PlanEntry(domain, True, len(entries), index * len(PROFILES))
+            )
+        config = self.world.config
+        sessions = len(entries) * len(PROFILES)
+        if self.config.parallelism is not None:
+            time_step = config.session_seconds / self.config.parallelism
+        elif sessions == 0:
+            time_step = config.session_seconds
+        else:
+            time_step = config.crawl_window_days * 86400.0 / sessions
+        return CrawlPlan(
+            entries=tuple(entries),
+            started_at=started_at,
+            time_step=time_step,
             residential_dropped=len(residential) - cap,
         )
-
-    def plan_round(
-        self, domains: Iterable[str], started_at: float, time_step: float
-    ) -> CrawlPlan:
-        """One adaptive-crawl round: every listed domain, on a given grid.
-
-        No residential cap — the scheduler draws rounds from an already
-        capped universe — and no derived step: the rounds of one run all
-        share the grid of its whole session budget.
-        """
-        institutional, residential = self.split_publisher_groups(domains)
-        return self.layout(institutional, residential, started_at, time_step)
 
     def crawl(
         self,
@@ -515,19 +485,3 @@ class CrawlerFarm:
                 stats.sessions_crashed += 1
                 stats.sessions_lost += 1
             return []
-
-    def plan_time_step(self, total_sessions: int) -> float:
-        """The virtual-time step of a plan over ``total_sessions``.
-
-        ``session_seconds / parallelism`` for a sized farm (the world's
-        session budget); otherwise the sessions spread evenly over the
-        world's crawl window.  The adaptive scheduler derives its one
-        global round grid from the whole session budget with it.
-        """
-        config = self.world.config
-        parallelism = self.config.parallelism
-        if parallelism is not None:
-            return config.session_seconds / parallelism
-        if total_sessions == 0:
-            return config.session_seconds
-        return config.crawl_window_days * 86400.0 / total_sessions

@@ -50,7 +50,6 @@ from repro.core.farm import (
     CrawlCheckpoint,
     CrawlDataset,
     CrawlerFarm,
-    CrawlPlan,
     FarmConfig,
 )
 from repro.core.milking import MilkingConfig, MilkingReport, MilkingTracker
@@ -78,8 +77,6 @@ from repro.store.base import (
     PROGRESS,
     RunStore,
 )
-from repro.sched.policy import SchedConfig
-from repro.sched.scheduler import PolicyScheduler
 from repro.store.memory import MemoryStore
 from repro.store.records import (
     attribution_to_records,
@@ -159,7 +156,6 @@ class SeacmaPipeline:
         retries_enabled: bool = True,
         retry_policy: RetryPolicy | None = None,
         feed_interval_minutes: float = 60.0,
-        sched_config: SchedConfig | None = None,
     ) -> None:
         self.world = world
         self.farm_config = farm_config if farm_config is not None else FarmConfig()
@@ -172,10 +168,6 @@ class SeacmaPipeline:
         self.retries_enabled = retries_enabled
         self.retry_policy = retry_policy
         self.feed_interval_minutes = feed_interval_minutes
-        #: Adaptive crawl scheduling (:mod:`repro.sched`).  ``None`` — or
-        #: a non-adaptive config (static policy, no budget) — keeps
-        #: today's single canonical crawl plan, byte for byte.
-        self.sched_config = sched_config
         self._ensure_resilience()
 
     def _ensure_resilience(self) -> None:
@@ -425,14 +417,6 @@ class StreamingRun:
             self.result.publisher_domains = pipeline.reverse_publishers(
                 self.result.patterns
             )
-        sched_config = pipeline.sched_config
-        if resume:
-            # The stored config wins on resume: `seacma resume DIR` takes
-            # no policy flags, and an API caller cannot accidentally
-            # continue an adaptive run with a different policy.
-            stored = store.get_meta("sched_config")
-            if stored is not None:
-                sched_config = SchedConfig.from_meta(stored)
         self.farm = CrawlerFarm(pipeline.world, pipeline.farm_config)
         self.discovery_stage = IncrementalDiscovery(
             store, eps=pipeline.eps, min_pts=pipeline.min_pts, theta_c=pipeline.theta_c
@@ -455,19 +439,12 @@ class StreamingRun:
         #: The dataset's records are the store's rows, as they land.
         checkpoint.dataset.interactions = StoredInteractions(store)
         self.writer = StoreWriter(store)
-        #: The run's static crawl plan.  A static run crawls it; an
-        #: adaptive run draws its rounds from its entries.
+        #: The run's crawl plan.
         self.plan = self.farm.plan_crawl(
             self.result.publisher_domains, checkpoint.dataset.started_at
         )
         checkpoint.dataset.residential_dropped = self.plan.residential_dropped
-        self.sched: PolicyScheduler | None = None
-        if sched_config is not None and sched_config.is_adaptive:
-            self.sched = PolicyScheduler(self.farm, store, self.plan, sched_config)
-            self.analysis_stages.append(self.sched)
         if resume:
-            if self.sched is not None:
-                self.sched.resume(self)
             self._replay()
         else:
             if store.count(INTERACTIONS) or store.count(PROGRESS):
@@ -492,10 +469,6 @@ class StreamingRun:
                 [pattern_to_record(pattern) for pattern in self.result.patterns],
             )
             store.put_meta("publisher_domains", self.result.publisher_domains)
-            if self.sched is not None:
-                # Written only for adaptive runs so a static store stays
-                # byte-identical to a build without the policy layer.
-                store.put_meta("sched_config", sched_config.to_meta())
             store.commit_intent()
 
     # ----------------------------------------------------------- crawling
@@ -503,10 +476,10 @@ class StreamingRun:
     def crawl_batches(self) -> Iterator[CrawlBatch]:
         """Drive the crawl, persisting and analysing batch by batch.
 
-        Runs every plan of :meth:`_plans` in turn through the farm or the
-        sharded executor.  Yields each :class:`CrawlBatch` after it has
-        been stored and (at ``batch_domains`` boundaries) ingested, so the
-        consumer observes live progress — e.g.
+        Runs :attr:`plan` through the farm or the sharded executor.
+        Yields each :class:`CrawlBatch` after it has been stored and (at
+        ``batch_domains`` boundaries) ingested, so the consumer observes
+        live progress — e.g.
         ``self.discovery_stage.finalize()`` between batches is the current
         campaign census.  Abandoning the iterator leaves the store
         resumable.
@@ -520,42 +493,18 @@ class StreamingRun:
             "stage.crawl",
             attrs={"publishers": len(self.result.publisher_domains)},
         ):
-            for plan in self._plans():
-                if self.workers > 1:
-                    batches = self._make_executor().run(plan, checkpoint)
-                else:
-                    batches = self.farm.run_plan(plan, checkpoint)
-                for batch in batches:
-                    self._persist_batch(batch, telemetry)
-                    self._buffer.extend(batch.interactions)
-                    self._buffered_domains += 1
-                    if self._buffered_domains >= self.batch_domains:
-                        self._flush()
-                    yield batch
+            if self.workers > 1:
+                batches = self._make_executor().run(self.plan, checkpoint)
+            else:
+                batches = self.farm.run_plan(self.plan, checkpoint)
+            for batch in batches:
+                self._persist_batch(batch, telemetry)
+                self._buffer.extend(batch.interactions)
+                self._buffered_domains += 1
+                if self._buffered_domains >= self.batch_domains:
+                    self._flush()
+                yield batch
             self._flush()
-            if self.sched is not None:
-                # Also covers a resumed run with no round left to crawl.
-                checkpoint.dataset.finished_at = self.sched.finished_at()
-                self.pipeline.world.clock.seek(checkpoint.dataset.finished_at)
-
-    def _plans(self) -> Iterator[CrawlPlan]:
-        """The crawl plans of this run, in order.
-
-        A static run has one: :attr:`plan`.  An adaptive run has one per
-        policy round; after a round's batches are stored, its tail is
-        flushed into the analysis stages — a round boundary is
-        plan-derived, hence identical across worker counts and resume —
-        and :meth:`PolicyScheduler.complete_round` scores it from that
-        merged, plan-ordered data before the next round is allocated.
-        """
-        sched = self.sched
-        if sched is None:
-            yield self.plan
-            return
-        while (round_plan := sched.begin_round(self)) is not None:
-            yield round_plan.crawl
-            self._flush()
-            sched.complete_round(self, round_plan)
 
     def _persist_batch(self, batch: CrawlBatch, telemetry) -> None:
         """Store one finished domain: rows, hashes, progress — atomically.
@@ -728,6 +677,16 @@ class StreamingRun:
             raise StoreError(
                 f"store {store.run_id!r} holds no run to resume; start one "
                 "with `repro run --store-dir DIR`"
+            )
+        if store.get_meta("sched_config") is not None:
+            # Stores written while the crawl had an adaptive scheduler
+            # record its config; continuing one with the static plan
+            # would silently append a different crawl to its rounds.
+            raise StoreError(
+                f"run {store.run_id!r} is an adaptive (policy-scheduled) "
+                "crawl, and adaptive scheduling no longer exists; its "
+                "finished reports stay readable, but an unfinished run "
+                "cannot be resumed — start a fresh run"
             )
         dataset = CrawlDataset(started_at=store.get_meta("started_at", 0.0))
         checkpoint = CrawlCheckpoint(dataset=dataset)

@@ -101,6 +101,9 @@ class PageContent:
     _overlays: tuple[Element, ...] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _iframes: tuple[Element, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _features: dict[str, PageFeatures] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -136,6 +139,12 @@ class PageContent:
         if self._overlays is None:
             self._overlays = tuple(full_page_overlays(self.document, self.nodes))
         return self._overlays
+
+    def iframes(self) -> tuple[Element, ...]:
+        """The served tree's iframes, in document order."""
+        if self._iframes is None:
+            self._iframes = tuple(_with_tags(self.nodes, ("iframe",)))
+        return self._iframes
 
     def features(self, host: str) -> PageFeatures:
         """This page's :class:`PageFeatures` when reached at ``host``,
@@ -225,6 +234,13 @@ class PageLoad:
         if not self.injected:
             return served
         return tuple(clickable_candidates((*served, *self.injected)))
+
+    def iframes(self) -> tuple[Element, ...]:
+        """This load's iframes in document order: served, then injected."""
+        served = self.page.iframes()
+        if not self.injected:
+            return served
+        return (*served, *(node for node in self.injected if node.tag == "iframe"))
 
     def overlays(self) -> tuple[Element, ...]:
         """Transparent full-page overlays, topmost first; ties keep

@@ -134,20 +134,6 @@ class WorldConfig:
         return cls(**settings)
 
     @classmethod
-    def skewed(cls, seed: int = 7, **overrides: Any) -> "WorldConfig":
-        """Skewed-yield scale for adaptive-scheduling evaluation.
-
-        Tiny-sized, but every publisher hosts exactly one seed network,
-        so per-publisher SE yield follows that network's ``se_rate``
-        directly.  This maximizes the contrast between high- and
-        low-yield crawl arms, which is what :mod:`repro.sched` policies
-        exploit (and what ``benchmarks/bench_policy.py`` measures).
-        """
-        return cls.tiny(
-            seed=seed, **{"networks_per_publisher": (1, 1), **overrides}
-        )
-
-    @classmethod
     def small(cls, seed: int = 7, **overrides: Any) -> "WorldConfig":
         """Benchmark scale: stable ratios, sub-minute runs."""
         return cls(seed=seed, **overrides)

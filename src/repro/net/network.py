@@ -126,8 +126,7 @@ class Internet:
         Entering makes the unit's fresh :class:`CrawlScope`; leaving
         restores the outer scope and drops the finished one.  Nothing can
         read a finished scope again: a domain is entered once per process
-        (one plan entry each; adaptive rounds consume each domain once;
-        resume rebuilds the world), and the labels of its streams still
+        (one plan entry each; resume rebuilds the world), and the labels of its streams still
         include the domain, so every draw is the same as if it were kept.
 
         A unit left by an exception is not finished: its scope is kept

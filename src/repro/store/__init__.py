@@ -18,7 +18,6 @@ from repro.store.base import (
     INTERACTIONS,
     META,
     MILKING,
-    POLICY,
     PROGRESS,
     STREAMS,
     RunStore,
@@ -38,7 +37,6 @@ __all__ = [
     "ATTRIBUTION",
     "FEED",
     "MILKING",
-    "POLICY",
     "PROGRESS",
     "META",
 ]

@@ -39,11 +39,6 @@ PROGRESS = "progress"
 #: Stream of published blocklist-feed snapshots (one record per feed
 #: version; schema owned by :mod:`repro.feed.snapshot`).
 FEED = "feed"
-#: Stream of adaptive-scheduling decisions: one ``round`` record per
-#: allocated crawl round and one cumulative ``stats`` record per
-#: completed round (schema owned by :mod:`repro.sched.scheduler`).
-#: Empty for static (non-budgeted) runs.
-POLICY = "policy"
 #: Key/value metadata stream (append-only, last write wins per key).
 META = "meta"
 
@@ -56,7 +51,6 @@ STREAMS = (
     MILKING,
     PROGRESS,
     FEED,
-    POLICY,
     META,
 )
 

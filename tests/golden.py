@@ -5,10 +5,7 @@ campaigns, 0.5-day milking) at seeds 7 and 13 with one and two crawl
 workers, the SHA-256 of every store stream, of the canonical sim-lane
 trace, of the Prometheus metrics text and of the generated report of a
 traced streaming run; the batch ``run()`` report at seed 7 is pinned
-too.  The ``adaptive`` section pins the same four digests for
-policy-scheduled runs of a 30-publisher world (ucb1 and egreedy on a
-60-session budget, static on 40) at the same seeds and worker counts.
-The micro digests were recorded from the scalar session kernel over an
+too.  The micro digests were recorded from the scalar session kernel over an
 eagerly built world, so a run that reproduces them is byte-identical to
 those reference paths.  ``tests/test_sessionbatch.py`` and
 ``tests/test_lazy_world.py`` check the current code against them: any
@@ -33,7 +30,6 @@ from pathlib import Path
 from repro import SeacmaPipeline, WorldConfig, build_world
 from repro.analysis.reportgen import generate_report
 from repro.core.milking import MilkingConfig
-from repro.sched import SchedConfig
 from repro.store import JsonlStore
 from repro.telemetry import Telemetry, use
 from repro.telemetry.export import canonical_trace_bytes
@@ -42,16 +38,10 @@ GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 MILKING = MilkingConfig(duration_days=0.5, post_lookup_days=0.5)
 SEEDS = (7, 13)
 WORKERS = (1, 2)
-#: Adaptive golden runs: policy -> session budget.
-ADAPTIVE_BUDGETS = {"ucb1": 60, "egreedy": 60, "static": 40}
 
 
 def micro_config(seed: int) -> WorldConfig:
     return WorldConfig(seed=seed, n_publishers=8, n_campaigns=6)
-
-
-def adaptive_config(seed: int) -> WorldConfig:
-    return WorldConfig(seed=seed, n_publishers=30, n_campaigns=6)
 
 
 def sha256(data: bytes | str) -> str:
@@ -68,28 +58,10 @@ def stream_digests(store_dir: Path) -> dict[str, str]:
     }
 
 
-def streaming_digests(
-    store_dir: Path,
-    seed: int,
-    workers: int,
-    policy: str | None = None,
-) -> dict:
-    """Digests of one traced streaming run.
-
-    The micro world without a ``policy``; the adaptive world scheduled
-    by ``policy`` on its :data:`ADAPTIVE_BUDGETS` budget otherwise.
-    """
-    if policy is None:
-        world = build_world(micro_config(seed))
-        sched_config = None
-    else:
-        world = build_world(adaptive_config(seed))
-        sched_config = SchedConfig(
-            policy=policy, session_budget=ADAPTIVE_BUDGETS[policy]
-        )
-    pipeline = SeacmaPipeline(
-        world, milking_config=MILKING, sched_config=sched_config
-    )
+def streaming_digests(store_dir: Path, seed: int, workers: int) -> dict:
+    """Digests of one traced streaming run of the micro world."""
+    world = build_world(micro_config(seed))
+    pipeline = SeacmaPipeline(world, milking_config=MILKING)
     telemetry = Telemetry(world.clock)
     with use(telemetry):
         result = pipeline.run_streaming(
@@ -109,9 +81,8 @@ def batch_report_digest(seed: int) -> str:
     return sha256(generate_report(world, result))
 
 
-def run_key(seed: int, workers: int, policy: str | None = None) -> str:
-    key = f"seed{seed}-workers{workers}"
-    return key if policy is None else f"{policy}-{key}"
+def run_key(seed: int, workers: int) -> str:
+    return f"seed{seed}-workers{workers}"
 
 
 def golden() -> dict:
@@ -119,12 +90,10 @@ def golden() -> dict:
 
 
 @functools.cache
-def cached_streaming_digests(
-    seed: int, workers: int, policy: str | None = None
-) -> dict:
+def cached_streaming_digests(seed: int, workers: int) -> dict:
     """:func:`streaming_digests` of a run in a scratch store, computed once."""
     with tempfile.TemporaryDirectory() as scratch:
-        return streaming_digests(Path(scratch) / "store", seed, workers, policy)
+        return streaming_digests(Path(scratch) / "store", seed, workers)
 
 
 @functools.cache
@@ -139,18 +108,9 @@ def record() -> dict:
         for seed in SEEDS
         for workers in WORKERS
     }
-    adaptive = {
-        run_key(seed, workers, policy): cached_streaming_digests(
-            seed, workers, policy
-        )
-        for policy in ADAPTIVE_BUDGETS
-        for seed in SEEDS
-        for workers in WORKERS
-    }
     return {
         "streaming": streaming,
         "batch_report": {"seed7": cached_batch_report_digest(7)},
-        "adaptive": adaptive,
     }
 
 if __name__ == "__main__":

@@ -16,9 +16,9 @@ public ``run``.
 * **Config knobs:** every field of :data:`CONFIG_CLASSES` must be set
   somewhere, tests included: by keyword to the class, by keyword to
   ``replace(...)``, or from the CLI (which builds its configs by
-  keyword).  ``WorldConfig`` and ``SchedConfig`` are exempt: both are
-  written to store meta, and reading a store rejects unknown keys, so
-  their fields are part of the store format.
+  keyword).  ``WorldConfig`` is exempt: it is written to store meta,
+  and reading a store rejects unknown keys, so its fields are part of
+  the store format.
 * **Allow-list:** a flagged name passes only if :data:`ALLOWED` names
   it, with one of :data:`REASONS`.  An entry whose name gained a caller,
   no longer exists, or no longer meets its reason fails too.

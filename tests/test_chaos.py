@@ -308,8 +308,6 @@ class TestChaosMatrix:
         for directive in seeded_schedule(seed):
             if directive.point in PARALLEL_ONLY_POINTS and workers == 1:
                 continue
-            if directive.point in chaos_points.POLICY_POINTS:
-                continue  # unreachable in a static run; see the policy matrix
             reports.append(runner.run_case(directive))
         failures = [r.describe() for r in reports if not r.identical]
         assert not failures, "\n".join(failures)
@@ -331,41 +329,3 @@ class TestChaosMatrix:
 
     def test_worker_kill_exit_code_is_recoverable(self):
         assert CRASH_EXIT_CODE == 70  # documented in docs/operations.md
-
-
-@pytest.mark.slow
-class TestPolicyChaosMatrix:
-    """The adaptive-scheduling crash points, against the real CLI.
-
-    ``policy.update.pre``/``post`` bracket the arm-statistics append and
-    only execute when a policy is active, so they get their own matrix:
-    every point × raise/kill × workers 1/2, each run with
-    ``--policy ucb1 --session-budget 150``.  The resume phase takes no
-    policy flags — recovering the stored ``sched_config`` meta and
-    replaying the persisted rounds byte-identically IS the contract.
-    """
-
-    @pytest.mark.parametrize(
-        ("point", "mode", "workers"),
-        list(
-            itertools.product(
-                chaos_points.POLICY_POINTS, ("raise", "kill"), (1, 2)
-            )
-        ),
-        ids=lambda value: str(value).replace("policy.update.", ""),
-    )
-    def test_policy_update_crashes_recover_byte_identical(
-        self, tmp_path, point, mode, workers
-    ):
-        runner = ChaosRunner(
-            tmp_path,
-            seed=7,
-            workers=workers,
-            days=2.0,
-            run_flags=("--policy", "ucb1", "--session-budget", "150"),
-        )
-        report = runner.run_case(
-            CrashDirective(point, occurrence=2, mode=mode)
-        )
-        assert report.fired, report.describe()
-        assert report.identical, report.describe()

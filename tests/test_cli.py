@@ -151,6 +151,66 @@ class TestStoreErrorPaths:
         assert "error:" in capsys.readouterr().err
 
 
+class TestAdaptiveStores:
+    """Stores crawled by the retired adaptive scheduler carry a
+    ``sched_config`` meta record and a ``policy.jsonl`` stream.  Their
+    finished reports stay readable; an unfinished one cannot be resumed
+    with the static plan."""
+
+    SCHED_CONFIG = {
+        "policy": "ucb1",
+        "explore_floor": 0.15,
+        "session_budget": 150,
+        "round_domains": None,
+        "epsilon": 0.1,
+        "ucb_coef": 0.25,
+        "cluster_weight": 5.0,
+        "candidate_weight": 1.0,
+        "attribution_weight": 0.05,
+    }
+
+    @pytest.fixture
+    def adaptive_store(self, tmp_path, capsys):
+        """A finished run whose meta names it adaptive, written by hand."""
+        store_dir = tmp_path / "store"
+        assert main(
+            ["run", "--seed", "3", "--no-milking", "--store-dir", str(store_dir)]
+        ) == 0
+        capsys.readouterr()
+
+        def line(record):
+            return json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
+
+        with open(store_dir / "meta.jsonl", "a") as meta:
+            meta.write(line({"key": "sched_config", "value": self.SCHED_CONFIG}))
+        (store_dir / "policy.jsonl").write_text(
+            line({"kind": "round", "round": 0, "domains": []})
+        )
+        return store_dir
+
+    def test_unfinished_adaptive_store_is_refused(self, adaptive_store, capsys):
+        with open(adaptive_store / "meta.jsonl", "a") as meta:
+            meta.write('{"key":"status","value":"running"}\n')
+        code = main(["resume", str(adaptive_store)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+        assert "adaptive" in err
+        assert "Traceback" not in err
+
+    def test_finished_adaptive_store_still_reads(self, adaptive_store, capsys):
+        assert main(["store", "check", str(adaptive_store)]) == 0
+        out = capsys.readouterr().out
+        assert "clean" in out
+        assert re.search(r"policy\s+1 records", out)
+        assert main(["report", "--from-store", str(adaptive_store)]) == 0
+        assert capsys.readouterr().out.startswith("# SEACMA measurement report")
+        # A finished run is never resumed, adaptive or not.
+        assert main(["resume", str(adaptive_store)]) == 2
+        assert "already finished" in capsys.readouterr().err
+
+
 class TestWorkersFlag:
     def test_workers_apply_without_a_store(self, capsys):
         # Every run streams, so --workers needs no other flag.
@@ -178,28 +238,6 @@ class TestWorkersFlag:
             main([*argv, flag, "0"])
         err = capsys.readouterr().err
         assert f"{flag} must be at least 1" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            pytest.param(["run", "--explore-floor", "2"], id="static-no-budget"),
-            pytest.param(["run", "--explore-floor", "-0.1"], id="negative"),
-            pytest.param(
-                ["run", "--policy", "ucb1", "--explore-floor", "1.5"], id="adaptive"
-            ),
-        ],
-    )
-    def test_explore_floor_out_of_range_rejected(self, capsys, argv):
-        # Checked on every run, not only when a scheduling config is
-        # built (a static run without a budget builds none).
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert len(errors) == 1
-        assert errors[0].endswith("error: --explore-floor must be in [0, 1]")
         assert "Traceback" not in err
 
     def test_streamed_run_with_workers(self, tmp_path, capsys):

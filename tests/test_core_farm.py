@@ -8,11 +8,20 @@ from repro.core.farm import CrawlerFarm, FarmConfig
 from repro.core.crawler import CrawlerConfig
 
 
+def split_groups(world, domains):
+    """(institutional, residential) domains as the uncapped plan orders them."""
+    farm = CrawlerFarm(world, FarmConfig(residential_visit_fraction=1.0))
+    entries = farm.plan_crawl(domains, started_at=0.0).entries
+    return (
+        [entry.domain for entry in entries if not entry.residential],
+        [entry.domain for entry in entries if entry.residential],
+    )
+
+
 class TestGroupSplit:
     def test_cloaking_networks_go_residential(self, tiny_world):
-        farm = CrawlerFarm(tiny_world)
         domains = [site.domain for site in tiny_world.publishers]
-        institutional, residential = farm.split_publisher_groups(domains)
+        institutional, residential = split_groups(tiny_world, domains)
         assert set(institutional).isdisjoint(residential)
         assert len(institutional) + len(residential) == len(domains)
         for domain in residential:
@@ -23,8 +32,7 @@ class TestGroupSplit:
             assert not (site.uses_network("propeller") or site.uses_network("clickadu"))
 
     def test_unknown_domains_default_institutional(self, tiny_world):
-        farm = CrawlerFarm(tiny_world)
-        institutional, residential = farm.split_publisher_groups(["stranger.example"])
+        institutional, residential = split_groups(tiny_world, ["stranger.example"])
         assert institutional == ["stranger.example"]
         assert residential == []
 
@@ -52,9 +60,7 @@ class TestCrawl:
         world, _, result = pipeline_run
         dataset = result.crawl
         # §4.1: only a fraction of the residential group is crawled.
-        _, residential = CrawlerFarm(world).split_publisher_groups(
-            result.publisher_domains
-        )
+        _, residential = split_groups(world, result.publisher_domains)
         assert dataset.publishers_residential <= len(residential)
 
     def test_interactions_from_both_groups(self, pipeline_run):
@@ -103,9 +109,7 @@ class TestResidentialCap:
     """§4.1 visit-fraction cap: small groups must never be dropped whole."""
 
     def _residential_domains(self, world, count):
-        _, residential = CrawlerFarm(world).split_publisher_groups(
-            [site.domain for site in world.publishers]
-        )
+        _, residential = split_groups(world, [site.domain for site in world.publishers])
         assert len(residential) >= count
         return residential[:count]
 
@@ -184,53 +188,45 @@ class TestInterleavedCrawls:
 
 class TestGroupSplitEdges:
     def test_empty_input_yields_empty_groups(self, tiny_world):
-        assert CrawlerFarm(tiny_world).split_publisher_groups([]) == ([], [])
+        assert split_groups(tiny_world, []) == ([], [])
 
     def test_input_order_preserved_within_groups(self, tiny_world):
-        farm = CrawlerFarm(tiny_world)
         domains = [site.domain for site in tiny_world.publishers]
-        reversed_inst, reversed_res = farm.split_publisher_groups(
-            list(reversed(domains))
-        )
-        institutional, residential = farm.split_publisher_groups(domains)
+        reversed_inst, reversed_res = split_groups(tiny_world, list(reversed(domains)))
+        institutional, residential = split_groups(tiny_world, domains)
         assert reversed_inst == list(reversed(institutional))
         assert reversed_res == list(reversed(residential))
 
     def test_split_is_a_partition(self, tiny_world):
-        farm = CrawlerFarm(tiny_world)
         domains = [site.domain for site in tiny_world.publishers]
-        institutional, residential = farm.split_publisher_groups(domains)
+        institutional, residential = split_groups(tiny_world, domains)
         assert sorted(institutional + residential) == sorted(domains)
 
 
 class TestResidentialCapEdges:
-    def test_cap_disabled_keeps_every_residential_domain(self, fresh_world):
-        # A round plan: the scheduler caps the universe once up front,
-        # so per-round plans must not re-truncate their slice.
-        farm = CrawlerFarm(
-            fresh_world, FarmConfig(residential_visit_fraction=0.25)
-        )
-        domains = [site.domain for site in fresh_world.publishers]
-        _, residential = farm.split_publisher_groups(domains)
-        plan = farm.plan_round(domains, 0.0, 12.5)
-        kept = [entry for entry in plan.entries if entry.residential]
-        assert len(kept) == len(residential)
-        assert plan.residential_dropped == 0
-
     def test_full_fraction_drops_nothing(self, fresh_world):
         farm = CrawlerFarm(
             fresh_world, FarmConfig(residential_visit_fraction=1.0)
         )
-        domains = [site.domain for site in fresh_world.publishers]
-        _, residential = farm.split_publisher_groups(domains)
-        plan = farm.plan_crawl(domains, started_at=0.0)
+        sites = fresh_world.publishers
+        residential = [
+            site.domain
+            for site in sites
+            if site.uses_network("propeller") or site.uses_network("clickadu")
+        ]
+        plan = farm.plan_crawl([site.domain for site in sites], started_at=0.0)
         assert plan.residential_dropped == 0
-        assert sum(1 for e in plan.entries if e.residential) == len(residential)
+        kept = [entry for entry in plan.entries if entry.residential]
+        assert [entry.domain for entry in kept] == residential
+        # Each residential entry's laptop slots follow the ones before it.
+        assert [entry.residential_base for entry in kept] == [
+            index * len(PROFILES) for index in range(len(kept))
+        ]
 
     def test_all_institutional_plan_has_no_drops(self, fresh_world):
         farm = CrawlerFarm(fresh_world)
-        institutional, _ = farm.split_publisher_groups(
-            [site.domain for site in fresh_world.publishers]
+        institutional, _ = split_groups(
+            fresh_world, [site.domain for site in fresh_world.publishers]
         )
         plan = farm.plan_crawl(institutional, started_at=0.0)
         assert plan.residential_dropped == 0
@@ -238,36 +234,34 @@ class TestResidentialCapEdges:
 
 
 class TestPlanTimeStep:
-    def test_pinned_step_overrides_everything(self, tiny_world):
-        # A round plan runs on the step it is given, whatever the farm
-        # would derive for it.
-        farm = CrawlerFarm(tiny_world, FarmConfig(parallelism=8))
-        domains = [site.domain for site in tiny_world.publishers]
-        for count in (1, len(domains)):
-            plan = farm.plan_round(domains[:count], 0.0, 12.5)
-            assert plan.time_step == 12.5
-            assert plan.end_time == plan.total_sessions * 12.5
-
     def test_parallelism_divides_session_seconds(self, tiny_world):
         config = FarmConfig(parallelism=4)
         farm = CrawlerFarm(tiny_world, config)
         expected = tiny_world.config.session_seconds / 4
-        assert farm.plan_time_step(10) == expected
+        domains = [site.domain for site in tiny_world.publishers]
+        for count in (1, len(domains)):
+            assert farm.plan_crawl(domains[:count], 0.0).time_step == expected
 
     def test_default_spans_the_crawl_window(self, tiny_world):
         farm = CrawlerFarm(tiny_world)
         window = tiny_world.config.crawl_window_days * 86400.0
-        assert farm.plan_time_step(200) == window / 200
+        plan = farm.plan_crawl([site.domain for site in tiny_world.publishers], 0.0)
+        assert plan.time_step == window / plan.total_sessions
+        assert plan.end_time == pytest.approx(window)
 
     def test_zero_sessions_fall_back_to_session_seconds(self, tiny_world):
         farm = CrawlerFarm(tiny_world)
-        assert farm.plan_time_step(0) == tiny_world.config.session_seconds
+        plan = farm.plan_crawl([], 0.0)
+        assert plan.time_step == tiny_world.config.session_seconds
 
     def test_world_session_seconds_is_the_session_budget(self, monkeypatch):
         world = build_world(WorldConfig.tiny(seed=11, session_seconds=30.0))
-        assert CrawlerFarm(world, FarmConfig(parallelism=4)).plan_time_step(10) == 7.5
+        domains = [site.domain for site in world.publishers]
+        assert CrawlerFarm(world, FarmConfig(parallelism=4)).plan_crawl(
+            domains, 0.0
+        ).time_step == 7.5
         farm = CrawlerFarm(world)
-        assert farm.plan_time_step(0) == 30.0
+        assert farm.plan_crawl([], 0.0).time_step == 30.0
         budgets = []
         monkeypatch.setattr(
             "repro.core.farm.crawl_session",
@@ -277,17 +271,3 @@ class TestPlanTimeStep:
             world.publishers[0].domain, PROFILES[0], world.vantage_institution
         )
         assert budgets == [30.0]
-
-    def test_scheduler_grid_is_schedule_independent(self, tiny_world):
-        """One global step for a whole budget: cutting the budget into
-        rounds must not change the grid the rounds run on."""
-        farm = CrawlerFarm(tiny_world)
-        domains = [site.domain for site in tiny_world.publishers][:30]
-        whole = farm.plan_time_step(len(domains) * len(PROFILES))
-        started_at = 0.0
-        for size in (1, 9, 20):
-            plan = farm.plan_round(domains[:size], started_at, whole)
-            assert plan.time_step == whole
-            assert plan.session_time(0, 0) == started_at
-            started_at = plan.end_time
-        assert started_at == pytest.approx(30 * len(PROFILES) * whole)

@@ -2,14 +2,24 @@
 owns only what it adds (listeners, injected nodes, frame documents)."""
 
 from repro import build_world
+from repro.browser import browser as browser_module
 from repro.browser.browser import Browser
 from repro.browser.useragent import CHROME_MACOS
 from repro.clock import SimClock
 from repro.core.farm import CrawlerFarm
-from repro.dom.nodes import div, img
+from repro.dom import page as page_module
+from repro.dom.nodes import div, iframe, img
 from repro.dom.page import PageContent, PageFeatures, VisualSpec
 from repro.dom.render import full_page_overlays
-from repro.js.api import AddListener, InjectIframe, InjectOverlay, OpenTab, Script, handler
+from repro.js.api import (
+    AddListener,
+    Alert,
+    InjectIframe,
+    InjectOverlay,
+    OpenTab,
+    Script,
+    handler,
+)
 from repro.net.http import html_response
 from repro.net.ipspace import IpClass, VantagePoint
 from repro.net.network import Internet
@@ -167,3 +177,87 @@ class TestLandingFeatures:
         keys = [(id(page), host) for page, host in extracted]
         assert extracted
         assert len(keys) == len(set(keys)) <= len(dataset.interactions)
+
+
+class TestIframeList:
+    """Frames load from one served iframe tuple per page plus the load's
+    injected iframes, never from a rescan of the node tuple."""
+
+    def framed_page(self):
+        root = div(width=1280, height=800)
+        served = root.append(iframe("http://banner.adnet.com/ad", 300, 250))
+        script = Script(ops=(InjectIframe(src="http://land.club/frame"),), url="http://t.com/a.js")
+        page = PageContent(title="pub", document=root, scripts=[script], visual=VisualSpec("t/p"))
+        return page, served
+
+    def test_injected_iframe_loads_after_served_one(self):
+        page, served = self.framed_page()
+        net = make_net()
+        serve(net, "pub.com", page)
+        load = Browser(net, CHROME_MACOS, VP).visit("http://pub.com/").load
+        (injected,) = load.injected
+        assert load.iframes() == (served, injected)
+        assert list(load.frames) == [served, injected]
+        assert page.iframes() == (served,)
+
+    def test_page_loaded_twice_scans_its_nodes_once(self, monkeypatch):
+        scans = []
+        real = page_module._with_tags
+
+        def counting(nodes, tags):
+            scans.append(tags)
+            return real(nodes, tags)
+
+        monkeypatch.setattr(page_module, "_with_tags", counting)
+        page, _ = self.framed_page()
+        net = make_net()
+        serve(net, "pub.com", page)
+        browser = Browser(net, CHROME_MACOS, VP)
+        loads = [browser.visit("http://pub.com/").load for _ in range(2)]
+        assert [len(load.frames) for load in loads] == [2, 2]
+        # The served iframe tuple is built on the first load and shared.
+        assert scans == [("iframe",)]
+
+
+class TestOneHostPerClick:
+    def test_handlers_of_one_click_share_a_host(self, monkeypatch):
+        hosts = []
+        real_init = browser_module._TabHost.__init__
+
+        def counting(self, *args, **kwargs):
+            hosts.append(self)
+            real_init(self, *args, **kwargs)
+
+        root = div(width=1280, height=800)
+        image = root.append(img("content.jpg", 600, 400))
+        script = Script(
+            ops=(
+                AddListener("img:all", "click", handler(Alert("one"))),
+                AddListener("document", "click", handler(Alert("two"))),
+            ),
+            url="http://code.adnet.com/tag.js",
+        )
+        page = PageContent(title="pub", document=root, scripts=[script], visual=VisualSpec("t/p"))
+        net = make_net()
+        serve(net, "pub.com", page)
+        browser = Browser(net, CHROME_MACOS, VP)
+        tab = browser.visit("http://pub.com/")
+        monkeypatch.setattr(browser_module._TabHost, "__init__", counting)
+        outcome = browser.click(tab, image)
+        assert outcome.handlers_fired == 2
+        assert outcome.dialogs == 2
+        assert len(hosts) == 1
+
+    def test_click_firing_nothing_builds_no_host(self, monkeypatch):
+        hosts = []
+        monkeypatch.setattr(
+            browser_module._TabHost, "__init__", lambda self, *args, **kwargs: hosts.append(self)
+        )
+        root = div(width=1280, height=800)
+        image = root.append(img("content.jpg", 600, 400))
+        net = make_net()
+        serve(net, "pub.com", PageContent(title="pub", document=root))
+        browser = Browser(net, CHROME_MACOS, VP)
+        outcome = browser.click(browser.visit("http://pub.com/"), image)
+        assert outcome.handlers_fired == 0
+        assert hosts == []
