@@ -51,7 +51,7 @@ def crawl_once(workers: int) -> dict:
     for _ in run.crawl_batches():
         batches += 1
     wall_seconds = time.perf_counter() - started
-    dataset = run.farm.checkpoint.dataset
+    dataset = run.dataset
     return {
         "workers": workers,
         "wall_seconds": round(wall_seconds, 3),

@@ -17,7 +17,7 @@ Quickstart::
 
 from repro.ecosystem.world import World, WorldConfig, build_world
 from repro.core.pipeline import PipelineResult, SeacmaPipeline
-from repro.core.farm import CrawlCheckpoint, CrawlerFarm, FarmConfig, CrawlDataset
+from repro.core.farm import CrawlerFarm, FarmConfig, CrawlDataset
 from repro.faults import (
     FaultConfig,
     FaultPlan,
@@ -40,7 +40,6 @@ __all__ = [
     "build_world",
     "PipelineResult",
     "SeacmaPipeline",
-    "CrawlCheckpoint",
     "CrawlerFarm",
     "FarmConfig",
     "CrawlDataset",

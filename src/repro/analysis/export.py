@@ -132,8 +132,11 @@ def export_screenshot_gallery(
     for cluster in discovery.campaigns:
         client = DevToolsClient(internet, profile, vantage, stealth=True)
         tab = None
-        candidates = [record.landing_url for record in cluster.interactions[:3]]
-        for record in cluster.interactions[:3]:
+        # One store read per cluster: a slice of stored interactions
+        # decodes its rows afresh each time it is taken.
+        members = cluster.interactions[:3]
+        candidates = [record.landing_url for record in members]
+        for record in members:
             candidates.extend(milkable_candidates(record))
         for url in candidates:
             tab = client.navigate(url)

@@ -68,13 +68,13 @@ MERGE_POINTS = ("parallel.merge.pre", "parallel.merge.post")
 #: run as the crawl reaches each publisher, including inside shard
 #: workers.
 WORLD_POINTS = ("world.materialize.pre", "world.materialize.post")
-#: The session kernel's per-domain commit: ``pre`` dies before the
-#: domain's finished sessions are committed, ``post`` after they
-#: committed to the in-memory checkpoint but before the domain's batch
-#: reaches the store.  Either way nothing of
-#: the domain was persisted, so recovery re-crawls it from the last
-#: progress marker.  Reached once per crawled domain, in whichever
-#: process runs the domain.
+#: The session kernel's one commit per plan entry, after the entry's
+#: last session: ``pre`` dies before the domain's sessions are committed
+#: to the crawl dataset, ``post`` after they were but before the
+#: domain's batch reaches the store.  Either way nothing of the domain
+#: was persisted, so recovery re-crawls it whole from the last progress
+#: marker.  Reached once per crawled domain, in whichever process runs
+#: the domain.
 SESSIONBATCH_POINTS = ("farm.sessionbatch.pre", "farm.sessionbatch.post")
 
 CRASH_POINTS = (

@@ -23,6 +23,12 @@ shard of it.  Everything else — the sharded executor, its workers, the
 pipeline — receives plans and never re-plans, which is what lets
 :mod:`repro.parallel` carve a plan into deterministic shards whose
 merged output is byte-identical to a sequential crawl.
+
+The publisher domain is the crawl's one unit of progress.  A run
+writes into the :class:`CrawlDataset` it is handed — the farm keeps no
+progress of its own — and a domain counts only once all its sessions
+ran: the dataset's ``completed_domains`` is what every recovery
+(``seacma resume`` from the store, a respawned shard worker) skips.
 """
 
 from __future__ import annotations
@@ -79,10 +85,12 @@ class CrawlDataset:
     The records themselves live in the run store.  A pipeline run's
     ``interactions`` is a read-only view over the store's rows; only the
     farm's batch :meth:`CrawlerFarm.crawl` collects them here as a list.
+
+    A domain's sessions change the dataset only once all of them ran, so
+    a crash mid-domain leaves no trace of that domain here.
     """
 
     interactions: Sequence[AdInteraction] = ()
-    sessions: int = 0
     publishers_visited: int = 0
     publishers_institutional: int = 0
     publishers_residential: int = 0
@@ -95,6 +103,14 @@ class CrawlDataset:
     residential_dropped: int = 0
     started_at: float = 0.0
     finished_at: float = 0.0
+    #: Publisher domains whose sessions all ran; a run over this dataset
+    #: skips them.
+    completed_domains: set[str] = field(default_factory=set)
+
+    @property
+    def sessions(self) -> int:
+        """Crawl sessions run: every visited domain once per UA profile."""
+        return self.publishers_visited * len(PROFILES)
 
     @property
     def duration(self) -> float:
@@ -125,9 +141,6 @@ class CrawlBatch:
     #: Index of the domain in the canonical crawl plan (-1 for batches
     #: constructed outside a planned crawl); shard merging orders on it.
     position: int = -1
-    #: Sessions this batch actually ran (0 when every profile's session
-    #: was already checkpointed).
-    sessions: int = 0
     #: Plan-derived virtual start time of the domain's first session
     #: (telemetry span start; 0.0 for batches built outside a plan).
     plan_start: float = 0.0
@@ -178,36 +191,6 @@ class CrawlPlan:
         return self.started_at + self.total_sessions * self.time_step
 
 
-@dataclass
-class CrawlCheckpoint:
-    """Durable progress of one farm crawl.
-
-    Captures the dataset accumulated so far plus which domains finished
-    and which (domain, profile) sessions of the in-flight domain did, so a
-    crawl interrupted mid-flight resumes where it stopped and loses at
-    most the one in-flight session.  A finished domain's session marks
-    are dropped with it: :attr:`completed_domains` already skips it.
-    ``laptop_index`` preserves the residential-laptop rotation across the
-    restart.
-    """
-
-    dataset: CrawlDataset
-    completed_sessions: set[tuple[str, str]] = field(default_factory=set)
-    completed_domains: set[str] = field(default_factory=set)
-    laptop_index: int = 0
-    #: ``(domain, interactions)`` of committed sessions whose domain has
-    #: not finished — a crash mid-domain leaves them here, and the resumed
-    #: entry's batch carries them, so no batch ever lacks a session.
-    in_flight: tuple[str, list[AdInteraction]] | None = None
-
-    def take_in_flight(self, domain: str) -> list[AdInteraction]:
-        """The committed interactions of ``domain``'s unfinished entry."""
-        in_flight, self.in_flight = self.in_flight, None
-        if in_flight is not None and in_flight[0] == domain:
-            return in_flight[1]
-        return []
-
-
 class CrawlerFarm:
     """Runs the full crawl over a world's publisher population."""
 
@@ -216,9 +199,6 @@ class CrawlerFarm:
         self.config = config if config is not None else FarmConfig()
         #: The session kernel driving each plan entry's inner loop.
         self.kernel = SessionKernel()
-        #: Progress of the current/last :meth:`crawl` call; pass it back
-        #: in to resume after a crash.
-        self.checkpoint: CrawlCheckpoint | None = None
 
     def plan_crawl(
         self, publisher_domains: Iterable[str], started_at: float
@@ -282,75 +262,44 @@ class CrawlerFarm:
             residential_dropped=len(residential) - cap,
         )
 
-    def crawl(
-        self,
-        publisher_domains: list[str],
-        checkpoint: CrawlCheckpoint | None = None,
-    ) -> CrawlDataset:
+    def crawl(self, publisher_domains: list[str]) -> CrawlDataset:
         """Crawl every listed publisher with every UA profile.
 
-        The batch entry point: drains :meth:`crawl_incremental`, collects
-        every batch's interactions into the dataset, and returns the
-        drained checkpoint's dataset — *not* whatever :attr:`checkpoint`
-        currently aliases, so interleaved or nested ``crawl()`` calls on
-        one farm each get their own dataset back.  Progress is
-        checkpointed after every completed session; pass a previous
-        crawl's checkpoint back in to skip the work it already finished
-        (crash recovery).
+        The batch entry point: runs the static plan (:meth:`plan_crawl`,
+        starting now) through :meth:`run_plan` and collects every batch's
+        interactions into a fresh dataset.
         """
-        if checkpoint is None:
-            checkpoint = CrawlCheckpoint(
-                dataset=CrawlDataset(started_at=self.world.clock.now())
-            )
-        dataset = checkpoint.dataset
-        dataset.interactions = list(dataset.interactions)
-        for batch in self.crawl_incremental(publisher_domains, checkpoint):
-            dataset.interactions.extend(batch.interactions)
+        dataset = CrawlDataset(started_at=self.world.clock.now())
+        plan = self.plan_crawl(publisher_domains, dataset.started_at)
+        dataset.residential_dropped = plan.residential_dropped
+        dataset.interactions = [
+            record
+            for batch in self.run_plan(plan, dataset)
+            for record in batch.interactions
+        ]
         return dataset
-
-    def crawl_incremental(
-        self,
-        publisher_domains: list[str],
-        checkpoint: CrawlCheckpoint | None = None,
-    ) -> Iterator[CrawlBatch]:
-        """Crawl lazily, yielding one :class:`CrawlBatch` per finished domain.
-
-        The static plan (:meth:`plan_crawl`, starting at the checkpoint
-        dataset's start) run by :meth:`run_plan`: the consumer sees each
-        domain's interactions as soon as its sessions finish, while the
-        checkpoint and dataset advance exactly as in :meth:`crawl`.
-        """
-        if checkpoint is None:
-            checkpoint = CrawlCheckpoint(
-                dataset=CrawlDataset(started_at=self.world.clock.now())
-            )
-        self.checkpoint = checkpoint
-        plan = self.plan_crawl(publisher_domains, checkpoint.dataset.started_at)
-        checkpoint.dataset.residential_dropped = plan.residential_dropped
-        return self.run_plan(plan, checkpoint)
 
     def run_plan(
         self,
         plan: CrawlPlan,
-        checkpoint: CrawlCheckpoint,
+        dataset: CrawlDataset,
         shard: tuple[int, int] | None = None,
     ) -> Iterator[CrawlBatch]:
-        """Run ``plan``, yielding one :class:`CrawlBatch` per finished domain.
+        """Run ``plan`` into ``dataset``, one :class:`CrawlBatch` per domain.
 
         Every session seeks the world clock to its plan-derived start
         time before running, so the virtual-time line each domain sees is
         identical whether the plan runs sequentially, is resumed, or is
         split across shard workers.  Abandoning the iterator mid-crawl
-        leaves ``checkpoint`` resumable and ``dataset.finished_at`` unset;
-        domains the checkpoint already completed are skipped without
-        being re-yielded.
+        leaves ``dataset.finished_at`` unset; running the plan over the
+        same dataset again skips its completed domains without
+        re-yielding them.
 
         ``shard=(index, count)`` runs only the entries :func:`shard_index`
         assigns to shard ``index`` — at their unchanged plan positions,
         clock values and laptop slots — and leaves the end-of-crawl
         bookkeeping to the merge step.
         """
-        self.checkpoint = checkpoint
         entries = plan.entries
         if shard is not None:
             index, count = shard
@@ -362,7 +311,7 @@ class CrawlerFarm:
         world = self.world
         telemetry = current_telemetry()
         for entry in entries:
-            if entry.domain in checkpoint.completed_domains:
+            if entry.domain in dataset.completed_domains:
                 continue
             plan_start = plan.session_time(entry.position, 0)
             # Operational lane: this span lives wherever the sessions
@@ -374,71 +323,53 @@ class CrawlerFarm:
                 lane=SHARD_LANE,
                 sim_start=plan_start,
             ), world.internet.scoped(entry.domain):
-                batch, sessions_run = self.kernel.run_entry(
-                    self, entry, plan, checkpoint
-                )
+                batch = self.kernel.run_entry(self, entry, plan, dataset)
             yield self._complete_domain(
-                checkpoint, entry, batch, world.clock.now(), sessions_run,
-                plan_start=plan_start,
+                dataset, entry, batch, world.clock.now(), plan_start
             )
         if shard is None:
             world.clock.seek(plan.end_time)
-            checkpoint.dataset.finished_at = plan.end_time
+            dataset.finished_at = plan.end_time
 
     def _complete_domain(
         self,
-        checkpoint: CrawlCheckpoint,
+        dataset: CrawlDataset,
         entry: PlanEntry,
         interactions: list[AdInteraction],
         batch_clock: float,
-        sessions_run: int,
-        plan_start: float = 0.0,
+        plan_start: float,
     ) -> CrawlBatch:
         """Per-domain bookkeeping shared by the drive and merge paths."""
-        dataset = checkpoint.dataset
         dataset.publishers_visited += 1
         if entry.residential:
             dataset.publishers_residential += 1
         else:
             dataset.publishers_institutional += 1
-        # The batch holds every session of the domain, including those a
-        # crash interrupted (see :attr:`CrawlCheckpoint.in_flight`).
         if interactions:
             dataset.publishers_with_ads.add(entry.domain)
-        checkpoint.completed_domains.add(entry.domain)
-        for profile in PROFILES:
-            checkpoint.completed_sessions.discard((entry.domain, profile.name))
-        checkpoint.in_flight = None
+        dataset.completed_domains.add(entry.domain)
         return CrawlBatch(
             domain=entry.domain,
             residential=entry.residential,
             interactions=interactions,
             clock=batch_clock,
             position=entry.position,
-            sessions=sessions_run,
             plan_start=plan_start,
         )
 
     def absorb_batch(
-        self, checkpoint: CrawlCheckpoint, entry: PlanEntry, batch: CrawlBatch
+        self, dataset: CrawlDataset, entry: PlanEntry, batch: CrawlBatch
     ) -> CrawlBatch:
-        """Replay a worker-produced batch into this farm's bookkeeping.
+        """Replay a worker-produced batch into ``dataset``.
 
         The merge half of sharded crawling: batches arrive in canonical
-        plan order and mutate the parent checkpoint/dataset exactly as
+        plan order and mutate the parent dataset exactly as
         :meth:`run_plan` would have, so downstream consumers cannot tell a
         merged crawl from a sequential one.
         """
-        dataset = checkpoint.dataset
-        dataset.sessions += batch.sessions
         dataset.count_landings(batch.interactions)
-        if entry.residential:
-            checkpoint.laptop_index = (
-                entry.residential_base + len(PROFILES)
-            )
         return self._complete_domain(
-            checkpoint, entry, batch.interactions, batch.clock, batch.sessions,
-            plan_start=batch.plan_start,
+            dataset, entry, batch.interactions, batch.clock, batch.plan_start
         )
 
     def _run_session(

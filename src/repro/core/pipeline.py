@@ -32,6 +32,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.browser.useragent import PROFILES
 from repro.chaos.points import crash_point
 from repro.core.attribution import (
     AttributionResult,
@@ -47,7 +48,6 @@ from repro.core.discovery import (
 )
 from repro.core.farm import (
     CrawlBatch,
-    CrawlCheckpoint,
     CrawlDataset,
     CrawlerFarm,
     FarmConfig,
@@ -429,21 +429,20 @@ class StreamingRun:
         self._buffer: list = []
         self._buffered_domains = 0
         self._finalized = False
-        if resume:
-            checkpoint = self._rebuild_checkpoint()
-        else:
-            checkpoint = CrawlCheckpoint(
-                dataset=CrawlDataset(started_at=pipeline.world.clock.now())
-            )
-        self.farm.checkpoint = checkpoint
-        #: The dataset's records are the store's rows, as they land.
-        checkpoint.dataset.interactions = StoredInteractions(store)
+        #: The crawl's progress and counters; its records are the
+        #: store's rows, as they land.
+        self.dataset = (
+            self._rebuild_dataset()
+            if resume
+            else CrawlDataset(started_at=pipeline.world.clock.now())
+        )
+        self.dataset.interactions = StoredInteractions(store)
         self.writer = StoreWriter(store)
         #: The run's crawl plan.
         self.plan = self.farm.plan_crawl(
-            self.result.publisher_domains, checkpoint.dataset.started_at
+            self.result.publisher_domains, self.dataset.started_at
         )
-        checkpoint.dataset.residential_dropped = self.plan.residential_dropped
+        self.dataset.residential_dropped = self.plan.residential_dropped
         if resume:
             self._replay()
         else:
@@ -460,7 +459,7 @@ class StreamingRun:
             # clock at zero).
             store.begin_intent("run-init")
             store.put_meta("status", "running")
-            store.put_meta("started_at", checkpoint.dataset.started_at)
+            store.put_meta("started_at", self.dataset.started_at)
             store.put_meta(
                 "world_config", world_config_to_meta(pipeline.world.config)
             )
@@ -485,7 +484,6 @@ class StreamingRun:
         resumable.
         """
         telemetry = current_telemetry()
-        checkpoint = self.farm.checkpoint
         # NOTE: no ``workers`` attr here — the sim lane must be identical
         # across --workers counts; execution shape lives on the shard-lane
         # ``parallel.merge`` span instead.
@@ -494,9 +492,9 @@ class StreamingRun:
             attrs={"publishers": len(self.result.publisher_domains)},
         ):
             if self.workers > 1:
-                batches = self._make_executor().run(self.plan, checkpoint)
+                batches = self._make_executor().run(self.plan, self.dataset)
             else:
-                batches = self.farm.run_plan(self.plan, checkpoint)
+                batches = self.farm.run_plan(self.plan, self.dataset)
             for batch in batches:
                 self._persist_batch(batch, telemetry)
                 self._buffer.extend(batch.interactions)
@@ -517,15 +515,12 @@ class StreamingRun:
         store.begin_intent(f"batch:{batch.domain}")
         self.writer.ingest(batch.interactions)
         crash_point("checkpoint.persist")
-        checkpoint = self.farm.checkpoint
         store.append(
             PROGRESS,
             progress_to_record(
-                domain=batch.domain,
-                residential=batch.residential,
-                laptop_index=checkpoint.laptop_index,
+                self.plan.entries[batch.position],
                 clock=batch.clock,
-                sessions=checkpoint.dataset.sessions,
+                sessions=self.dataset.sessions,
                 interaction_rows=self.writer.rows_written,
             ),
         )
@@ -540,7 +535,7 @@ class StreamingRun:
             attrs={
                 "domain": batch.domain,
                 "residential": batch.residential,
-                "sessions": batch.sessions,
+                "sessions": len(PROFILES),
                 "interactions": len(batch.interactions),
             },
         )
@@ -591,7 +586,7 @@ class StreamingRun:
         pipeline = self.pipeline
         store = self.store
         result = self.result
-        dataset = self.farm.checkpoint.dataset
+        dataset = self.dataset
         if not dataset.finished_at:
             raise ConfigError(
                 "the crawl has not finished; drain crawl_batches() before "
@@ -656,12 +651,12 @@ class StreamingRun:
 
     # ------------------------------------------------------------- resume
 
-    def _rebuild_checkpoint(self) -> CrawlCheckpoint:
-        """Reconstruct farm progress from the store's surviving streams.
+    def _rebuild_dataset(self) -> CrawlDataset:
+        """Reconstruct crawl progress from the store's surviving streams.
 
-        Rebuilds the :class:`CrawlCheckpoint` the interrupted crawl would
-        have held, at domain granularity: a domain whose progress marker
-        never made it to disk is re-crawled from scratch.  The stored
+        Rebuilds the :class:`CrawlDataset` the interrupted crawl held,
+        at its one unit of progress, the domain: a domain whose progress
+        marker never made it to disk is re-crawled from scratch.  The stored
         interactions themselves are replayed into the analysis stages by
         :meth:`_replay` once every stage exists.
         """
@@ -689,11 +684,10 @@ class StreamingRun:
                 "cannot be resumed — start a fresh run"
             )
         dataset = CrawlDataset(started_at=store.get_meta("started_at", 0.0))
-        checkpoint = CrawlCheckpoint(dataset=dataset)
         last = None
         for marker in store.scan(PROGRESS):
             last = marker
-            checkpoint.completed_domains.add(marker["domain"])
+            dataset.completed_domains.add(marker["domain"])
             dataset.publishers_visited += 1
             if marker["residential"]:
                 dataset.publishers_residential += 1
@@ -713,7 +707,7 @@ class StreamingRun:
             # The run died between appending a domain's interactions and
             # writing its progress marker.  Those rows were never
             # acknowledged — trim them (and their clustering views) and
-            # re-crawl the domain, exactly like a lost in-flight session.
+            # re-crawl the domain.
             logger.warning(
                 "store %r holds %d interaction rows past the last progress "
                 "marker (torn crawl batch); trimming and re-crawling",
@@ -726,11 +720,9 @@ class StreamingRun:
             )
             store.truncate(HASHES, keep)
         if last is not None:
-            checkpoint.laptop_index = last["laptop_index"]
-            dataset.sessions = last["sessions"]
             # Pick the virtual-time line back up where the run stopped.
             self.pipeline.world.clock.advance_to(last["clock"])
-        return checkpoint
+        return dataset
 
     def _replay(self) -> None:
         """Feed every stored interaction through the analysis stages.
@@ -740,7 +732,7 @@ class StreamingRun:
         else, so a resumed run holds no more than an uninterrupted one.
         """
         store = self.store
-        dataset = self.farm.checkpoint.dataset
+        dataset = self.dataset
         chunk: list = []
         with current_telemetry().span(
             "resume.rebuild",
@@ -758,5 +750,5 @@ class StreamingRun:
             self._replay_chunk(chunk)
 
     def _replay_chunk(self, chunk: list) -> None:
-        self.farm.checkpoint.dataset.count_landings(chunk)
+        self.dataset.count_landings(chunk)
         ingest_all(self.analysis_stages, chunk)

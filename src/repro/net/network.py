@@ -117,30 +117,22 @@ class Internet:
         #: The crawl unit driving the current requests: the root scope
         #: ``""`` (alive as long as this internet) outside any crawl unit.
         self.scope = CrawlScope("")
-        self._interrupted: dict[str, CrawlScope] = {}
 
     @contextmanager
     def scoped(self, label: str) -> Iterator[None]:
         """Attribute all requests inside the block to crawl unit ``label``.
 
-        Entering makes the unit's fresh :class:`CrawlScope`; leaving
-        restores the outer scope and drops the finished one.  Nothing can
-        read a finished scope again: a domain is entered once per process
-        (one plan entry each; resume rebuilds the world), and the labels of its streams still
-        include the domain, so every draw is the same as if it were kept.
-
-        A unit left by an exception is not finished: its scope is kept
-        and handed back when the unit is entered again, so an in-process
-        resume from a session checkpoint continues the unit's streams
-        where the crash stopped them.
+        Entering makes the unit's fresh :class:`CrawlScope`; leaving —
+        normally or by an exception — restores the outer scope and drops
+        the unit's.  Nothing reads a dropped scope again: a domain is
+        entered once per plan entry, and a domain an exception
+        interrupted is re-crawled whole in a fresh scope, exactly as a
+        resume over a rebuilt world crawls it.
         """
         outer = self.scope
-        self.scope = self._interrupted.pop(label, None) or CrawlScope(label)
+        self.scope = CrawlScope(label)
         try:
             yield
-        except BaseException:
-            self._interrupted[label] = self.scope
-            raise
         finally:
             self.scope = outer
 

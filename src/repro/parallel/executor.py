@@ -39,7 +39,6 @@ from typing import Iterator
 from repro.chaos.points import CRASH_EXIT_CODE, CrashError, crash_point
 from repro.core.farm import (
     CrawlBatch,
-    CrawlCheckpoint,
     CrawlDataset,
     CrawlerFarm,
     CrawlPlan,
@@ -126,12 +125,9 @@ def run_shard(spec: ShardSpec) -> None:
             )
             telemetry = Telemetry(world.clock) if spec.telemetry else None
             farm = CrawlerFarm(world, spec.farm_config)
-            checkpoint = CrawlCheckpoint(
-                dataset=CrawlDataset(),
-                completed_domains=set(spec.completed_domains),
-            )
+            dataset = CrawlDataset(completed_domains=set(spec.completed_domains))
             batches = farm.run_plan(
-                spec.plan, checkpoint, shard=(spec.shard, spec.shard_count)
+                spec.plan, dataset, shard=(spec.shard, spec.shard_count)
             )
             if telemetry is not None:
                 with use_telemetry(telemetry):
@@ -230,69 +226,75 @@ class ShardedCrawlExecutor:
 
     # ------------------------------------------------------------------ run
 
-    def run(
-        self, plan: CrawlPlan, checkpoint: CrawlCheckpoint
-    ) -> Iterator[CrawlBatch]:
-        """Run ``plan`` with worker processes.
+    def run(self, plan: CrawlPlan, dataset: CrawlDataset) -> Iterator[CrawlBatch]:
+        """Run ``plan`` into ``dataset`` with worker processes.
 
         Yields finished batches in plan order as soon as each becomes
-        available, updating ``checkpoint`` (and the farm's dataset)
-        exactly as :meth:`~repro.core.farm.CrawlerFarm.run_plan` would.
+        available, updating ``dataset`` exactly as
+        :meth:`~repro.core.farm.CrawlerFarm.run_plan` would.  The segment
+        directory is removed on every exit — finished, failed or
+        abandoned — since segments are transport, never recovery state.
         """
-        self.farm.checkpoint = checkpoint
         self._plan = plan
         pending = [
             entry
             for entry in plan.entries
-            if entry.domain not in checkpoint.completed_domains
+            if entry.domain not in dataset.completed_domains
         ]
-        processes, readers = self._spawn()
         summaries: list[dict] = []
         self._span_payloads = {}
         self._respawns = {}
         try:
-            yield from self._merge(pending, processes, readers, summaries)
-            # Workers write their summary *after* their last batch; the
-            # merge only waits for batches, so wait for every summary
-            # before the finally block may terminate a mid-write worker.
-            self._await_summaries(processes, readers, summaries)
+            processes, readers = self._spawn(dataset)
+            try:
+                yield from self._merge(
+                    pending, processes, readers, summaries, dataset
+                )
+                # Workers write their summary *after* their last batch;
+                # the merge only waits for batches, so wait for every
+                # summary before the finally block may terminate a
+                # mid-write worker.
+                self._await_summaries(processes, readers, summaries, dataset)
+            finally:
+                for process in processes:
+                    if process.is_alive():
+                        process.terminate()
+                    process.join()
+            telemetry = current_telemetry()
+            crash_point("parallel.merge.pre")
+            with telemetry.span(
+                "parallel.merge", attrs={"workers": self.workers}, lane=SHARD_LANE
+            ):
+                self._reconcile(plan, dataset, summaries)
+                if telemetry.enabled:
+                    for shard in sorted(self._span_payloads):
+                        payload = self._span_payloads[shard]
+                        telemetry.tracer.adopt_shard_records(
+                            payload["spans"], payload["shard"]
+                        )
+            crash_point("parallel.merge.post")
         finally:
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-                process.join()
-        telemetry = current_telemetry()
-        crash_point("parallel.merge.pre")
-        with telemetry.span(
-            "parallel.merge", attrs={"workers": self.workers}, lane=SHARD_LANE
-        ):
-            self._reconcile(plan, checkpoint, summaries)
-            if telemetry.enabled:
-                for shard in sorted(self._span_payloads):
-                    payload = self._span_payloads[shard]
-                    telemetry.tracer.adopt_shard_records(
-                        payload["spans"], payload["shard"]
-                    )
-        crash_point("parallel.merge.post")
-        shutil.rmtree(self.segment_dir, ignore_errors=True)
+            shutil.rmtree(self.segment_dir, ignore_errors=True)
 
     # ------------------------------------------------------------- plumbing
 
-    def _spawn(self) -> tuple[list, list[SegmentReader]]:
+    def _spawn(self, dataset: CrawlDataset) -> tuple[list, list[SegmentReader]]:
         """Start one worker per shard (fork when available, else spawn)."""
         processes = []
         readers = []
         for shard in range(self.workers):
-            process, reader = self._launch(shard)
+            process, reader = self._launch(shard, dataset)
             processes.append(process)
             readers.append(reader)
         return processes, readers
 
-    def _launch(self, shard: int) -> tuple[object, SegmentReader]:
+    def _launch(
+        self, shard: int, dataset: CrawlDataset
+    ) -> tuple[object, SegmentReader]:
         """(Re)start one shard worker on a clean segment file.
 
-        The spec's ``completed_domains`` is read from the live checkpoint
-        at launch time, so a *respawned* worker skips every domain the
+        The spec's ``completed_domains`` is read from the parent's
+        ``dataset`` at launch time, so a *respawned* worker skips every domain the
         merge already absorbed — including its dead predecessor's — and
         re-crawls only the remainder, deterministically (all
         request-order-dependent streams are keyed by domain).  The old
@@ -300,7 +302,6 @@ class ShardedCrawlExecutor:
         the fresh :class:`SegmentReader` starts at offset zero.
         """
         self.segment_dir.mkdir(parents=True, exist_ok=True)
-        checkpoint = self.farm.checkpoint
         path = segment_path(self.segment_dir, shard, self.workers)
         path.unlink(missing_ok=True)
         spec = ShardSpec(
@@ -309,7 +310,7 @@ class ShardedCrawlExecutor:
             retries_enabled=self.retries_enabled,
             retry_policy=self.retry_policy,
             plan=self._plan,
-            completed_domains=frozenset(checkpoint.completed_domains),
+            completed_domains=frozenset(dataset.completed_domains),
             shard=shard,
             shard_count=self.workers,
             segment_path=str(path),
@@ -328,6 +329,7 @@ class ShardedCrawlExecutor:
         readers: list[SegmentReader],
         summaries: list[dict],
         context: str,
+        dataset: CrawlDataset,
     ) -> None:
         """A worker exited abnormally: respawn a killed one, raise otherwise.
 
@@ -362,7 +364,7 @@ class ShardedCrawlExecutor:
             self.max_respawns,
         )
         current_telemetry().inc("parallel.worker_respawns")
-        processes[shard], readers[shard] = self._launch(shard)
+        processes[shard], readers[shard] = self._launch(shard, dataset)
 
     def _merge(
         self,
@@ -370,11 +372,10 @@ class ShardedCrawlExecutor:
         processes: list,
         readers: list[SegmentReader],
         summaries: list[dict],
+        dataset: CrawlDataset,
     ) -> Iterator[CrawlBatch]:
         """Re-emit worker batches in canonical plan order."""
         world = self.world
-        farm = self.farm
-        checkpoint = farm.checkpoint
         arrived: dict[int, CrawlBatch] = {}
         for entry in pending:
             shard = shard_index(entry.domain, self.workers)
@@ -390,6 +391,7 @@ class ShardedCrawlExecutor:
                         readers,
                         summaries,
                         f"before finishing {entry.domain!r}",
+                        dataset,
                     )
                     continue
                 if not progressed:
@@ -398,13 +400,14 @@ class ShardedCrawlExecutor:
             # Mirror the sequential drive: the parent clock tracks the
             # just-finished domain's last session between yields.
             world.clock.seek(batch.clock)
-            yield farm.absorb_batch(checkpoint, entry, batch)
+            yield self.farm.absorb_batch(dataset, entry, batch)
 
     def _await_summaries(
         self,
         processes: list,
         readers: list[SegmentReader],
         summaries: list[dict],
+        dataset: CrawlDataset,
     ) -> None:
         """Block until every shard's summary record has been read."""
         leftovers: dict[int, CrawlBatch] = {}
@@ -424,6 +427,7 @@ class ShardedCrawlExecutor:
                         readers,
                         summaries,
                         "before delivering its summary record",
+                        dataset,
                     )
                     continue
                 exited_cleanly = True
@@ -479,7 +483,7 @@ class ShardedCrawlExecutor:
     def _reconcile(
         self,
         plan: CrawlPlan,
-        checkpoint: CrawlCheckpoint,
+        dataset: CrawlDataset,
         summaries: list[dict],
     ) -> None:
         """Bring the parent world to the sequential end-of-crawl state."""
@@ -515,7 +519,7 @@ class ShardedCrawlExecutor:
                 server.syndicated_impressions += counters["syndicated_impressions"]
             world.internet.absorb_fetch_count(summary.get("fetch_count", 0))
         world.clock.seek(plan.end_time)
-        checkpoint.dataset.finished_at = plan.end_time
+        dataset.finished_at = plan.end_time
         # The workers' campaign servers rotated their throwaway-domain
         # pools while serving; pool schedules are a pure function of the
         # latest time queried, so one end-of-crawl rotation reproduces the

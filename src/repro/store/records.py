@@ -21,7 +21,8 @@ from repro.attacks.categories import AttackCategory
 from repro.core.attribution import AttributionResult
 from repro.core.crawler import AdInteraction
 from repro.core.discovery import DiscoveredCampaign, DiscoveryResult
-from repro.core.farm import CrawlDataset
+from repro.browser.useragent import PROFILES
+from repro.core.farm import CrawlDataset, PlanEntry
 from repro.core.milking import MilkedDomain, MilkedFile, MilkingReport
 from repro.core.rows import StoredInteractions
 from repro.core.seeds import InvariantPattern
@@ -254,18 +255,19 @@ def milking_from_records(rows: list[dict[str, Any]]) -> MilkingReport:
 
 
 def progress_to_record(
-    domain: str,
-    residential: bool,
-    laptop_index: int,
-    clock: float,
-    sessions: int,
-    interaction_rows: int,
+    entry: PlanEntry, clock: float, sessions: int, interaction_rows: int
 ) -> dict[str, Any]:
-    """One ``progress`` stream record: a publisher domain finished."""
+    """One ``progress`` stream record: plan entry ``entry`` finished.
+
+    ``laptop_index`` is the residential-laptop slot after the entry's
+    last session, which the plan fixes (0 for an institutional entry).
+    """
     return {
-        "domain": domain,
-        "residential": residential,
-        "laptop_index": laptop_index,
+        "domain": entry.domain,
+        "residential": entry.residential,
+        "laptop_index": (
+            entry.residential_base + len(PROFILES) if entry.residential else 0
+        ),
         "clock": clock,
         "sessions": sessions,
         "interaction_rows": interaction_rows,
@@ -292,7 +294,6 @@ def crawl_summary_from_meta(data: dict[str, Any], store: RunStore) -> CrawlDatas
     are a view over ``store``'s rows."""
     return CrawlDataset(
         interactions=StoredInteractions(store),
-        sessions=data["sessions"],
         publishers_visited=data["publishers_visited"],
         publishers_institutional=data["publishers_institutional"],
         publishers_residential=data["publishers_residential"],

@@ -38,7 +38,6 @@ def batch_to_segment_record(batch: CrawlBatch) -> dict[str, Any]:
         "domain": batch.domain,
         "residential": batch.residential,
         "clock": batch.clock,
-        "sessions": batch.sessions,
         "plan_start": batch.plan_start,
         "interactions": [
             interaction_to_dict(record) for record in batch.interactions
@@ -56,7 +55,6 @@ def batch_from_segment_record(data: dict[str, Any]) -> CrawlBatch:
         ],
         clock=data["clock"],
         position=data["position"],
-        sessions=data["sessions"],
         plan_start=data.get("plan_start", 0.0),
     )
 

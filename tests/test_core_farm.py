@@ -4,7 +4,7 @@ import pytest
 
 from repro import WorldConfig, build_world
 from repro.browser.useragent import PROFILES
-from repro.core.farm import CrawlerFarm, FarmConfig
+from repro.core.farm import CrawlDataset, CrawlerFarm, FarmConfig
 from repro.core.crawler import CrawlerConfig
 
 
@@ -147,43 +147,51 @@ class TestResidentialCap:
 
 
 class TestInterleavedCrawls:
-    """crawl() must return the drained checkpoint's dataset, not whatever
-    ``farm.checkpoint`` happens to alias at return time."""
+    """A run writes only the dataset it is handed: the farm itself holds
+    no crawl progress for interleaved runs to alias."""
 
     def test_completed_recrawl_survives_interleaved_start(self, fresh_world):
         farm = CrawlerFarm(fresh_world, FarmConfig(crawler=CrawlerConfig(max_ads=1)))
         domains = [site.domain for site in fresh_world.publishers[:4]]
         others = [site.domain for site in fresh_world.publishers[4:8]]
-        dataset = farm.crawl(domains)
-        checkpoint = farm.checkpoint
-        # Starting another crawl re-points farm.checkpoint before the
-        # completed re-crawl returns; the old code returned that
-        # stranger's (empty) dataset.
-        interloper = farm.crawl_incremental(others)
-        again = farm.crawl(domains, checkpoint=checkpoint)
-        assert again is dataset
+        dataset = CrawlDataset(started_at=fresh_world.clock.now())
+        plan = farm.plan_crawl(domains, dataset.started_at)
+        for _ in farm.run_plan(plan, dataset):
+            pass
+        visited = dataset.publishers_visited
+        other = CrawlDataset(started_at=fresh_world.clock.now())
+        interloper = farm.run_plan(
+            farm.plan_crawl(others, other.started_at), other
+        )
+        next(interloper)
+        # The finished run, started again while another is in flight,
+        # yields nothing and leaves both datasets as they were.
+        assert list(farm.run_plan(plan, dataset)) == []
+        assert dataset.publishers_visited == visited
+        assert other.publishers_visited == 1
         interloper.close()
 
     def test_interleaved_incremental_and_batch_crawls(self, fresh_world):
-        from repro.core.farm import CrawlCheckpoint, CrawlDataset
-
         farm = CrawlerFarm(fresh_world, FarmConfig(crawler=CrawlerConfig(max_ads=1)))
         list_a = [site.domain for site in fresh_world.publishers[:3]]
         list_b = [site.domain for site in fresh_world.publishers[3:6]]
-        checkpoint_a = CrawlCheckpoint(
-            dataset=CrawlDataset(started_at=fresh_world.clock.now())
-        )
-        crawl_a = farm.crawl_incremental(list_a, checkpoint_a)
-        next(crawl_a)  # crawl A is now in flight
-        dataset_b = farm.crawl(list_b)
-        for _ in crawl_a:
-            pass
-        domains_b = {r.publisher_domain for r in dataset_b.interactions}
-        domains_a = {r.publisher_domain for r in checkpoint_a.dataset.interactions}
-        assert domains_b <= set(list_b)
-        assert domains_a <= set(list_a)
-        assert dataset_b is not checkpoint_a.dataset
-        assert checkpoint_a.dataset.publishers_visited == 3
+        dataset_a = CrawlDataset(started_at=fresh_world.clock.now())
+        plan_a = farm.plan_crawl(list_a, dataset_a.started_at)
+        crawl_a = farm.run_plan(plan_a, dataset_a)
+        batches_a = [next(crawl_a)]  # crawl A is now in flight
+        dataset_b = CrawlDataset(started_at=fresh_world.clock.now())
+        plan_b = farm.plan_crawl(list_b, dataset_b.started_at)
+        batches_b = list(farm.run_plan(plan_b, dataset_b))
+        batches_a.extend(crawl_a)
+        records_a = [r for batch in batches_a for r in batch.interactions]
+        records_b = [r for batch in batches_b for r in batch.interactions]
+        assert {r.publisher_domain for r in records_a} <= set(list_a)
+        assert {r.publisher_domain for r in records_b} <= set(list_b)
+        for plan, dataset in ((plan_a, dataset_a), (plan_b, dataset_b)):
+            planned = {entry.domain for entry in plan.entries}
+            assert dataset.completed_domains == planned
+            assert dataset.publishers_visited == len(planned)
+        assert dataset_a.publishers_visited == 3
 
 
 class TestGroupSplitEdges:

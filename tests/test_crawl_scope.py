@@ -66,21 +66,21 @@ class TestScoped:
             assert again is not finished
             assert again.random() == fresh_draws("done.com", 1)[0]
 
-    def test_interrupted_unit_resumes_its_state(self):
+    def test_interrupted_unit_is_dropped(self):
+        # A unit an exception left is dropped like a finished one: the
+        # domain is re-crawled whole, so re-entry draws like a fresh scope.
         internet = Internet(SimClock())
         with pytest.raises(RuntimeError):
             with internet.scoped("crashed.com"):
-                crashed = internet.scope
-                stream = crashed.stream(1, "faults", "fetch")
-                first = stream.random()
+                crashed = internet.scope.stream(1, "faults", "fetch")
+                crashed.random()
                 raise RuntimeError("container host rebooted")
         assert internet.scope.label == ""
+        assert live_scopes({"crashed.com"}) == []
         with internet.scoped("crashed.com"):
-            assert internet.scope is crashed
-            assert crashed.stream(1, "faults", "fetch") is stream
-            assert [first, stream.random()] == fresh_draws("crashed.com", 2)
-        with internet.scoped("crashed.com"):
-            assert internet.scope is not crashed
+            again = internet.scope.stream(1, "faults", "fetch")
+            assert again is not crashed
+            assert again.random() == fresh_draws("crashed.com", 1)[0]
 
     def test_streams_are_seeded_by_the_scope_label(self):
         scope = CrawlScope("pub.com")

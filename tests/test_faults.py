@@ -5,7 +5,8 @@ fault injection, crawled with retries enabled, must produce the *same*
 measurement results as its fault-free twin — while the same world crawled
 with retries disabled must visibly degrade.  The unit tests around it pin
 down the pieces: backoff schedules, breaker transitions, the plan's
-determinism, the browser/farm/milking integration, and checkpoint/resume.
+determinism, the browser/farm/milking integration, and the farm's
+domain-granular progress.
 """
 
 import dataclasses
@@ -15,9 +16,9 @@ import pytest
 from repro import SeacmaPipeline, WorldConfig, build_world
 from repro.browser.browser import Browser
 from repro.browser.logging import FetchFailureEntry, TabCrashEntry
-from repro.browser.useragent import CHROME_MACOS
+from repro.browser.useragent import CHROME_MACOS, PROFILES
 from repro.clock import MINUTE, SimClock
-from repro.core.farm import CrawlCheckpoint, CrawlerFarm
+from repro.core.farm import CrawlDataset, CrawlerFarm
 from repro.core.milking import MilkingConfig, MilkingSource, MilkingTracker
 from repro.dom.nodes import div, img
 from repro.dom.page import PageContent, VisualSpec
@@ -482,77 +483,76 @@ class TestBrowserFaults:
 
 
 class TestFarmCheckpoint:
-    def test_resume_matches_uninterrupted_run(self, monkeypatch):
-        import repro.core.farm as farm_mod
-
-        domains = None
-        datasets = {}
-        for name in ("expected", "interrupted"):
-            world = build_world(WorldConfig.tiny(seed=13))
-            if domains is None:
-                domains = [site.domain for site in world.publishers[:4]]
-            datasets[name] = (world, CrawlerFarm(world))
-        expected = datasets["expected"][1].crawl(list(domains))
-
-        farm = datasets["interrupted"][1]
-        real = farm_mod.crawl_session
-        calls = {"count": 0}
-
-        def flaky(*args, **kwargs):
-            calls["count"] += 1
-            if calls["count"] == 6:
-                raise RuntimeError("container host rebooted")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(farm_mod, "crawl_session", flaky)
-        with pytest.raises(RuntimeError):
-            farm.crawl(list(domains))
-        checkpoint = farm.checkpoint
-        assert checkpoint is not None
-        assert 0 < len(checkpoint.completed_sessions) < expected.sessions
-
-        monkeypatch.setattr(farm_mod, "crawl_session", real)
-        resumed = farm.crawl(list(domains), checkpoint=checkpoint)
-
-        def key(dataset):
-            return [
-                (r.publisher_domain, r.ua_name, r.landing_url, r.screenshot_hash)
-                for r in dataset.interactions
-            ]
-
-        assert key(resumed) == key(expected)
-        assert resumed.sessions == expected.sessions
-        assert resumed.publishers_visited == expected.publishers_visited
-        assert resumed.publishers_with_ads == expected.publishers_with_ads
+    """The publisher domain is the crawl's one unit of progress."""
 
     def test_completed_checkpoint_skips_everything(self):
         world = build_world(WorldConfig.tiny(seed=13))
         domains = [site.domain for site in world.publishers[:2]]
         farm = CrawlerFarm(world)
-        dataset = farm.crawl(list(domains))
+        dataset = CrawlDataset(started_at=world.clock.now())
+        plan = farm.plan_crawl(domains, dataset.started_at)
+        assert len(list(farm.run_plan(plan, dataset))) == len(plan.entries)
         sessions = dataset.sessions
-        again = farm.crawl(list(domains), checkpoint=farm.checkpoint)
-        assert again.sessions == sessions
-        assert again is dataset
+        assert sessions == len(plan.entries) * len(PROFILES)
+        assert list(farm.run_plan(plan, dataset)) == []
+        assert dataset.sessions == sessions
+        assert dataset.completed_domains == set(domains)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_finished_run_keeps_no_session_marks(self, workers):
-        # Session marks exist for the in-flight domain only; a finished
-        # domain is skipped through ``completed_domains``.
-        pipeline = SeacmaPipeline(build_world(WorldConfig.tiny(seed=13)))
-        run = pipeline.start_streaming(with_milking=False, workers=workers)
-        for _ in run.crawl_batches():
-            pass
-        checkpoint = run.farm.checkpoint
-        assert checkpoint.completed_domains
-        assert checkpoint.completed_sessions == set()
+    def test_session_crash_leaves_dataset_unchanged(self, monkeypatch):
+        import repro.core.farm as farm_mod
 
-    def test_checkpoint_type_defaults(self):
-        from repro.core.farm import CrawlDataset
+        config = WorldConfig.tiny(seed=13)
+        reference_world = build_world(config)
+        domains = [site.domain for site in reference_world.publishers[:8]]
+        reference = CrawlerFarm(reference_world)
+        plan = reference.plan_crawl(domains, reference_world.clock.now())
+        early = {profile.name for profile in PROFILES[:2]}
+        # The first entry past the first whose early sessions charge a
+        # landing click: a crash in its third session would leave that
+        # charge behind if the kernel committed session by session.
+        target = next(
+            index
+            for index, batch in enumerate(
+                reference.run_plan(plan, CrawlDataset(started_at=plan.started_at))
+            )
+            if index > 0
+            and any(
+                record.landing_e2ld and record.ua_name in early
+                for record in batch.interactions
+            )
+        )
 
-        checkpoint = CrawlCheckpoint(dataset=CrawlDataset())
-        assert checkpoint.completed_sessions == set()
-        assert checkpoint.laptop_index == 0
+        world = build_world(config)
+        farm = CrawlerFarm(world)
+        dataset = CrawlDataset(started_at=plan.started_at)
+        batches = farm.run_plan(plan, dataset)
+        for _ in range(target):
+            next(batches)
+
+        def state():
+            return (
+                set(dataset.completed_domains),
+                dataset.sessions,
+                dict(dataset.landing_click_counts),
+                set(dataset.publishers_with_ads),
+            )
+
+        before = state()
+        real = farm_mod.crawl_session
+        calls = {"count": 0}
+
+        def flaky(*args, **kwargs):
+            calls["count"] += 1
+            if calls["count"] == 3:
+                raise RuntimeError("container host rebooted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(farm_mod, "crawl_session", flaky)
+        with pytest.raises(RuntimeError):
+            next(batches)
+        assert calls["count"] == 3
+        assert state() == before
+        assert plan.entries[target].domain not in dataset.completed_domains
 
 
 # --------------------------------------------------------------- milking

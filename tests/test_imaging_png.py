@@ -73,3 +73,28 @@ class TestGalleryExport:
         assert len(written) >= len(result.discovery.seacma_campaigns) // 2
         for path in written:
             assert png_size(path.read_bytes()) == (128, 72)
+
+    def test_gallery_reads_each_cluster_once(self, tmp_path, monkeypatch):
+        from repro import SeacmaPipeline, WorldConfig, build_world
+        from repro.analysis.export import export_screenshot_gallery
+
+        world = build_world(WorldConfig.tiny(seed=7))
+        result = SeacmaPipeline(world).run(with_milking=False)
+        campaigns = result.discovery.campaigns
+        assert campaigns
+        store = campaigns[0].interactions.store
+        scans = []
+        real_scan = store.scan
+
+        def counting_scan(*args, **kwargs):
+            scans.append(args)
+            return real_scan(*args, **kwargs)
+
+        monkeypatch.setattr(store, "scan", counting_scan)
+        export_screenshot_gallery(
+            world.internet,
+            world.vantages_residential[0],
+            result.discovery,
+            tmp_path / "gallery",
+        )
+        assert len(scans) == len(campaigns)

@@ -17,7 +17,7 @@ import pytest
 from repro import SeacmaPipeline, WorldConfig, build_world
 from repro.core.farm import shard_index
 from repro.core.milking import MilkingConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.parallel import executor as executor_module
 from repro.store import JsonlStore
 
@@ -170,6 +170,21 @@ class TestStoreByteIdentity:
         pipeline.run_streaming(store=store, workers=2, with_milking=False)
         store.close()
         assert not (directory / "shards").exists()
+
+    def test_failed_worker_leaves_no_segment_dir(self, tmp_path, monkeypatch):
+        # An in-memory store's segments go to a fresh temp directory; a
+        # run whose shard worker fails must remove it like a finished one.
+        import tempfile
+
+        def broken_world(config):
+            raise RuntimeError("world build failed")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(executor_module, "build_world", broken_world)
+        pipeline = make_pipeline(3)
+        with pytest.raises(ReproError, match="world build failed"):
+            pipeline.run_streaming(workers=2, with_milking=False)
+        assert list(tmp_path.iterdir()) == []
 
     def test_spawn_start_method_matches_golden(self, tmp_path, monkeypatch):
         # A spawned worker shares no memory with the parent: everything
