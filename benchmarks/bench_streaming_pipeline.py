@@ -36,13 +36,13 @@ STREAM_MILKING = MilkingConfig(duration_days=2.0, post_lookup_days=2.0)
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def measure(batch_domains: int = 5) -> dict:
+def measure() -> dict:
     """One full streaming pipeline run, with its own metrics."""
     world = build_world(STREAM_BENCH_CONFIG)
     pipeline = SeacmaPipeline(world, milking_config=STREAM_MILKING)
     tracemalloc.start()
     started = time.perf_counter()
-    result = pipeline.run_streaming(store=MemoryStore(), batch_domains=batch_domains)
+    result = pipeline.run_streaming(store=MemoryStore())
     wall_seconds = time.perf_counter() - started
     _, peak_bytes = tracemalloc.get_traced_memory()
     tracemalloc.stop()

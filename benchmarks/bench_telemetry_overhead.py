@@ -46,7 +46,7 @@ def run_once(traced: bool) -> tuple[float, dict]:
         if traced:
             telemetry = Telemetry(world.clock)
             with use(telemetry):
-                pipeline.run_streaming(store=store, batch_domains=8)
+                pipeline.run_streaming(store=store)
             wall = time.perf_counter() - started
             snapshot = telemetry.metrics.snapshot()
             counts = {
@@ -60,7 +60,7 @@ def run_once(traced: bool) -> tuple[float, dict]:
                 ),
             }
         else:
-            pipeline.run_streaming(store=store, batch_domains=8)
+            pipeline.run_streaming(store=store)
             wall = time.perf_counter() - started
     return wall, counts
 

@@ -72,7 +72,6 @@ def _child(n_publishers: int) -> dict:
         result = pipeline.run_streaming(
             store=JsonlStore(pathlib.Path(scratch) / "store"),
             with_milking=False,
-            batch_domains=25,
         )
         wall_seconds = time.perf_counter() - started
         interactions = len(result.crawl.interactions)

@@ -112,7 +112,6 @@ def export_screenshot_gallery(
     vantage,
     discovery: DiscoveryResult,
     out_dir: str | Path,
-    ua_name: str = "chrome66-macos",
 ) -> list[Path]:
     """Write one representative PNG screenshot per kept cluster.
 
@@ -128,7 +127,7 @@ def export_screenshot_gallery(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    profile = profile_by_name(ua_name)
+    profile = profile_by_name("chrome66-macos")
     for cluster in discovery.campaigns:
         client = DevToolsClient(internet, profile, vantage, stealth=True)
         tab = None

@@ -20,6 +20,10 @@ from repro.core.discovery import DiscoveredCampaign, DiscoveryResult
 from repro.core.rows import cluster_members
 
 _SALE_MARKERS = ("for sale", "is for sale", "parked", "buy this domain")
+#: Off-site anchors from which a scriptless, imageless page is a link farm.
+_MIN_OFFSITE_ANCHORS = 3
+#: Share of a cluster's loaded members that must be parked to park it.
+_PARKED_MAJORITY = 0.6
 
 
 @dataclass(frozen=True)
@@ -33,9 +37,6 @@ class ParkedVerdict:
 class ParkedPageDetector:
     """Heuristic parked-page classifier over crawler page features."""
 
-    def __init__(self, min_offsite_anchors: int = 3) -> None:
-        self.min_offsite_anchors = min_offsite_anchors
-
     def classify(self, features: PageFeatures) -> ParkedVerdict:
         """Classify one landing page."""
         reasons: list[str] = []
@@ -43,25 +44,20 @@ class ParkedPageDetector:
         if any(marker in title for marker in _SALE_MARKERS):
             reasons.append("for-sale-title")
         if (
-            features.n_offsite_anchors >= self.min_offsite_anchors
+            features.n_offsite_anchors >= _MIN_OFFSITE_ANCHORS
             and features.n_scripts == 0
             and features.n_images == 0
         ):
             reasons.append("scriptless-link-farm")
         return ParkedVerdict(parked=bool(reasons), reasons=tuple(reasons))
 
-    def cluster_is_parked(
-        self, cluster: DiscoveredCampaign, majority: float = 0.6
-    ) -> bool:
+    def cluster_is_parked(self, cluster: DiscoveredCampaign) -> bool:
         """Whether a cluster is (majority-)parked."""
         members = ((0, record) for record in cluster.interactions)
-        return self.majority_parked(members, 1, majority)[0]
+        return self.majority_parked(members, 1)[0]
 
     def majority_parked(
-        self,
-        members: Iterable[tuple[int, AdInteraction]],
-        clusters: int,
-        majority: float = 0.6,
+        self, members: Iterable[tuple[int, AdInteraction]], clusters: int
     ) -> list[bool]:
         """Per cluster index, whether its loaded members are (majority-)parked.
 
@@ -75,12 +71,12 @@ class ParkedPageDetector:
                 continue
             loaded[index] += 1
             parked[index] += self.classify(record.page_features).parked
-        return [n > 0 and hits / n >= majority for n, hits in zip(loaded, parked)]
+        return [
+            n > 0 and hits / n >= _PARKED_MAJORITY for n, hits in zip(loaded, parked)
+        ]
 
 
-def autotriage_clusters(
-    discovery: DiscoveryResult, detector: ParkedPageDetector | None = None
-) -> dict[int, str]:
+def autotriage_clusters(discovery: DiscoveryResult) -> dict[int, str]:
     """Automatically re-label parked clusters ahead of manual triage.
 
     Returns ``{cluster_id: "parked-auto"}`` for every kept cluster the
@@ -89,9 +85,10 @@ def autotriage_clusters(
     the paper's future work asks for, so it must run from page structure
     alone.  Every cluster's members are read in one pass over the store.
     """
-    detector = detector if detector is not None else ParkedPageDetector()
     clusters = discovery.campaigns
-    verdicts = detector.majority_parked(cluster_members(clusters), len(clusters))
+    verdicts = ParkedPageDetector().majority_parked(
+        cluster_members(clusters), len(clusters)
+    )
     relabelled: dict[int, str] = {}
     for cluster, parked in zip(clusters, verdicts):
         if parked:

@@ -81,13 +81,11 @@ class Table3RowWithCI:
     se_pct_high: float
 
 
-def table3_with_intervals(
-    rows: list[Table3Row], confidence: float = 0.95
-) -> list[Table3RowWithCI]:
-    """Annotate Table 3 rows with Wilson intervals on the SE rate."""
+def table3_with_intervals(rows: list[Table3Row]) -> list[Table3RowWithCI]:
+    """Annotate Table 3 rows with 95% Wilson intervals on the SE rate."""
     annotated = []
     for row in rows:
-        interval = wilson_interval(row.se_attack_pages, row.landing_pages, confidence)
+        interval = wilson_interval(row.se_attack_pages, row.landing_pages)
         annotated.append(
             Table3RowWithCI(
                 network=row.network,

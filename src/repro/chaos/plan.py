@@ -141,21 +141,17 @@ class CrashPlan:
         return True
 
 
-def seeded_schedule(
-    seed: int,
-    points: tuple[str, ...] = CRASH_POINTS,
-    modes: tuple[str, ...] = MODES,
-) -> Iterator[CrashDirective]:
-    """Enumerate one directive per (point, mode), occurrences seeded.
+def seeded_schedule(seed: int) -> Iterator[CrashDirective]:
+    """Enumerate one directive per (crash point, mode), occurrences seeded.
 
     The occurrence drawn for a point is a deterministic function of
     ``(seed, point, mode)``, so two chaos runs with the same seed kill
     the same hits, while different seeds probe different depths of the
     run.
     """
-    for point in points:
+    for point in CRASH_POINTS:
         pool = _pool_for(point)
-        for mode in modes:
+        for mode in MODES:
             rng = rng_for(seed, "chaos", point, mode)
             yield CrashDirective(
                 point=point, occurrence=pool[rng.randrange(len(pool))], mode=mode

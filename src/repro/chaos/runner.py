@@ -50,6 +50,8 @@ from repro.chaos.plan import CrashDirective
 from repro.chaos import points as _points
 
 _SRC = Path(__file__).resolve().parents[2]
+#: Wall-clock limit on one child phase; a hung child is reaped, not waited on.
+_PHASE_TIMEOUT_S = 600.0
 
 #: The priming directive for ``recovery_only`` scenarios: die after the
 #: second batch's interactions are ingested but before its progress
@@ -99,29 +101,26 @@ class ChaosReport:
 
 
 class ChaosRunner:
-    """Runs crash scenarios for one (preset, seed, workers) configuration."""
+    """Runs crash scenarios for one (seed, workers) configuration of the
+    ``tiny`` preset."""
 
     def __init__(
         self,
         work_dir: str | Path,
-        preset: str = "tiny",
         seed: int = 7,
         days: float = 2.0,
         workers: int = 1,
         fsync: bool = False,
-        timeout: float = 600.0,
     ) -> None:
         # Resolved eagerly: store paths are handed to child processes
         # running with ``cwd=work_dir``, where a relative path would
         # resolve against itself.
         self.work_dir = Path(work_dir).resolve()
         self.work_dir.mkdir(parents=True, exist_ok=True)
-        self.preset = preset
         self.seed = seed
         self.days = days
         self.workers = workers
         self.fsync = fsync
-        self.timeout = timeout
         self._reference: dict[str, bytes] | None = None
 
     # ------------------------------------------------------------ phases
@@ -138,7 +137,7 @@ class ChaosRunner:
             "--store-dir",
             str(store_dir),
             "--preset",
-            self.preset,
+            "tiny",
             "--seed",
             str(self.seed),
         ] + self._common_flags()
@@ -167,7 +166,7 @@ class ChaosRunner:
             start_new_session=True,
         )
         try:
-            stdout, stderr = process.communicate(timeout=self.timeout)
+            stdout, stderr = process.communicate(timeout=_PHASE_TIMEOUT_S)
         except subprocess.TimeoutExpired:
             self._reap(process.pid)
             stdout, stderr = process.communicate()

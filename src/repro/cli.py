@@ -8,11 +8,10 @@ Subcommands::
 
     seacma run       --preset tiny --seed 7 --days 2 [--fault-rate P]
                      [--no-retries] [--no-milking] [--out DIR]
-                     [--store-dir DIR] [--batch-domains N]
-                     [--workers K] [--fsync]
+                     [--store-dir DIR] [--workers K] [--fsync]
                      [--trace-dir DIR] [--metrics]
     seacma resume    STORE_DIR --days 2 [--no-milking]
-                     [--batch-domains N] [--workers K] [--fsync]
+                     [--workers K] [--fsync]
                      [--trace-dir DIR] [--metrics]
     seacma tables    --preset tiny --seed 7 --days 2 [--from-store DIR]
     seacma feeds     --preset tiny --seed 7 --days 2
@@ -27,8 +26,8 @@ Subcommands::
                      [--poll-jitter F]
     seacma selfcheck --preset small
 
-``run`` is one streaming loop: every finished crawl batch feeds the
-incremental analysis stages while the crawl goes on, and
+``run`` is one streaming loop: every finished publisher domain feeds
+the incremental analysis stages while the crawl goes on, and
 ``--store-dir`` persists the run into a store directory as it goes;
 ``resume`` continues a run whose process died mid-crawl; ``tables`` and
 ``report`` with ``--from-store`` regenerate their output offline from a
@@ -129,12 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="persist the run into this store directory",
             )
             command.add_argument(
-                "--batch-domains",
-                type=int,
-                default=1,
-                help="finished domains per analysis-stage ingest",
-            )
-            command.add_argument(
                 "--workers",
                 type=int,
                 default=1,
@@ -161,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("store_dir", type=pathlib.Path)
     resume.add_argument("--days", type=float, default=2.0, help="milking days")
     resume.add_argument("--no-milking", action="store_true")
-    resume.add_argument("--batch-domains", type=int, default=1)
     resume.add_argument(
         "--workers", type=int, default=1, help="crawl worker processes"
     )
@@ -278,6 +270,8 @@ def _add_telemetry_arguments(command: argparse.ArgumentParser) -> None:
 
 
 def _run_pipeline(args):
+    # Built first: a bad --days fails before the world does any work.
+    milking_config = _milking_config(args)
     config = _PRESETS[args.preset](seed=args.seed)
     fault_rate = getattr(args, "fault_rate", 0.0)
     if fault_rate:
@@ -285,7 +279,7 @@ def _run_pipeline(args):
     world = build_world(config)
     pipeline = SeacmaPipeline(
         world,
-        milking_config=_milking_config(args),
+        milking_config=milking_config,
         retries_enabled=not getattr(args, "no_retries", False),
     )
     with_milking = not getattr(args, "no_milking", False)
@@ -304,7 +298,6 @@ def _run_pipeline(args):
             result = pipeline.run_streaming(
                 store=opened,
                 with_milking=with_milking,
-                batch_domains=getattr(args, "batch_domains", 1),
                 workers=getattr(args, "workers", 1),
             )
     finally:
@@ -353,15 +346,15 @@ def _resume(args) -> int:
     from repro.store import JsonlStore
     from repro.store.persist import load_world
 
+    milking_config = _milking_config(args)
     with JsonlStore.open(args.store_dir, fsync=args.fsync) as store:
         world = load_world(store)
-        pipeline = SeacmaPipeline(world, milking_config=_milking_config(args))
+        pipeline = SeacmaPipeline(world, milking_config=milking_config)
         telemetry = _activate_telemetry(args, world)
         try:
             result = pipeline.resume_streaming(
                 store,
                 with_milking=not args.no_milking,
-                batch_domains=args.batch_domains,
                 workers=args.workers,
             )
         finally:
@@ -386,33 +379,33 @@ def _load_stored(path):
         return load_world(store), load_result(store)
 
 
-def _print_tables(world, result, out=print) -> None:
+def _print_tables(world, result) -> None:
     now = world.clock.now()
-    out(reports.render_table(reports.table1(result.discovery, world.gsb, now), "TABLE 1"))
-    out("")
-    out(reports.render_table(reports.table2(result.discovery, world.webpulse), "TABLE 2"))
-    out("")
-    out(reports.render_table(reports.table3(result.attribution, result.discovery, world.networks), "TABLE 3"))
+    print(reports.render_table(reports.table1(result.discovery, world.gsb, now), "TABLE 1"))
+    print("")
+    print(reports.render_table(reports.table2(result.discovery, world.webpulse), "TABLE 2"))
+    print("")
+    print(reports.render_table(reports.table3(result.attribution, result.discovery, world.networks), "TABLE 3"))
     if result.milking is not None:
-        out("")
-        out(reports.render_table(reports.table4(result.milking), "TABLE 4"))
+        print("")
+        print(reports.render_table(reports.table4(result.milking), "TABLE 4"))
 
 
-def _print_feeds(world, result, out=print) -> None:
+def _print_feeds(world, result) -> None:
     if result.milking is None:
-        out("no milking report; feeds unavailable")
+        print("no milking report; feeds unavailable")
         return
     domains = build_domain_feed(result.milking)
     comparison = feed_vs_gsb(domains, world.gsb)
-    out(f"domain feed: {len(domains)} indicators")
-    out(f"  GSB never lists {comparison.only_in_feed} of them "
-        f"({100 * comparison.exclusive_fraction:.1f}% exclusive coverage)")
+    print(f"domain feed: {len(domains)} indicators")
+    print(f"  GSB never lists {comparison.only_in_feed} of them "
+          f"({100 * comparison.exclusive_fraction:.1f}% exclusive coverage)")
     if comparison.mean_head_start_days is not None:
-        out(f"  mean head start over GSB: {comparison.mean_head_start_days:.1f} days")
+        print(f"  mean head start over GSB: {comparison.mean_head_start_days:.1f} days")
     phones = build_phone_feed(result.milking)
-    out(f"phone feed: {phones.values()}")
+    print(f"phone feed: {phones.values()}")
     gateways = build_gateway_feed(result.milking)
-    out(f"gateway feed: {len(gateways)} URLs")
+    print(f"gateway feed: {len(gateways)} URLs")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -426,8 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", 1) < 1:
         parser.error("--workers must be at least 1")
-    if getattr(args, "batch_domains", 1) < 1:
-        parser.error("--batch-domains must be at least 1")
     try:
         return _dispatch(args)
     except (StoreError, ConfigError) as error:

@@ -85,8 +85,6 @@ class IncrementalAttribution:
     *i* of the run store, and the stage's whole state.
     """
 
-    name = "attribution"
-
     def __init__(self, store: RunStore, patterns: list[InvariantPattern]) -> None:
         self.patterns = patterns
         #: Network key per ingested interaction, in ingest order.

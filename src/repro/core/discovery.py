@@ -146,8 +146,6 @@ class IncrementalDiscovery:
     ingested batches, for *any* batch-size schedule.
     """
 
-    name = "discovery"
-
     def __init__(
         self,
         store: RunStore,

@@ -21,6 +21,7 @@ campaign is currently using.  The tracker:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -33,7 +34,7 @@ from repro.core.discovery import DiscoveredCampaign, DiscoveryResult
 from repro.core.rows import cluster_members
 from repro.ecosystem.gsb import GoogleSafeBrowsing
 from repro.ecosystem.virustotal import VirusTotal, VtReport
-from repro.errors import MilkingError
+from repro.errors import ConfigError, MilkingError
 from repro.imaging.similarity import matches_any
 from repro.net.ipspace import VantagePoint
 from repro.net.network import Internet
@@ -62,6 +63,20 @@ class MilkingConfig:
     #: a whole interval (transient-fault resilience).
     retry_failed_sources: bool = True
     retry_delay_minutes: float = 3.0
+
+    def __post_init__(self) -> None:
+        # A negative or infinite schedule would milk nothing or forever.
+        for name in ("duration_days", "post_lookup_days"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(
+                    f"{name} must be finite and non-negative, got {value}"
+                )
+        interval = self.interval_minutes
+        if not (math.isfinite(interval) and interval > 0.0):
+            raise ConfigError(
+                f"interval_minutes must be finite and positive, got {interval}"
+            )
 
 
 @dataclass

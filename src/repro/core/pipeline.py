@@ -14,16 +14,16 @@ Each stage is also callable on its own, so experiments (and tests) can
 run any prefix of the pipeline.
 
 A full run is one streaming loop: :meth:`SeacmaPipeline.run_streaming`
-starts a :class:`StreamingRun` that feeds every finished crawl batch
-into the incremental stages *while the crawl is still going*,
-persisting each record into a :class:`~repro.store.base.RunStore` as it
-is produced.  :meth:`SeacmaPipeline.run` is the same loop over a fresh
-:class:`~repro.store.memory.MemoryStore`.  The incremental stages are
-schedule-invariant, so results match the one-shot batch functions
-(``discover_campaigns``, ``attribute_interactions``) whatever the
-``batch_domains`` grouping (``tests/test_streaming_pipeline.py``).  A
-run whose process died mid-crawl is continued by
-:meth:`SeacmaPipeline.resume_streaming` over the surviving store.
+starts a :class:`StreamingRun` that persists every finished publisher
+domain into a :class:`~repro.store.base.RunStore` and then feeds it to
+the incremental stages *while the crawl is still going*.
+:meth:`SeacmaPipeline.run` is the same loop over a fresh
+:class:`~repro.store.memory.MemoryStore`.  The incremental stages
+number rows in the store's one order, so results match the one-shot
+batch functions (``discover_campaigns``, ``attribute_interactions``;
+``tests/test_streaming_pipeline.py``).  A run whose process died
+mid-crawl is continued by :meth:`SeacmaPipeline.resume_streaming` over
+the surviving store.
 """
 
 from __future__ import annotations
@@ -46,12 +46,8 @@ from repro.core.discovery import (
     IncrementalDiscovery,
     discover_campaigns,
 )
-from repro.core.farm import (
-    CrawlBatch,
-    CrawlDataset,
-    CrawlerFarm,
-    FarmConfig,
-)
+from repro.core.crawler import interaction_to_dict
+from repro.core.farm import CrawlBatch, CrawlDataset, CrawlerFarm
 from repro.core.milking import MilkingConfig, MilkingReport, MilkingTracker
 from repro.core.rows import StoredInteractions
 from repro.core.seeds import (
@@ -60,10 +56,9 @@ from repro.core.seeds import (
     merged_publisher_list,
     reverse_to_publishers,
 )
-from repro.core.stages import StoreWriter, ingest_all
 from repro.ecosystem.world import World
 from repro.errors import ConfigError, StoreError
-from repro.faults.retry import RetryPolicy, ensure_resilience
+from repro.faults.retry import ensure_resilience
 from repro.faults.stats import FaultStats
 from repro.feed.publisher import FeedPublisher, network_of_clusters
 from repro.feed.snapshot import FeedSnapshot
@@ -83,6 +78,7 @@ from repro.store.records import (
     campaign_to_record,
     crawl_summary_to_meta,
     discovery_stats_to_meta,
+    hash_to_record,
     milking_to_records,
     pattern_to_record,
     progress_to_record,
@@ -148,43 +144,17 @@ class SeacmaPipeline:
     def __init__(
         self,
         world: World,
-        farm_config: FarmConfig | None = None,
         milking_config: MilkingConfig | None = None,
-        eps: float = 0.1,
-        min_pts: int = 3,
-        theta_c: int = 5,
         retries_enabled: bool = True,
-        retry_policy: RetryPolicy | None = None,
-        feed_interval_minutes: float = 60.0,
     ) -> None:
         self.world = world
-        self.farm_config = farm_config if farm_config is not None else FarmConfig()
         self.milking_config = (
             milking_config if milking_config is not None else MilkingConfig()
         )
-        self.eps = eps
-        self.min_pts = min_pts
-        self.theta_c = theta_c
         self.retries_enabled = retries_enabled
-        self.retry_policy = retry_policy
-        self.feed_interval_minutes = feed_interval_minutes
-        self._ensure_resilience()
-
-    def _ensure_resilience(self) -> None:
-        """Attach the recovery bundle to the world's internet when needed.
-
-        Resilience is attached whenever the world injects faults or the
-        caller asked for a specific retry policy; with retries disabled a
-        never-retry policy is attached so every injected fault is felt
-        (the degraded-mode experiment) while stats stay observable.
-        Shard workers apply the same function to their rebuilt worlds, so
-        parent and workers recover identically.
-        """
-        ensure_resilience(
-            self.world,
-            retries_enabled=self.retries_enabled,
-            retry_policy=self.retry_policy,
-        )
+        # Shard workers apply the same function to their rebuilt worlds,
+        # so parent and workers recover identically.
+        ensure_resilience(world, retries_enabled=retries_enabled)
 
     def _require_publicwww(self):
         """The wired PublicWWW index, or a descriptive configuration error."""
@@ -210,14 +180,11 @@ class SeacmaPipeline:
 
     def crawl(self, publisher_domains: list[str]) -> CrawlDataset:
         """③ Run the crawler farm."""
-        farm = CrawlerFarm(self.world, self.farm_config)
-        return farm.crawl(publisher_domains)
+        return CrawlerFarm(self.world).crawl(publisher_domains)
 
     def discover(self, crawl: CrawlDataset) -> DiscoveryResult:
         """④⑤ Cluster landing screenshots into candidate campaigns."""
-        return discover_campaigns(
-            crawl.interactions, eps=self.eps, min_pts=self.min_pts, theta_c=self.theta_c
-        )
+        return discover_campaigns(crawl.interactions)
 
     def attribute(
         self, crawl: CrawlDataset, patterns: list[InvariantPattern]
@@ -255,13 +222,12 @@ class SeacmaPipeline:
 
         Attach it to :meth:`milk` via ``observers`` and it cuts a
         versioned :class:`~repro.feed.snapshot.FeedSnapshot` at round
-        boundaries (rate-limited to one per ``feed_interval_minutes`` of
-        sim time), attributing each entry to the ad network serving the
-        plurality of its campaign's interactions.
+        boundaries (rate-limited to one per hour of sim time, the
+        publisher's default interval), attributing each entry to the ad
+        network serving the plurality of its campaign's interactions.
         """
         return FeedPublisher(
-            network_of_cluster=network_of_clusters(discovery, attribution),
-            interval_minutes=self.feed_interval_minutes,
+            network_of_cluster=network_of_clusters(discovery, attribution)
         )
 
     def milk(
@@ -290,7 +256,6 @@ class SeacmaPipeline:
         self,
         store: RunStore | None = None,
         with_milking: bool = True,
-        batch_domains: int = 1,
         workers: int = 1,
     ) -> "StreamingRun":
         """Begin a streaming run without driving it.
@@ -301,39 +266,24 @@ class SeacmaPipeline:
         """
         if store is None:
             store = MemoryStore(run_id=f"seed-{self.world.config.seed}")
-        return StreamingRun(
-            self,
-            store,
-            with_milking=with_milking,
-            batch_domains=batch_domains,
-            workers=workers,
-        )
+        return StreamingRun(self, store, with_milking=with_milking, workers=workers)
 
     def run_streaming(
         self,
         store: RunStore | None = None,
         with_milking: bool = True,
-        batch_domains: int = 1,
         workers: int = 1,
     ) -> PipelineResult:
         """Run the full pipeline, persisting into ``store`` as it goes.
 
-        Every crawl record is ingested by the incremental stages and
-        appended to ``store`` (a fresh :class:`MemoryStore` when omitted)
-        the moment its publisher domain finishes crawling.  ``batch_domains``
-        sets how many finished domains are grouped per analysis-stage
-        ingest (any value produces the same results; it exists to bound
-        per-ingest overhead and to let tests vary the batch schedule).
-        ``workers`` > 1 executes the crawl across that many worker
-        processes via :class:`repro.parallel.ShardedCrawlExecutor` —
+        Every crawl record is appended to ``store`` (a fresh
+        :class:`MemoryStore` when omitted) and ingested by the
+        incremental stages the moment its publisher domain finishes
+        crawling.  ``workers`` > 1 executes the crawl across that many
+        worker processes via :class:`repro.parallel.ShardedCrawlExecutor` —
         results and store contents stay byte-identical to ``workers=1``.
         """
-        run = self.start_streaming(
-            store,
-            with_milking=with_milking,
-            batch_domains=batch_domains,
-            workers=workers,
-        )
+        run = self.start_streaming(store, with_milking=with_milking, workers=workers)
         for _ in run.crawl_batches():
             pass
         return run.finalize()
@@ -342,7 +292,6 @@ class SeacmaPipeline:
         self,
         store: RunStore,
         with_milking: bool = True,
-        batch_domains: int = 1,
         workers: int = 1,
     ) -> PipelineResult:
         """Continue a streaming run that stopped mid-crawl.
@@ -363,12 +312,7 @@ class SeacmaPipeline:
         enforces at every crash point).
         """
         run = StreamingRun(
-            self,
-            store,
-            with_milking=with_milking,
-            batch_domains=batch_domains,
-            workers=workers,
-            resume=True,
+            self, store, with_milking=with_milking, workers=workers, resume=True
         )
         for _ in run.crawl_batches():
             pass
@@ -383,9 +327,9 @@ class StreamingRun:
 
     * per finished publisher domain: interactions and clustering hashes
       are appended to the store and a ``progress`` marker is written —
-      the store is always consistent at domain granularity;
-    * per ``batch_domains`` finished domains: the buffered interactions
-      are fed to discovery and attribution, which update incrementally;
+      the store is always consistent at domain granularity — and then
+      the interactions are fed to discovery and attribution, which
+      update incrementally;
     * :meth:`finalize` closes the crawl summary, writes campaigns,
       attribution rows and the milking report, and returns the run's
       :class:`PipelineResult`.
@@ -396,18 +340,14 @@ class StreamingRun:
         pipeline: SeacmaPipeline,
         store: RunStore,
         with_milking: bool = True,
-        batch_domains: int = 1,
         workers: int = 1,
         resume: bool = False,
     ) -> None:
-        if batch_domains < 1:
-            raise ValueError("batch_domains must be at least 1")
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.pipeline = pipeline
         self.store = store
         self.with_milking = with_milking
-        self.batch_domains = batch_domains
         self.workers = workers
         self.result = PipelineResult()
         telemetry = current_telemetry()
@@ -417,17 +357,11 @@ class StreamingRun:
             self.result.publisher_domains = pipeline.reverse_publishers(
                 self.result.patterns
             )
-        self.farm = CrawlerFarm(pipeline.world, pipeline.farm_config)
-        self.discovery_stage = IncrementalDiscovery(
-            store, eps=pipeline.eps, min_pts=pipeline.min_pts, theta_c=pipeline.theta_c
-        )
+        self.farm = CrawlerFarm(pipeline.world)
+        #: The analysis stages.  Each numbers the rows it ingests itself;
+        #: both see the store's one row order.
+        self.discovery_stage = IncrementalDiscovery(store)
         self.attribution_stage = IncrementalAttribution(store, self.result.patterns)
-        #: Stages fed per ``batch_domains`` group (the store writer runs
-        #: per domain, ahead of them).  Each numbers the rows it ingests
-        #: itself; all of them see the store's one row order.
-        self.analysis_stages = [self.discovery_stage, self.attribution_stage]
-        self._buffer: list = []
-        self._buffered_domains = 0
         self._finalized = False
         #: The crawl's progress and counters; its records are the
         #: store's rows, as they land.
@@ -437,7 +371,6 @@ class StreamingRun:
             else CrawlDataset(started_at=pipeline.world.clock.now())
         )
         self.dataset.interactions = StoredInteractions(store)
-        self.writer = StoreWriter(store)
         #: The run's crawl plan.
         self.plan = self.farm.plan_crawl(
             self.result.publisher_domains, self.dataset.started_at
@@ -473,12 +406,11 @@ class StreamingRun:
     # ----------------------------------------------------------- crawling
 
     def crawl_batches(self) -> Iterator[CrawlBatch]:
-        """Drive the crawl, persisting and analysing batch by batch.
+        """Drive the crawl, persisting and analysing domain by domain.
 
         Runs :attr:`plan` through the farm or the sharded executor.
-        Yields each :class:`CrawlBatch` after it has been stored and (at
-        ``batch_domains`` boundaries) ingested, so the consumer observes
-        live progress — e.g.
+        Yields each :class:`CrawlBatch` after it has been stored and
+        ingested, so the consumer observes live progress — e.g.
         ``self.discovery_stage.finalize()`` between batches is the current
         campaign census.  Abandoning the iterator leaves the store
         resumable.
@@ -497,12 +429,13 @@ class StreamingRun:
                 batches = self.farm.run_plan(self.plan, self.dataset)
             for batch in batches:
                 self._persist_batch(batch, telemetry)
-                self._buffer.extend(batch.interactions)
-                self._buffered_domains += 1
-                if self._buffered_domains >= self.batch_domains:
-                    self._flush()
+                if batch.interactions:
+                    with telemetry.span(
+                        "pipeline.ingest",
+                        attrs={"interactions": len(batch.interactions), "domains": 1},
+                    ):
+                        self._ingest(batch.interactions)
                 yield batch
-            self._flush()
 
     def _persist_batch(self, batch: CrawlBatch, telemetry) -> None:
         """Store one finished domain: rows, hashes, progress — atomically.
@@ -513,7 +446,14 @@ class StreamingRun:
         """
         store = self.store
         store.begin_intent(f"batch:{batch.domain}")
-        self.writer.ingest(batch.interactions)
+        # Rows continue from whatever the store already holds, so a
+        # resumed run keeps appending where the interrupted one stopped.
+        row = store.count(INTERACTIONS)
+        for record in batch.interactions:
+            store.append(INTERACTIONS, interaction_to_dict(record))
+            if record.landing_e2ld:
+                store.append(HASHES, hash_to_record(row, record))
+            row += 1
         crash_point("checkpoint.persist")
         store.append(
             PROGRESS,
@@ -521,7 +461,7 @@ class StreamingRun:
                 self.plan.entries[batch.position],
                 clock=batch.clock,
                 sessions=self.dataset.sessions,
-                interaction_rows=self.writer.rows_written,
+                interaction_rows=row,
             ),
         )
         store.commit_intent()
@@ -559,22 +499,12 @@ class StreamingRun:
             workers=self.workers,
             segment_dir=directory,
             retries_enabled=pipeline.retries_enabled,
-            retry_policy=pipeline.retry_policy,
         )
 
-    def _flush(self) -> None:
-        """Feed buffered interactions to the analysis stages."""
-        if self._buffer:
-            with current_telemetry().span(
-                "pipeline.ingest",
-                attrs={
-                    "interactions": len(self._buffer),
-                    "domains": self._buffered_domains,
-                },
-            ):
-                ingest_all(self.analysis_stages, self._buffer)
-            self._buffer = []
-        self._buffered_domains = 0
+    def _ingest(self, records: list) -> None:
+        """Feed interactions, in store row order, to the analysis stages."""
+        self.discovery_stage.ingest(records)
+        self.attribution_stage.ingest(records)
 
     # ----------------------------------------------------------- finishing
 
@@ -582,7 +512,6 @@ class StreamingRun:
         """Close the run: analysis results, milking, store finalization."""
         if self._finalized:
             return self.result
-        self._flush()
         pipeline = self.pipeline
         store = self.store
         result = self.result
@@ -751,4 +680,4 @@ class StreamingRun:
 
     def _replay_chunk(self, chunk: list) -> None:
         self.dataset.count_landings(chunk)
-        ingest_all(self.analysis_stages, chunk)
+        self._ingest(chunk)

@@ -66,19 +66,19 @@ def extract_invariant_token(snippet_sources: list[str]) -> str | None:
 
 
 def derive_invariant_patterns(
-    networks: list[AdNetworkServer], seed: int, samples: int = 4
+    networks: list[AdNetworkServer], seed: int
 ) -> list[InvariantPattern]:
     """Derive one invariant pattern per seed network from sample snippets.
 
-    For each network, generate ``samples`` snippet variants (as obtained
-    from temporary publisher accounts) and intersect their identifiers.
+    For each network, generate four snippet variants (as obtained from
+    temporary publisher accounts) and intersect their identifiers.
     """
     from repro.adnet.snippets import AdTactic, build_snippet
 
     patterns: list[InvariantPattern] = []
     for network in networks:
         sources = []
-        for index in range(samples):
+        for index in range(4):
             rng = rng_for(seed, "seed-sample", network.spec.key, index)
             code_domain = network.pick_code_domain(rng)
             click_url = network.click_url(code_domain, publisher_id=f"sample{index}")

@@ -41,10 +41,8 @@ def clickable_candidates(
     return candidates
 
 
-def full_page_overlays(
-    document: Element, nodes: Iterable[Element], coverage: float = 0.9
-) -> list[Element]:
-    """Transparent divs among ``nodes`` covering at least ``coverage`` of
+def full_page_overlays(document: Element, nodes: Iterable[Element]) -> list[Element]:
+    """Transparent divs among ``nodes`` covering at least 90% of
     ``document``'s viewport, topmost first; ties keep document order.
 
     These are the "transparent ad" overlays of Figure 1: invisible,
@@ -57,7 +55,7 @@ def full_page_overlays(
         if node.tag == "div"
         and node is not document
         and node.is_transparent
-        and node.area / page_area >= coverage
+        and node.area / page_area >= 0.9
         and node.z_index > 0
     ]
     overlays.sort(key=lambda node: -node.z_index)

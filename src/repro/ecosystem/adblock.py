@@ -26,9 +26,9 @@ class FilterRule:
 class FilterList:
     """An ordered set of blocking rules."""
 
-    def __init__(self, rules: list[FilterRule] | None = None) -> None:
-        self._rules: list[FilterRule] = list(rules or [])
-        self._domains = {e2ld(rule.domain) for rule in self._rules}
+    def __init__(self) -> None:
+        self._rules: list[FilterRule] = []
+        self._domains: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -63,14 +63,14 @@ class FilterList:
         return covered / len(network.code_domains)
 
 
-def build_filter_list(networks: list[AdNetworkServer], rules_budget: int = 40) -> FilterList:
+def build_filter_list(networks: list[AdNetworkServer]) -> FilterList:
     """Build the EasyList-like list a real ABP install would carry.
 
     Filter-list maintainers enumerate the serving domains they have seen.
     Networks with a handful of *static* domains (Clicksor, PopMyAds, ...)
     get full coverage; networks rotating through hundreds of domains get
-    only the first few historical ones.  ``rules_budget`` caps how many
-    domains per network the maintainers have catalogued.
+    only the first few historical ones: the maintainers have catalogued
+    at most 40 domains per network.
     """
     filter_list = FilterList()
     for network in networks:
@@ -82,7 +82,7 @@ def build_filter_list(networks: list[AdNetworkServer], rules_budget: int = 40) -
         # Partial, stale coverage: a prefix of the domain list, at most
         # the budget, and never all of them for rotating networks.
         if len(domains) > 1:
-            take = min(rules_budget, max(0, len(domains) // 4))
+            take = min(40, max(0, len(domains) // 4))
             for domain in domains[:take]:
                 filter_list.add_domain(domain)
     return filter_list

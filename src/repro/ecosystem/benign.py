@@ -51,6 +51,8 @@ _KIND_WEIGHTS = {
 }
 _KINDS = tuple(_KIND_WEIGHTS)
 _WEIGHTS = tuple(_KIND_WEIGHTS.values())
+#: Domain aliases per shortener service and interstitial layout.
+_SHORTENER_ALIASES = 6
 
 
 @dataclass
@@ -72,11 +74,7 @@ class BenignWeb(VirtualServer):
         *,
         n_advertisers: int = 120,
         n_parking_providers: int = 11,
-        domains_per_provider: int = 8,
         n_stock_sets: int = 6,
-        domains_per_stock_set: int = 7,
-        shortener_aliases: int = 6,
-        n_dead_domains: int = 6,
     ) -> None:
         self._rng: random.Random = rng_for(seed, "benign")
         generator = DomainGenerator(seed, "benign")
@@ -96,40 +94,42 @@ class BenignWeb(VirtualServer):
                     paths=["/landing"],
                 )
             )
-        # Parking providers: one template across many domains.
+        # Parking providers: one template across eight domains each.
         for index in range(n_parking_providers):
             self._add_family(
                 _TemplateFamily(
                     kind=BenignKind.PARKED,
                     template_key=f"benign/parked/{index}",
-                    domains=[generator.dga(tld="com") for _ in range(domains_per_provider)],
+                    domains=[generator.dga(tld="com") for _ in range(8)],
                 )
             )
-        # Stock-image adult pages.
+        # Stock-image adult pages: seven domains per stock set.
         for index in range(n_stock_sets):
             self._add_family(
                 _TemplateFamily(
                     kind=BenignKind.STOCK_ADULT,
                     template_key=f"benign/stock/{index}",
-                    domains=[generator.dga(tld="xyz") for _ in range(domains_per_stock_set)],
+                    domains=[generator.dga(tld="xyz") for _ in range(7)],
                 )
             )
         # URL shorteners: two services x two interstitial layouts each.
         for service in ("adfly", "shortest"):
-            aliases = [generator.word_salad(tld="ws") for _ in range(shortener_aliases)]
+            aliases = [
+                generator.word_salad(tld="ws") for _ in range(_SHORTENER_ALIASES)
+            ]
             for layout in ("desktop", "mobile"):
                 self._add_family(
                     _TemplateFamily(
                         kind=BenignKind.SHORTENER,
                         template_key=f"benign/shortener/{service}/{layout}",
                         domains=aliases if layout == "desktop" else [
-                            generator.word_salad(tld="st") for _ in range(shortener_aliases)
+                            generator.word_salad(tld="st") for _ in range(_SHORTENER_ALIASES)
                         ],
                         paths=["/st"],
                     )
                 )
-        # Dead destinations: domains that never resolve.
-        self._dead_hosts = {generator.dga(tld="top") for _ in range(n_dead_domains)}
+        # Dead destinations: six domains that never resolve.
+        self._dead_hosts = {generator.dga(tld="top") for _ in range(6)}
         self._dead_hosts_sorted = sorted(self._dead_hosts)
 
     # --------------------------------------------------------------- build
@@ -140,7 +140,7 @@ class BenignWeb(VirtualServer):
         for domain in family.domains:
             self._host_to_family[domain] = family
 
-    def adopt_host(self, host: str, template_key: str | None = None) -> None:
+    def adopt_host(self, host: str) -> None:
         """Host an externally owned page (e.g. a scam customer's signup
         site the Registration/Lottery campaigns forward victims to)."""
         if host in self._host_to_family:
@@ -148,7 +148,7 @@ class BenignWeb(VirtualServer):
         self._add_family(
             _TemplateFamily(
                 kind=BenignKind.ADVERTISER,
-                template_key=template_key or f"benign/customer/{host}",
+                template_key=f"benign/customer/{host}",
                 domains=[host],
                 paths=["/signup"],
             )

@@ -133,11 +133,10 @@ class FaultPlan:
         self,
         config: FaultConfig | None = None,
         seed: int = 0,
-        stats: FaultStats | None = None,
     ) -> None:
         self.config = config if config is not None else FaultConfig()
         self.seed = seed
-        self.stats = stats if stats is not None else FaultStats()
+        self.stats = FaultStats()
 
     # --------------------------------------------------------- fetch layer
 

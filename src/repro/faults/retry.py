@@ -208,30 +208,24 @@ class Resilience:
         return delay
 
 
-def ensure_resilience(
-    world, retries_enabled: bool = True, retry_policy: RetryPolicy | None = None
-) -> None:
+def ensure_resilience(world, retries_enabled: bool = True) -> None:
     """Attach the recovery bundle to a world's internet when needed.
 
-    Resilience is attached whenever the world injects faults or the
-    caller asked for a specific retry policy; with retries disabled a
-    never-retry policy is attached so every injected fault is felt (the
-    degraded-mode experiment) while stats stay observable.  Shard worker
-    processes call this with the same arguments as the parent pipeline
-    so both sides run identical recovery machinery.
+    Resilience is attached whenever the world injects faults; with
+    retries disabled a never-retry policy is attached so every injected
+    fault is felt (the degraded-mode experiment) while stats stay
+    observable.  Shard worker processes call this with the same
+    arguments as the parent pipeline so both sides run identical
+    recovery machinery.
     """
     internet = world.internet
-    if internet.fault_plan is None and retry_policy is None:
+    if internet.fault_plan is None or internet.resilience is not None:
         return
-    if internet.resilience is not None:
-        return
-    if not retries_enabled:
-        policy = RetryPolicy.disabled()
-    elif retry_policy is not None:
-        policy = retry_policy
-    else:
-        policy = RetryPolicy(seed=world.config.seed)
-    stats = (
-        internet.fault_plan.stats if internet.fault_plan is not None else FaultStats()
+    policy = (
+        RetryPolicy(seed=world.config.seed)
+        if retries_enabled
+        else RetryPolicy.disabled()
     )
-    internet.resilience = Resilience(retry=policy, clock=world.clock, stats=stats)
+    internet.resilience = Resilience(
+        retry=policy, clock=world.clock, stats=internet.fault_plan.stats
+    )

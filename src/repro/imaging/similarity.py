@@ -12,9 +12,9 @@ from repro.imaging.distance import hamming
 
 # eps=0.1 over 128 bits; matching the clustering tolerance keeps the
 # milking verifier consistent with campaign discovery.
-DEFAULT_THRESHOLD_BITS = int(0.1 * DHASH_BITS)
+THRESHOLD_BITS = int(0.1 * DHASH_BITS)
 
 
-def matches_any(hash_value: int, known_hashes, threshold_bits: int = DEFAULT_THRESHOLD_BITS) -> bool:
+def matches_any(hash_value: int, known_hashes) -> bool:
     """Whether ``hash_value`` is within threshold of any known hash."""
-    return any(hamming(hash_value, known) <= threshold_bits for known in known_hashes)
+    return any(hamming(hash_value, known) <= THRESHOLD_BITS for known in known_hashes)

@@ -113,9 +113,9 @@ def redirect(target: Url | str, kind: RedirectKind = RedirectKind.HTTP_302) -> H
     return HttpResponse(status=int(kind.value), headers={"Location": str(target)})
 
 
-def html_response(body: Any, status: int = 200) -> HttpResponse:
+def html_response(body: Any) -> HttpResponse:
     """Build a 200 text/html response wrapping a page body."""
-    return HttpResponse(status=status, body=body, content_type="text/html")
+    return HttpResponse(status=200, body=body, content_type="text/html")
 
 
 def download_response(payload: Any, filename: str) -> HttpResponse:

@@ -63,11 +63,11 @@ def make_vantage(seed: int, name: str, ip_class: IpClass) -> VantagePoint:
     return VantagePoint(name=name, ip=ip, ip_class=ip_class)
 
 
-def residential_vantages(seed: int, count: int = 3) -> list[VantagePoint]:
+def residential_vantages(seed: int) -> list[VantagePoint]:
     """The paper's three residential laptops."""
     return [
         make_vantage(seed, f"laptop-{index}", IpClass.RESIDENTIAL)
-        for index in range(1, count + 1)
+        for index in range(1, 4)
     ]
 
 

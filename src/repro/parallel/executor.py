@@ -42,13 +42,12 @@ from repro.core.farm import (
     CrawlDataset,
     CrawlerFarm,
     CrawlPlan,
-    FarmConfig,
     PlanEntry,
     shard_index,
 )
 from repro.ecosystem.world import WorldConfig, build_world
 from repro.errors import ConfigError, ReproError
-from repro.faults.retry import RetryPolicy, ensure_resilience
+from repro.faults.retry import ensure_resilience
 from repro.faults.stats import FaultStats
 from repro.store.jsonl import encode_record
 from repro.store.segments import (
@@ -67,6 +66,12 @@ from repro.telemetry import (
 
 #: Parent-side poll interval while waiting for the next in-order batch.
 _POLL_SECONDS = 0.01
+#: Per-shard budget of deterministic respawns after a worker is killed
+#: (by signal, or by a scheduled chaos crash).  A worker that *fails* —
+#: raises, exits nonzero on its own — is never respawned: failures are
+#: application bugs to surface, deaths are infrastructure weather to
+#: absorb.
+_MAX_RESPAWNS = 3
 
 logger = logging.getLogger(__name__)
 
@@ -82,9 +87,7 @@ class ShardSpec:
     """
 
     world_config: WorldConfig
-    farm_config: FarmConfig
     retries_enabled: bool
-    retry_policy: RetryPolicy | None
     plan: CrawlPlan
     completed_domains: frozenset[str]
     shard: int
@@ -118,13 +121,9 @@ def run_shard(spec: ShardSpec) -> None:
 
         try:
             world = build_world(spec.world_config)
-            ensure_resilience(
-                world,
-                retries_enabled=spec.retries_enabled,
-                retry_policy=spec.retry_policy,
-            )
+            ensure_resilience(world, retries_enabled=spec.retries_enabled)
             telemetry = Telemetry(world.clock) if spec.telemetry else None
-            farm = CrawlerFarm(world, spec.farm_config)
+            farm = CrawlerFarm(world)
             dataset = CrawlDataset(completed_domains=set(spec.completed_domains))
             batches = farm.run_plan(
                 spec.plan, dataset, shard=(spec.shard, spec.shard_count)
@@ -196,8 +195,6 @@ class ShardedCrawlExecutor:
         workers: int,
         segment_dir: str | Path,
         retries_enabled: bool = True,
-        retry_policy: RetryPolicy | None = None,
-        max_respawns: int = 3,
     ) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -206,13 +203,6 @@ class ShardedCrawlExecutor:
         self.workers = workers
         self.segment_dir = Path(segment_dir)
         self.retries_enabled = retries_enabled
-        self.retry_policy = retry_policy
-        #: Per-shard budget of deterministic respawns after a worker is
-        #: killed (by signal, or by a scheduled chaos crash).  A worker
-        #: that *fails* — raises, exits nonzero on its own — is never
-        #: respawned: failures are application bugs to surface, deaths
-        #: are infrastructure weather to absorb.
-        self.max_respawns = max_respawns
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -306,9 +296,7 @@ class ShardedCrawlExecutor:
         path.unlink(missing_ok=True)
         spec = ShardSpec(
             world_config=self.world.config,
-            farm_config=self.farm.config,
             retries_enabled=self.retries_enabled,
-            retry_policy=self.retry_policy,
             plan=self._plan,
             completed_domains=frozenset(dataset.completed_domains),
             shard=shard,
@@ -349,7 +337,7 @@ class ShardedCrawlExecutor:
                 f"{code} {context}{self._shard_error(readers[shard])}"
             )
         count = self._respawns.get(shard, 0) + 1
-        if count > self.max_respawns:
+        if count > _MAX_RESPAWNS:
             raise ReproError(
                 f"crawl shard {shard} died {count} times (last exit {code}) "
                 f"{context}; respawn budget exhausted"
@@ -361,7 +349,7 @@ class ShardedCrawlExecutor:
             code,
             context,
             count,
-            self.max_respawns,
+            _MAX_RESPAWNS,
         )
         current_telemetry().inc("parallel.worker_respawns")
         processes[shard], readers[shard] = self._launch(shard, dataset)

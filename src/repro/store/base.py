@@ -8,7 +8,7 @@ config, crawl summary, status) live in the ``meta`` stream as append-only
 ``{"key", "value"}`` records with last-write-wins semantics, so even
 metadata updates never rewrite earlier bytes.
 
-Two backends implement the protocol: :class:`~repro.store.memory.MemoryStore`
+Two backends subclass it: :class:`~repro.store.memory.MemoryStore`
 (plain lists, the default for in-process runs) and
 :class:`~repro.store.jsonl.JsonlStore` (one ``.jsonl`` file per stream in
 a directory, for durable runs that can be resumed or re-analysed
@@ -17,7 +17,8 @@ offline).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Protocol, runtime_checkable
+from abc import ABC, abstractmethod
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import StoreError
 
@@ -62,23 +63,28 @@ def row_past_end(stream: str, row: int, rows: int) -> StoreError:
     )
 
 
-@runtime_checkable
-class RunStore(Protocol):
-    """Append-only record streams for one measurement run."""
+class RunStore(ABC):
+    """Append-only record streams for one measurement run.
 
-    @property
-    def run_id(self) -> str:
-        """Identifier of the run this store holds."""
-        ...
+    The two backends implement :meth:`append`, :meth:`scan`,
+    :meth:`count`, :meth:`streams` and :meth:`truncate`; this base
+    supplies :meth:`read`, batching and the meta-stream key/value
+    convention on top.
+    """
 
+    #: Identifier of the run this store holds.
+    run_id: str
+
+    @abstractmethod
     def append(self, stream: str, record: Mapping[str, Any]) -> None:
         """Append one record to ``stream``."""
-        ...
 
     def extend(self, stream: str, records: Iterable[Mapping[str, Any]]) -> None:
         """Append many records to ``stream`` in order."""
-        ...
+        for record in records:
+            self.append(stream, record)
 
+    @abstractmethod
     def scan(
         self, stream: str, rows: Iterable[int] | None = None
     ) -> Iterator[dict[str, Any]]:
@@ -89,20 +95,20 @@ class RunStore(Protocol):
         no other row.  A row past the end raises
         :class:`~repro.errors.StoreError`.
         """
-        ...
 
     def read(self, stream: str) -> list[dict[str, Any]]:
         """Every record of ``stream``, in append order."""
-        ...
+        return list(self.scan(stream))
 
+    @abstractmethod
     def count(self, stream: str) -> int:
         """Number of records appended to ``stream`` so far."""
-        ...
 
+    @abstractmethod
     def streams(self) -> list[str]:
         """Names of the streams that hold at least one record."""
-        ...
 
+    @abstractmethod
     def truncate(self, stream: str, keep: int) -> None:
         """Drop every record of ``stream`` past the first ``keep``.
 
@@ -110,80 +116,31 @@ class RunStore(Protocol):
         trims unacknowledged records (rows past the last progress marker)
         before continuing a run.
         """
-        ...
-
-    def put_meta(self, key: str, value: Any) -> None:
-        """Set a run-level metadata value (appends to the meta stream)."""
-        ...
-
-    def get_meta(self, key: str, default: Any = None) -> Any:
-        """Latest metadata value for ``key``, or ``default``."""
-        ...
-
-    def begin_intent(self, label: str) -> None:
-        """Open a write barrier: the appends until :meth:`commit_intent`
-        form one atomic group that a crash-recovery open rolls back as a
-        unit.  Backends without durable state may treat this as a no-op.
-        """
-        ...
-
-    def commit_intent(self) -> None:
-        """Close the open write barrier; the group of writes is final."""
-        ...
-
-
-class StoreBase:
-    """Shared behaviour for the concrete backends.
-
-    Subclasses implement :meth:`append`, :meth:`scan`, :meth:`count` and
-    :meth:`streams`; this base supplies :meth:`read`, batching and the
-    meta-stream key/value convention on top.
-    """
-
-    run_id: str
-
-    def extend(self, stream: str, records: Iterable[Mapping[str, Any]]) -> None:
-        for record in records:
-            self.append(stream, record)
-
-    def append(self, stream: str, record: Mapping[str, Any]) -> None:
-        raise NotImplementedError
-
-    def scan(
-        self, stream: str, rows: Iterable[int] | None = None
-    ) -> Iterator[dict[str, Any]]:
-        raise NotImplementedError
-
-    def read(self, stream: str) -> list[dict[str, Any]]:
-        return list(self.scan(stream))
-
-    def count(self, stream: str) -> int:
-        raise NotImplementedError
-
-    def streams(self) -> list[str]:
-        raise NotImplementedError
-
-    def truncate(self, stream: str, keep: int) -> None:
-        raise NotImplementedError
 
     # -------------------------------------------------------- write barriers
 
     def begin_intent(self, label: str) -> None:
-        """No-op by default: an in-process store dies with its process,
-        so there is nothing a recovery pass could observe half-written.
-        Durable backends override this (see
+        """Open a write barrier: the appends until :meth:`commit_intent`
+        form one atomic group that a crash-recovery open rolls back as a
+        unit.
+
+        A no-op here: an in-process store dies with its process, so there
+        is nothing a recovery pass could observe half-written.  Durable
+        backends override this (see
         :meth:`repro.store.jsonl.JsonlStore.begin_intent`).
         """
 
     def commit_intent(self) -> None:
-        """No-op counterpart of :meth:`begin_intent`."""
+        """Close the open write barrier; the group of writes is final."""
 
     # ------------------------------------------------------------- metadata
 
     def put_meta(self, key: str, value: Any) -> None:
+        """Set a run-level metadata value (appends to the meta stream)."""
         self.append(META, {"key": key, "value": value})
 
     def get_meta(self, key: str, default: Any = None) -> Any:
+        """Latest metadata value for ``key``, or ``default``."""
         value = default
         for record in self.scan(META):
             if record.get("key") == key:

@@ -60,7 +60,7 @@ from typing import Any, IO, Iterable, Iterator, Mapping
 
 from repro.chaos.points import crash_point
 from repro.errors import StoreError
-from repro.store.base import META, StoreBase, row_past_end
+from repro.store.base import META, RunStore, row_past_end
 from repro.telemetry import current as current_telemetry
 
 #: One reusable encoder for every store and shard-segment line.
@@ -106,7 +106,7 @@ class RecoveryReport:
         return not self.torn_tails and self.intent_rolled_back is None
 
 
-class JsonlStore(StoreBase):
+class JsonlStore(RunStore):
     """Append-only JSONL streams in a directory (one run per directory)."""
 
     def __init__(

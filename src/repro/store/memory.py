@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
-from repro.store.base import StoreBase, row_past_end
+from repro.store.base import RunStore, row_past_end
 
 
-class MemoryStore(StoreBase):
+class MemoryStore(RunStore):
     """Append-only streams held as plain lists.
 
     Records are shallow-copied on append so later caller-side mutation

@@ -40,7 +40,7 @@ class DomainGenerator:
         self._rng: random.Random = rng_for(seed, "domains", label)
         self._seen: set[str] = set()
 
-    def dga(self, tld: str | None = None, min_len: int = 8, max_len: int = 14) -> str:
+    def dga(self, tld: str | None = None) -> str:
         """Generate a random-consonant DGA-style domain.
 
         >>> gen = DomainGenerator(1, "demo")
@@ -49,7 +49,7 @@ class DomainGenerator:
         1
         """
         while True:
-            length = self._rng.randint(min_len, max_len)
+            length = self._rng.randint(8, 14)
             letters = []
             for index in range(length):
                 pool = _VOWELS if index % 3 == 2 and self._rng.random() < 0.7 else _CONSONANTS
@@ -62,7 +62,7 @@ class DomainGenerator:
                 self._seen.add(domain)
                 return domain
 
-    def word_salad(self, tld: str | None = None, words: int = 2) -> str:
+    def word_salad(self, tld: str | None = None) -> str:
         """Generate a pronounceable word-mashup domain (TDS / ad-code style).
 
         A numeric suffix is always included (``findglo210``-style); besides
@@ -70,7 +70,7 @@ class DomainGenerator:
         enough that independent generators effectively never collide.
         """
         while True:
-            parts = [self._rng.choice(_WORDS) for _ in range(words)]
+            parts = [self._rng.choice(_WORDS) for _ in range(2)]
             parts.append(str(self._rng.randint(1, 9999)))
             chosen_tld = tld or self._rng.choice(_TLDS_CODE)
             domain = f"{''.join(parts)}.{chosen_tld}"

@@ -3,9 +3,10 @@
 ``golden_digests.json`` holds, for the micro world (8 publishers, 6
 campaigns, 0.5-day milking) at seeds 7 and 13 with one and two crawl
 workers, the SHA-256 of every store stream, of the canonical sim-lane
-trace, of the Prometheus metrics text and of the generated report of a
-traced streaming run; the batch ``run()`` report at seed 7 is pinned
-too.  The micro digests were recorded from the scalar session kernel over an
+trace (one ``pipeline.ingest`` span per finished domain with
+interactions), of the Prometheus metrics text and of the generated
+report of a traced streaming run; the batch ``run()`` report at seed 7
+is pinned too.  The micro digests were recorded from the scalar session kernel over an
 eagerly built world, so a run that reproduces them is byte-identical to
 those reference paths.  ``tests/test_sessionbatch.py`` and
 ``tests/test_lazy_world.py`` check the current code against them: any
@@ -65,7 +66,7 @@ def streaming_digests(store_dir: Path, seed: int, workers: int) -> dict:
     telemetry = Telemetry(world.clock)
     with use(telemetry):
         result = pipeline.run_streaming(
-            store=JsonlStore(store_dir), workers=workers, batch_domains=2
+            store=JsonlStore(store_dir), workers=workers
         )
     return {
         "streams": stream_digests(store_dir),

@@ -67,6 +67,25 @@ class TestMain:
         assert output.startswith("# SEACMA measurement report")
         assert "Table 3" in output
 
+    @pytest.mark.parametrize("days", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [pytest.param(["run"], id="run"), pytest.param(["resume", "nowhere"], id="resume")],
+    )
+    def test_unbounded_days_rejected_before_the_crawl(
+        self, monkeypatch, capsys, argv, days
+    ):
+        def no_world(*args, **kwargs):
+            raise AssertionError("the world was built despite a bad --days")
+
+        monkeypatch.setattr(cli_module, "build_world", no_world)
+        code = main([*argv, "--days", days])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: duration_days must be finite and non-negative")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_run_without_milking(self, capsys):
         code = main(["run", "--no-milking", "--seed", "3"])
         assert code == 0
@@ -79,10 +98,10 @@ class TestStreaming:
     def test_parser_stream_options(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["run", "--store-dir", "d", "--workers", "2", "--batch-domains", "4"]
+            ["run", "--store-dir", "d", "--workers", "2"]
         )
         assert str(args.store_dir) == "d"
-        assert args.workers == 2 and args.batch_domains == 4
+        assert args.workers == 2
         args = parser.parse_args(["resume", "d", "--days", "1.5"])
         assert args.command == "resume"
         assert str(args.store_dir) == "d" and args.days == 1.5
@@ -215,7 +234,7 @@ class TestWorkersFlag:
     def test_workers_apply_without_a_store(self, capsys):
         # Every run streams, so --workers needs no other flag.
         code = main(
-            ["run", "--workers", "2", "--batch-domains", "4", "--seed", "3",
+            ["run", "--workers", "2", "--seed", "3",
              "--days", "0.5", "--no-milking"]
         )
         assert code == 0
@@ -223,13 +242,7 @@ class TestWorkersFlag:
 
     @pytest.mark.parametrize(
         "argv, flag",
-        [
-            pytest.param(["run"], "--workers", id="run-workers"),
-            pytest.param(["run"], "--batch-domains", id="run-batch-domains"),
-            pytest.param(
-                ["resume", "store"], "--batch-domains", id="resume-batch-domains"
-            ),
-        ],
+        [pytest.param(["run"], "--workers", id="run-workers")],
     )
     def test_zero_workers_rejected(self, capsys, argv, flag):
         # Rejected by the parser before any store is touched: one usage
@@ -240,14 +253,29 @@ class TestWorkersFlag:
         assert f"{flag} must be at least 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["run"], id="run-batch-domains"),
+            pytest.param(["resume", "store"], id="resume-batch-domains"),
+        ],
+    )
+    def test_batch_domains_flag_is_gone(self, capsys, argv):
+        # Every finished domain is ingested as it lands; the grouping
+        # flag no longer exists and argparse rejects it.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--batch-domains", "4"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --batch-domains 4" in err
+        assert "Traceback" not in err
+
     def test_streamed_run_with_workers(self, tmp_path, capsys):
         code = main(
             [
                 "run",
                 "--workers",
                 "2",
-                "--batch-domains",
-                "4",
                 "--seed",
                 "3",
                 "--days",

@@ -4,7 +4,28 @@ import pytest
 
 from repro.clock import DAY
 from repro.core.milking import MilkingConfig, MilkingTracker
-from repro.errors import MilkingError
+from repro.errors import ConfigError, MilkingError
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("duration_days", -1.0),
+            ("duration_days", float("nan")),
+            ("duration_days", float("inf")),
+            ("post_lookup_days", -0.5),
+            ("post_lookup_days", float("inf")),
+            ("interval_minutes", 0.0),
+            ("interval_minutes", float("nan")),
+        ],
+    )
+    def test_unbounded_schedule_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            MilkingConfig(**{field: value})
+
+    def test_zero_days_allowed(self):
+        assert MilkingConfig(duration_days=0.0, post_lookup_days=0.0).duration_days == 0.0
 
 
 class TestSources:

@@ -50,7 +50,7 @@ class TestModeAndRepeatIdentity:
             store=MemoryStore(run_id="one")
         )
         stream_two = make_pipeline(3).run_streaming(
-            store=MemoryStore(run_id="two"), batch_domains=4
+            store=MemoryStore(run_id="two")
         )
         assert feed_bytes(batch)
         assert (

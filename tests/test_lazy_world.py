@@ -44,9 +44,7 @@ def run_streaming(tmp_path, seed: int):
     pipeline = SeacmaPipeline(world, milking_config=MILKING)
     telemetry = Telemetry(world.clock)
     with use(telemetry):
-        result = pipeline.run_streaming(
-            store=JsonlStore(tmp_path / "store"), batch_domains=2
-        )
+        result = pipeline.run_streaming(store=JsonlStore(tmp_path / "store"))
     return {
         "metrics": telemetry.metrics.to_prometheus(),
         "world": world,

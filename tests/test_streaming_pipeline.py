@@ -2,9 +2,9 @@
 
 The contract under test (DESIGN.md, "Streaming architecture"):
 
-* ``run()`` and ``run_streaming()`` produce **byte-identical** campaigns,
-  attribution and milking, for any seed and any batch schedule, and the
-  same as the one-shot stage methods (``crawl``, ``discover``,
+* ``run()`` and a hand-driven ``start_streaming()`` produce
+  **byte-identical** campaigns, attribution and milking, for any seed,
+  and the same as the one-shot stage methods (``crawl``, ``discover``,
   ``attribute``, ``milk``) chained by hand;
 * a run streamed into a :class:`JsonlStore` regenerates the same report
   offline (store → reload → report == live report);
@@ -31,7 +31,7 @@ from repro.core.crawler import AdInteraction, ChainNode
 from repro.core.milking import MilkingConfig
 from repro.core.pipeline import PipelineResult
 from repro.errors import ConfigError, StoreError
-from repro.store import JsonlStore, MemoryStore
+from repro.store import INTERACTIONS, JsonlStore, MemoryStore
 from repro.store.persist import load_result, load_world
 
 MILKING = MilkingConfig(duration_days=0.5, post_lookup_days=0.5)
@@ -97,13 +97,7 @@ class TestBatchStreamingEquivalence:
     def test_streaming_equals_batch_across_schedules(self, seed):
         world, pipeline = make_pipeline(seed)
         baseline = fingerprint(world, pipeline.run())
-        arms = {"stages": self._stagewise(seed)}
-        for batch_domains in (1, 5):  # two batch schedules per seed
-            world, pipeline = make_pipeline(seed)
-            arms[f"batch_domains {batch_domains}"] = (
-                world,
-                pipeline.run_streaming(batch_domains=batch_domains),
-            )
+        arms = {"stages": self._stagewise(seed), "streamed": self._streamed(seed)}
         for arm, run in arms.items():
             candidate = fingerprint(*run)
             for component, expected in baseline.items():
@@ -125,10 +119,22 @@ class TestBatchStreamingEquivalence:
         result.milking = pipeline.milk(discovery)
         return world, result
 
+    @staticmethod
+    def _streamed(seed):
+        """The streaming loop driven by hand, one finished domain at a time."""
+        world, pipeline = make_pipeline(seed)
+        run = pipeline.start_streaming()
+        for _ in run.crawl_batches():
+            pass
+        return world, run.finalize()
+
     def test_live_stage_results_mid_crawl(self):
         world, pipeline = make_pipeline(3)
         run = pipeline.start_streaming(with_milking=False)
         for batch in run.crawl_batches():
+            # Every yielded domain is already ingested: the stages have
+            # seen exactly the rows the store holds.
+            assert len(run.attribution_stage.keys) == run.store.count(INTERACTIONS)
             # Incremental stages answer at any point of the stream.
             census = run.discovery_stage.finalize()
             assert census.clusters_before_filter >= 0
@@ -146,7 +152,7 @@ class TestJsonlPersistence:
         # Live run into a durable store...
         world, pipeline = make_pipeline(7)
         with JsonlStore(tmp_path / "run", run_id="tiny-7") as store:
-            result = pipeline.run_streaming(store=store, batch_domains=3)
+            result = pipeline.run_streaming(store=store)
             live_report = generate_report(world, result)
 
         # ...equals the same run into a memory store...

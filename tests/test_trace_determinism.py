@@ -62,15 +62,13 @@ def run_traced(
     store = JsonlStore(store_dir)
     if not telemetry_on:
         pipeline.run_streaming(
-            store=store, workers=workers, batch_domains=2,
-            with_milking=with_milking,
+            store=store, workers=workers, with_milking=with_milking,
         )
         return None, None, store_digest(store_dir)
     telemetry = Telemetry(world.clock)
     with use(telemetry):
         pipeline.run_streaming(
-            store=store, workers=workers, batch_domains=2,
-            with_milking=with_milking,
+            store=store, workers=workers, with_milking=with_milking,
         )
     return (
         canonical_trace_bytes(telemetry),
@@ -134,7 +132,7 @@ class TestShardLaneProvenance:
         pipeline = SeacmaPipeline(world, milking_config=MILKING)
         telemetry = Telemetry(world.clock)
         with use(telemetry):
-            pipeline.run_streaming(workers=2, batch_domains=2)
+            pipeline.run_streaming(workers=2)
         records = telemetry.tracer.records(include_wall=True)
         shards = {
             record["host"]["shard"]
@@ -157,7 +155,7 @@ class TestShardLaneProvenance:
         pipeline = SeacmaPipeline(world, milking_config=MILKING)
         telemetry = Telemetry(world.clock)
         with use(telemetry):
-            pipeline.run_streaming(workers=4, batch_domains=2)
+            pipeline.run_streaming(workers=4)
         for record in telemetry.tracer.records(include_wall=False):
             if record["lane"] == SIM_LANE:
                 attrs = record.get("attrs") or {}
